@@ -5,13 +5,18 @@ Builders produce closed composition tables directly, so the results are
 valid by construction; validate_category is only needed for foreign input.
 Object and morphism order is the documented construction sequence, which is
 what makes witnesses reproducible.
+
+Coslices and categories of elements share one comma construction (the
+coslice under X is the category of elements of hom(X, -)), with morphisms
+(i, j, eta) in lexicographic order.  Every builder fills its composition
+table per composable pair, never by scanning all pairs of morphisms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Copresheaf,
@@ -23,6 +28,15 @@ from .core import (
     MAX_OBJECTS,
 )
 from .errors import NotAMonoid, SizeBoundExceeded
+
+
+def _group_by(ends: Sequence[int], n: int) -> list[list[int]]:
+    """Refs ``0..len(ends)-1`` grouped by ``ends[ref]`` in ``range(n)``,
+    each group ascending."""
+    groups: list[list[int]] = [[] for _ in range(n)]
+    for ref, end in enumerate(ends):
+        groups[end].append(ref)
+    return groups
 
 
 def build_poset_category(poset: FinitePoset) -> FiniteCategory:
@@ -41,11 +55,12 @@ def build_poset_category(poset: FinitePoset) -> FiniteCategory:
         names.append(f"le{i}_{j}")
         dom.append(i)
         cod.append(j)
-    comp = {}
-    for (a, b), f in ref.items():
-        for (b2, c), g in ref.items():
-            if b2 == b:
-                comp[(g, f)] = ref[(a, c)]
+    by_dom = _group_by(dom, n)
+    comp = {
+        (g, f): ref[(dom[f], cod[g])]
+        for f in range(len(names))
+        for g in by_dom[cod[f]]
+    }
     return FiniteCategory(
         tuple(poset.elements), tuple(names), tuple(dom), tuple(cod),
         tuple(range(n)), comp,
@@ -162,13 +177,14 @@ def product_category(
         _mixed_radix_encode([c.identity[o] for c, o in zip(factors, t)], mor_sizes)
         for t in obj_tuples
     )
+    by_cod = _group_by(cod, n_obj)
     comp = {}
     for gi, gt in enumerate(mor_tuples):
-        for fi, ft in enumerate(mor_tuples):
-            if cod[fi] == dom[gi]:
-                comp[(gi, fi)] = _mixed_radix_encode(
-                    [c.comp[(g, f)] for c, g, f in zip(factors, gt, ft)], mor_sizes
-                )
+        for fi in by_cod[dom[gi]]:
+            comp[(gi, fi)] = _mixed_radix_encode(
+                [c.comp[(g, f)] for c, g, f in zip(factors, gt, mor_tuples[fi])],
+                mor_sizes,
+            )
     cat = FiniteCategory(obj_names, mor_names, dom, cod, identity, comp)
     projections = tuple(
         Functor(
@@ -180,6 +196,44 @@ def product_category(
         for i, c in enumerate(factors)
     )
     return ProductResult(cat, projections, tuple(factors))
+
+
+def _comma(
+    base: FiniteCategory,
+    over: Sequence[int],
+    act: Callable[[int, int], int],
+    obj_names: Sequence[str],
+    tag: str,
+) -> tuple[FiniteCategory, Functor, tuple[tuple[int, int, int], ...]]:
+    """Comma category over ``base`` and its projection to ``base``.
+
+    Object i lies over base object ``over[i]``; ``act(eta, i)`` is the object
+    that eta (with dom(eta) = over[i]) sends i to.  The morphisms are the
+    triples (i, act(eta, i), eta) in lexicographic order, named
+    ``{tag}{i}_{j}_`` plus the name of eta.  Composites are filled per
+    composable pair, first arrow outer and second arrow ascending; searches
+    iterate ``comp`` in insertion order, so this order is part of the result.
+    """
+    base_out = _group_by(base.mor_dom, base.n_objects)
+    triples = tuple(
+        sorted(
+            (i, act(eta, i), eta) for i, b in enumerate(over) for eta in base_out[b]
+        )
+    )
+    ref = {t: r for r, t in enumerate(triples)}
+    dom = tuple(i for i, _, _ in triples)
+    cod = tuple(j for _, j, _ in triples)
+    identity = tuple(ref[(i, i, base.identity[b])] for i, b in enumerate(over))
+    out = _group_by(dom, len(over))
+    comp = {}
+    for r1, (i, j, e1) in enumerate(triples):
+        for r2 in out[j]:
+            _, k, e2 = triples[r2]
+            comp[(r2, r1)] = ref[(i, k, base.comp[(e2, e1)])]
+    mor_names = tuple(f"{tag}{i}_{j}_{base.mor_names[e]}" for i, j, e in triples)
+    cat = FiniteCategory(tuple(obj_names), mor_names, dom, cod, identity, comp)
+    forgetful = Functor(cat, base, tuple(over), tuple(e for _, _, e in triples))
+    return cat, forgetful, triples
 
 
 @dataclass(frozen=True)
@@ -208,36 +262,15 @@ class CosliceResult:
 def coslice_category(cat: FiniteCategory, x: int) -> CosliceResult:
     """Coslice of ``cat`` under object ``x`` and its forgetful functor."""
     obj_mors = tuple(m for m in range(cat.n_mors) if cat.mor_dom[m] == x)
-    n = len(obj_mors)
-    triples: list[tuple[int, int, int]] = []
-    ref: dict[tuple[int, int, int], int] = {}
-    for i in range(n):
-        for j in range(n):
-            fi, fj = obj_mors[i], obj_mors[j]
-            for eta in cat.hom(cat.mor_cod[fi], cat.mor_cod[fj]):
-                if cat.comp[(eta, fi)] == fj:
-                    ref[(i, j, eta)] = len(triples)
-                    triples.append((i, j, eta))
-    identity = tuple(
-        ref[(i, i, cat.identity[cat.mor_cod[obj_mors[i]]])] for i in range(n)
-    )
-    comp = {}
-    for (i, j, e1), r1 in ref.items():
-        for (j2, k, e2), r2 in ref.items():
-            if j2 == j:
-                comp[(r2, r1)] = ref[(i, k, cat.comp[(e2, e1)])]
-    names = tuple(f"o_{cat.mor_names[f]}" for f in obj_mors)
-    mor_names = tuple(f"t{i}_{j}_{cat.mor_names[e]}" for (i, j, e) in triples)
-    dom = tuple(t[0] for t in triples)
-    cod = tuple(t[1] for t in triples)
-    coslice = FiniteCategory(names, mor_names, dom, cod, identity, comp)
-    forgetful = Functor(
-        coslice,
+    index = {f: i for i, f in enumerate(obj_mors)}
+    coslice, forgetful, triples = _comma(
         cat,
-        tuple(cat.mor_cod[f] for f in obj_mors),
-        tuple(t[2] for t in triples),
+        [cat.mor_cod[f] for f in obj_mors],
+        lambda eta, i: index[cat.comp[(eta, obj_mors[i])]],
+        [f"o_{cat.mor_names[f]}" for f in obj_mors],
+        "t",
     )
-    return CosliceResult(coslice, forgetful, obj_mors, tuple(triples))
+    return CosliceResult(coslice, forgetful, obj_mors, triples)
 
 
 @dataclass(frozen=True)
@@ -265,41 +298,18 @@ def elements_category(h: Copresheaf) -> ElementsResult:
     # Revalidate: foreign Copresheaf values may carry functoriality bugs.
     h = validate_copresheaf(h.base, h.fibers, h.action)
     base = h.base
-    objects: list[tuple[int, int]] = []
-    for q in range(base.n_objects):
-        for x in range(len(h.fibers[q])):
-            objects.append((q, x))
-    n = len(objects)
-    triples: list[tuple[int, int, int]] = []
-    ref: dict[tuple[int, int, int], int] = {}
-    for i in range(n):
-        for j in range(n):
-            qi, xi = objects[i]
-            qj, xj = objects[j]
-            for eta in base.hom(qi, qj):
-                if h.action[eta][xi] == xj:
-                    ref[(i, j, eta)] = len(triples)
-                    triples.append((i, j, eta))
-    identity = tuple(ref[(i, i, base.identity[objects[i][0]])] for i in range(n))
-    comp = {}
-    for (i, j, e1), r1 in ref.items():
-        for (j2, k, e2), r2 in ref.items():
-            if j2 == j:
-                comp[(r2, r1)] = ref[(i, k, base.comp[(e2, e1)])]
-    names = tuple(
-        f"x{q}_{h.fibers[q][x]}" for (q, x) in objects
+    objects = tuple(
+        (q, x) for q in range(base.n_objects) for x in range(len(h.fibers[q]))
     )
-    mor_names = tuple(f"e{i}_{j}_{base.mor_names[e]}" for (i, j, e) in triples)
-    dom = tuple(t[0] for t in triples)
-    cod = tuple(t[1] for t in triples)
-    cat = FiniteCategory(names, mor_names, dom, cod, identity, comp)
-    forgetful = Functor(
-        cat,
+    index = {o: i for i, o in enumerate(objects)}
+    cat, forgetful, triples = _comma(
         base,
-        tuple(q for (q, _) in objects),
-        tuple(t[2] for t in triples),
+        [q for q, _ in objects],
+        lambda eta, i: index[(base.mor_cod[eta], h.action[eta][objects[i][1]])],
+        [f"x{q}_{h.fibers[q][x]}" for q, x in objects],
+        "e",
     )
-    return ElementsResult(cat, forgetful, tuple(objects), tuple(triples))
+    return ElementsResult(cat, forgetful, objects, triples)
 
 
 def representable_copresheaf(cat: FiniteCategory, p: int) -> Copresheaf:

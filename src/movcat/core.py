@@ -28,8 +28,6 @@ from .errors import (
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
 
-_IDENT_OK = None  # set lazily by dsl; names are only checked there
-
 
 @dataclass(frozen=True, eq=True)
 class FiniteCategory:

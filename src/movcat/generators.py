@@ -35,7 +35,7 @@ from .core import (
     make_poset,
     validate_copresheaf,
 )
-from .errors import ParamsOutOfRange, SizeBoundExceeded, UnresolvedReference
+from .errors import NoDesignatedCoproducts, ParamsOutOfRange, SizeBoundExceeded
 from .search import CoproductDesignation, validate_designation
 from .systems import make_cone, validate_system
 from .dsl import (
@@ -179,11 +179,6 @@ def random_monoid(
 
 def _monoid_idempotents(table) -> list[int]:
     return [i for i in range(len(table)) if table[i][i] == i]
-
-
-def _monoid_is_group(table, unit) -> bool:
-    n = len(table)
-    return all(any(table[a][b] == unit for b in range(n)) for a in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +510,7 @@ def semilattice_designation(
                 (j for j in ubs if all(poset.leq(j, u) for u in ubs)), None
             )
             if join is None:
-                raise UnresolvedReference(
+                raise NoDesignatedCoproducts(
                     f"no join for ({poset.elements[a]}, {poset.elements[b]})"
                 )
             table[(a, b)] = (

@@ -178,16 +178,12 @@ SM1Result = Union[SM1Witness, SMCounterexample]
 SM2Result = Union[SM2Witness, SMCounterexample]
 
 
-def check_sm1(system: InverseSystem, *, independent_astar: bool = False) -> SM1Result:
+def check_sm1(system: InverseSystem) -> SM1Result:
     """Evaluate the inverse-system strong-movability condition:
 
     for all a, exists a' >= a, for all a'' >= a, exist a* >= a', a'' and
     r: X_a' -> X_a'' with bond(a, a') = bond(a, a'') . r and
     r . bond(a', a*) = bond(a'', a*).
-
-    With independent_astar the first equality is checked on its own and a*
-    only has to serve the second (the verdict coincides, since the first
-    equality does not mention a*); the flag exists for exploration.
     """
     amb = system.ambient
     idx = system.index
@@ -215,26 +211,15 @@ def check_sm1(system: InverseSystem, *, independent_astar: bool = False) -> SM1R
                         == system.bond[(a2, astar)]
                     )
 
+                # Single a* serving both equalities; smallest (a*, r).
                 pick = None
-                if independent_astar:
-                    # First equality checked on its own; a* only serves the
-                    # second.  Smallest r, then smallest a*.
+                for astar in ubs:
                     for r in rs:
-                        if not eq1(r):
-                            continue
-                        astar = next((s for s in ubs if eq2(r, s)), None)
-                        if astar is not None:
+                        if eq1(r) and eq2(r, astar):
                             pick = (astar, r)
                             break
-                else:
-                    # Single a* serving both equalities; smallest (a*, r).
-                    for astar in ubs:
-                        for r in rs:
-                            if eq1(r) and eq2(r, astar):
-                                pick = (astar, r)
-                                break
-                        if pick:
-                            break
+                    if pick:
+                        break
                 if pick is None:
                     defeat = a2
                     break

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from movcat.builders import (
     add_initial_object,
+    build_poset_category,
     build_monoid_category,
     canonical_category,
     coslice_category,
@@ -9,9 +12,24 @@ from movcat.builders import (
     product_category,
     representable_copresheaf,
 )
-from movcat.core import validate_category, validate_copresheaf, validate_functor
+from movcat.core import (
+    make_poset,
+    validate_category,
+    validate_copresheaf,
+    validate_functor,
+)
 from movcat.errors import NotAMonoid, SizeBoundExceeded
-from util import antichain, chain, find_isomorphism, v_poset_category
+from movcat.generators import GenParams, random_copresheaf_doc
+from util import (
+    antichain,
+    chain,
+    find_isomorphism,
+    naive_coslice,
+    naive_elements,
+    naive_poset_category,
+    naive_product,
+    v_poset_category,
+)
 
 
 def _revalidate(cat):
@@ -171,3 +189,56 @@ def test_representable_copresheaf_valid():
     h = representable_copresheaf(c, 0)
     validate_copresheaf(c, h.fibers, h.action)
     assert h.fiber_size(2) == 1 and h.fiber_size(1) == 0
+
+
+def _tables(cat):
+    return (
+        cat.object_names,
+        cat.mor_names,
+        cat.mor_dom,
+        cat.mor_cod,
+        cat.identity,
+        list(cat.comp.items()),
+    )
+
+
+def _maps(functor):
+    return (functor.obj_map, functor.mor_map)
+
+
+def test_builders_match_definition_reference():
+    # Reported witnesses are the lexicographically least, so object order,
+    # morphism order and the insertion order of comp are all pinned here.
+    posets = [
+        make_poset([f"a{i}" for i in range(3)], [(0, 1), (1, 2)]),
+        make_poset(["a", "b", "c"], [(0, 2), (1, 2)]),
+    ]
+    cats = []
+    for poset in posets:
+        cat = build_poset_category(poset)
+        assert _tables(cat) == _tables(naive_poset_category(poset))
+        cats.append(cat)
+    prod = product_category([chain(3), chain(4)])
+    ref_cat, ref_projections = naive_product([chain(3), chain(4)])
+    assert _tables(prod.category) == _tables(ref_cat)
+    assert [_maps(p) for p in prod.projections] == ref_projections
+    cats.append(prod.category)
+
+    copresheaves = []
+    for cat in cats:
+        for x in range(cat.n_objects):
+            res = coslice_category(cat, x)
+            ref_cat, ref_forgetful, ref_triples = naive_coslice(cat, x)
+            assert _tables(res.category) == _tables(ref_cat)
+            assert _maps(res.forgetful) == ref_forgetful
+            assert res.morphism_triples == ref_triples
+            copresheaves.append(representable_copresheaf(cat, x))
+    for seed in range(6):
+        doc = random_copresheaf_doc(random.Random(seed), GenParams())
+        copresheaves.append(doc["H"].copresheaf)
+    for h in copresheaves:
+        res = elements_category(h)
+        ref_cat, ref_forgetful, ref_triples = naive_elements(h)
+        assert _tables(res.category) == _tables(ref_cat)
+        assert _maps(res.forgetful) == ref_forgetful
+        assert res.morphism_triples == ref_triples

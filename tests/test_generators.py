@@ -3,9 +3,9 @@ import random
 import pytest
 
 from movcat.builders import build_poset_category
-from movcat.core import validate_category, validate_copresheaf
+from movcat.core import make_poset, validate_category, validate_copresheaf
 from movcat.dsl import serialize_document
-from movcat.errors import ParamsOutOfRange
+from movcat.errors import NoDesignatedCoproducts, ParamsOutOfRange
 from movcat.generators import (
     GenParams,
     KINDS,
@@ -106,3 +106,9 @@ def test_join_semilattice_and_designation():
             for b in range(cat.n_objects):
                 j, i1, i2 = des.pair(a, b)
                 assert i1 in cat.hom(a, j) and i2 in cat.hom(b, j)
+
+
+def test_semilattice_designation_without_join():
+    poset = make_poset(["a", "b"], [])
+    with pytest.raises(NoDesignatedCoproducts, match=r"no join for \(a, b\)"):
+        semilattice_designation(build_poset_category(poset), poset)

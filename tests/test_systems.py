@@ -87,7 +87,6 @@ def test_sm1_trivial_on_directed_maximum():
     res = check_sm1(sys)
     assert isinstance(res, SM1Witness)
     assert res.alpha_prime == (2, 2, 2)
-    assert check_sm1(sys, independent_astar=True).alpha_prime == res.alpha_prime
 
 
 def test_sm1_counterexample_on_fork_with_noninvertible_bonds():
@@ -223,15 +222,6 @@ def test_star_agrees_with_elements_category_movability():
         assert isinstance(check_star(h), StarWitness) == isinstance(
             mov, MovabilityWitness
         )
-
-
-def test_sm1_independent_astar_same_verdict():
-    amb = v_poset_category()
-    idx = make_poset(["o", "a", "b"], [(0, 1), (0, 2)])
-    at = [2, 0, 1]
-    sys = validate_system(amb, idx, at, _thin_bonds(amb, idx, at))
-    assert isinstance(check_sm1(sys), SMCounterexample)
-    assert isinstance(check_sm1(sys, independent_astar=True), SMCounterexample)
 
 
 # ---------------------------------------------------------------------------

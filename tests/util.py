@@ -141,6 +141,126 @@ def naive_nat_trans_count(f, g) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Reference builder tables: each construction transcribed from its
+# definition, with composition tables filled by scanning all morphism pairs.
+# Object order, morphism order and the insertion order of ``comp`` are the
+# ones the builders document, so the builders' tables must equal these.
+
+
+def naive_poset_category(poset) -> FiniteCategory:
+    n = poset.n
+    arrows = [(i, i) for i in range(n)] + [
+        (i, j) for i in range(n) for j in range(n) if i != j and poset.leq(i, j)
+    ]
+    ref = {a: r for r, a in enumerate(arrows)}
+    names = [f"id_{poset.elements[i]}" for i in range(n)]
+    names += [f"le{i}_{j}" for i, j in arrows[n:]]
+    comp = {}
+    for f, (a, b) in enumerate(arrows):
+        for g, (b2, c) in enumerate(arrows):
+            if b2 == b:
+                comp[(g, f)] = ref[(a, c)]
+    return FiniteCategory(
+        tuple(poset.elements),
+        tuple(names),
+        tuple(a for a, _ in arrows),
+        tuple(b for _, b in arrows),
+        tuple(range(n)),
+        comp,
+    )
+
+
+def naive_product(factors) -> tuple[FiniteCategory, list]:
+    """Product category and its projections as (obj_map, mor_map) pairs."""
+    objs = list(itertools.product(*(range(c.n_objects) for c in factors)))
+    mors = list(itertools.product(*(range(c.n_mors) for c in factors)))
+    obj_ref = {t: r for r, t in enumerate(objs)}
+    mor_ref = {t: r for r, t in enumerate(mors)}
+    dom = tuple(obj_ref[tuple(c.mor_dom[m] for c, m in zip(factors, t))] for t in mors)
+    cod = tuple(obj_ref[tuple(c.mor_cod[m] for c, m in zip(factors, t))] for t in mors)
+    identity = tuple(
+        mor_ref[tuple(c.identity[o] for c, o in zip(factors, t))] for t in objs
+    )
+    comp = {}
+    for g, gt in enumerate(mors):
+        for f, ft in enumerate(mors):
+            if cod[f] == dom[g]:
+                comp[(g, f)] = mor_ref[
+                    tuple(c.comp[(a, b)] for c, a, b in zip(factors, gt, ft))
+                ]
+    cat = FiniteCategory(
+        tuple("o" + "_".join(map(str, t)) for t in objs),
+        tuple("m" + "_".join(map(str, t)) for t in mors),
+        dom,
+        cod,
+        identity,
+        comp,
+    )
+    projections = [
+        (tuple(t[k] for t in objs), tuple(t[k] for t in mors))
+        for k in range(len(factors))
+    ]
+    return cat, projections
+
+
+def _naive_comma(base, over, sends, obj_names, tag):
+    """Morphisms are the (i, j, eta) with eta: over[i] -> over[j] and
+    ``sends(eta, i, j)``, in lexicographic order.  Returns the category, the
+    projection as (obj_map, mor_map) and the triples."""
+    n = len(over)
+    triples = [
+        (i, j, eta)
+        for i in range(n)
+        for j in range(n)
+        for eta in range(base.n_mors)
+        if base.mor_dom[eta] == over[i]
+        and base.mor_cod[eta] == over[j]
+        and sends(eta, i, j)
+    ]
+    ref = {t: r for r, t in enumerate(triples)}
+    comp = {}
+    for r1, (i, j, e1) in enumerate(triples):
+        for r2, (j2, k, e2) in enumerate(triples):
+            if j2 == j:
+                comp[(r2, r1)] = ref[(i, k, base.comp[(e2, e1)])]
+    cat = FiniteCategory(
+        tuple(obj_names),
+        tuple(f"{tag}{i}_{j}_{base.mor_names[e]}" for i, j, e in triples),
+        tuple(i for i, _, _ in triples),
+        tuple(j for _, j, _ in triples),
+        tuple(ref[(i, i, base.identity[over[i]])] for i in range(n)),
+        comp,
+    )
+    return cat, (tuple(over), tuple(e for _, _, e in triples)), tuple(triples)
+
+
+def naive_coslice(cat: FiniteCategory, x: int):
+    """Coslice under x: objects f with dom(f) = x; f'' -> f' is each eta
+    with eta . f'' = f'."""
+    fs = [m for m in range(cat.n_mors) if cat.mor_dom[m] == x]
+    return _naive_comma(
+        cat,
+        [cat.mor_cod[f] for f in fs],
+        lambda eta, i, j: cat.comp[(eta, fs[i])] == fs[j],
+        [f"o_{cat.mor_names[f]}" for f in fs],
+        "t",
+    )
+
+
+def naive_elements(h):
+    """Category of elements: objects (Q, x in H(Q)); (Q'', x'') -> (Q', x')
+    is each eta: Q'' -> Q' with action(eta)(x'') = x'."""
+    objects = [(q, x) for q in range(h.base.n_objects) for x in range(len(h.fibers[q]))]
+    return _naive_comma(
+        h.base,
+        [q for q, _ in objects],
+        lambda eta, i, j: h.action[eta][objects[i][1]] == objects[j][1],
+        [f"x{q}_{h.fibers[q][x]}" for q, x in objects],
+        "e",
+    )
+
+
+# ---------------------------------------------------------------------------
 # Table isomorphism (backtracking with hom-size pruning)
 
 
