@@ -9,7 +9,15 @@ from typing import Optional
 
 from movcat.builders import build_poset_category
 from movcat.core import FiniteCategory, make_poset, validate_functor
-from movcat.errors import ValidationFailed
+from movcat.errors import ConeIncompatible, ValidationFailed
+from movcat.movability import CandidateDefeat, Counterexample, MovabilityWitness
+from movcat.systems import (
+    SM1Witness,
+    SM2Witness,
+    SMCounterexample,
+    StarCounterexample,
+    StarWitness,
+)
 
 
 def chain(n: int) -> FiniteCategory:
@@ -82,25 +90,6 @@ def naive_strongly_movable(k: FiniteCategory) -> bool:
     return True
 
 
-def naive_movable_wrt(k, l, phi) -> bool:
-    for x in range(k.n_objects):
-        ps = [p for p in range(k.n_mors) if k.mor_cod[p] == x]
-        exists = False
-        for mobj in range(k.n_objects):
-            for m in k.hom(mobj, x):
-                if all(
-                    any(
-                        l.comp[(phi.mor_map[p], u)] == phi.mor_map[m]
-                        for u in l.hom(phi.obj_map[mobj], phi.obj_map[k.mor_dom[p]])
-                    )
-                    for p in ps
-                ):
-                    exists = True
-        if not exists:
-            return False
-    return True
-
-
 def naive_functors(k: FiniteCategory, l: FiniteCategory) -> list:
     """Generate-and-filter functor enumeration (small inputs only)."""
     out = []
@@ -138,6 +127,152 @@ def naive_nat_trans_count(f, g) -> int:
         )
         count += ok
     return count
+
+
+# ---------------------------------------------------------------------------
+# Reference deciders: each one transcribes its decider's quantifier statement
+# over whole ref ranges (no hom index, no early exit) and returns the same
+# result dataclass.  "First" always means least in the documented order, so
+# witnesses, counterexamples and the insertion order of every dict must
+# equal the deciders' own.
+
+
+def _scan_hom(cat: FiniteCategory, a: int, b: int) -> list[int]:
+    return [m for m in range(cat.n_mors) if cat.mor_dom[m] == a and cat.mor_cod[m] == b]
+
+
+def _up(index, a: int) -> list[int]:
+    return [b for b in range(index.n) if index.leq(a, b)]
+
+
+def naive_movable_wrt(k, l, phi):
+    """For all X, exists (M, m: M -> X), for all p: Y -> X, exists
+    u: Phi(M) -> Phi(Y) with Phi(p) . u = Phi(m).  The witness takes the
+    least (M, m) per X and the least u per p; a counterexample is the least
+    failing X with the least defeating p of every (M, m)."""
+    movers, mover_mors, lifts = [], [], [0] * k.n_mors
+    for x in range(k.n_objects):
+        ps = [p for p in range(k.n_mors) if k.mor_cod[p] == x]
+        cands = [(mo, m) for mo in range(k.n_objects) for m in _scan_hom(k, mo, x)]
+
+        def answers(mo, m):
+            return {
+                p: [
+                    u
+                    for u in _scan_hom(l, phi.obj_map[mo], phi.obj_map[k.mor_dom[p]])
+                    if l.comp[(phi.mor_map[p], u)] == phi.mor_map[m]
+                ]
+                for p in ps
+            }
+
+        good = [c for c in cands if all(answers(*c).values())]
+        if not good:
+            return Counterexample(
+                x,
+                tuple(
+                    CandidateDefeat(mo, m, min(p for p, us in answers(mo, m).items() if not us))
+                    for mo, m in cands
+                ),
+            )
+        mo, m = good[0]
+        movers.append(mo)
+        mover_mors.append(m)
+        for p, us in answers(mo, m).items():
+            lifts[p] = us[0]
+    return MovabilityWitness(tuple(movers), tuple(mover_mors), tuple(lifts))
+
+
+def _naive_sm(system, answers, witness):
+    """For all a, exists a' >= a, for all a'' >= a, answers(a, a', a'') is
+    nonempty; the witness keeps the least a' and the least answer."""
+    idx = system.index
+    alpha_prime, choices = [], {}
+    for a in range(idx.n):
+        ups = _up(idx, a)
+        table = {a1: {a2: answers(a, a1, a2) for a2 in ups} for a1 in ups}
+        good = [a1 for a1 in ups if all(table[a1].values())]
+        if not good:
+            return SMCounterexample(
+                a, {a1: min(a2 for a2 in ups if not table[a1][a2]) for a1 in ups}
+            )
+        alpha_prime.append(good[0])
+        for a2 in ups:
+            choices[(a, a2)] = table[good[0]][a2][0]
+    return witness(tuple(alpha_prime), choices)
+
+
+def naive_sm1(system):
+    """... exist a* >= a', a'' and r: X_a' -> X_a'' with bond(a, a') =
+    bond(a, a'') . r and r . bond(a', a*) = bond(a'', a*)."""
+    amb, idx, at, bond = system.ambient, system.index, system.at, system.bond
+
+    def answers(a, a1, a2):
+        return [
+            (astar, r)
+            for astar in range(idx.n)
+            if idx.leq(a1, astar) and idx.leq(a2, astar)
+            for r in _scan_hom(amb, at[a1], at[a2])
+            if amb.comp[(bond[(a, a2)], r)] == bond[(a, a1)]
+            and amb.comp[(r, bond[(a1, astar)])] == bond[(a2, astar)]
+        ]
+
+    return _naive_sm(system, answers, SM1Witness)
+
+
+def naive_sm2(system, cone):
+    """... exists r: X_a' -> X_a'' with bond(a, a'') . r = bond(a, a') and
+    action(r)(element(a')) = element(a''); an incompatible cone raises."""
+    amb, idx, at, bond = system.ambient, system.index, system.at, system.bond
+    h, el = cone.copresheaf, cone.elements
+    if any(
+        h.action[bond[(a, a1)]][el[a1]] != el[a]
+        for a in range(idx.n)
+        for a1 in _up(idx, a)
+    ):
+        raise ConeIncompatible("cone incompatible")
+
+    def answers(a, a1, a2):
+        return [
+            r
+            for r in _scan_hom(amb, at[a1], at[a2])
+            if amb.comp[(bond[(a, a2)], r)] == bond[(a, a1)]
+            and h.action[r][el[a1]] == el[a2]
+        ]
+
+    return _naive_sm(system, answers, SM2Witness)
+
+
+def naive_star(h):
+    """For all (Q, x), exists (Q', x', eta: Q' -> Q) over x, for all
+    (Q'', x'', eta': Q'' -> Q) over x, exists eta'': Q' -> Q'' with
+    eta' . eta'' = eta and action(eta'')(x') = x''."""
+    base = h.base
+    points = [(q, x) for q in range(base.n_objects) for x in range(len(h.fibers[q]))]
+    choice, connectors = {}, {}
+    for q, x in points:
+        over = [
+            (q1, x1, eta)
+            for q1, x1 in points
+            for eta in _scan_hom(base, q1, q)
+            if h.action[eta][x1] == x
+        ]
+
+        def answers(q1, x1, eta, q2, x2, eta2):
+            return [
+                e
+                for e in _scan_hom(base, q1, q2)
+                if base.comp[(eta2, e)] == eta and h.action[e][x1] == x2
+            ]
+
+        good = [c for c in over if all(answers(*c, *d) for d in over)]
+        if not good:
+            return StarCounterexample(
+                (q, x), {c: next(d for d in over if not answers(*c, *d)) for c in over}
+            )
+        choice[(q, x)] = good[0]
+        for d in over:
+            connectors[(q, x, *d)] = answers(*good[0], *d)[0]
+    return StarWitness(choice, connectors)
 
 
 # ---------------------------------------------------------------------------
