@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -319,35 +318,23 @@ def run_campaign(
     params: Optional[GenParams] = None,
     *,
     negate: bool = False,
-    workers: int = 1,
 ) -> CampaignReport:
     """Run one law over a seed range.
 
-    ``negate`` inverts every verdict (harness self-test hook).  ``workers``
-    sets internal parallelism; results are aggregated in seed order, so the
-    report does not depend on it.
+    ``negate`` inverts every verdict (harness self-test hook).
     """
     if theorem not in THEOREMS:
         raise UnknownTheorem(theorem)
     params = params or GenParams()
     start = time.monotonic()
-
-    def one(seed: int) -> tuple[int, bool, str, Document]:
+    report = CampaignReport(
+        theorem, seeds.start, seeds.stop, params, instances=len(seeds)
+    )
+    for seed in sorted(seeds):
         doc = generate_campaign_instance(theorem, seed, params)
         ok, detail = evaluate_instance(theorem, doc)
         if negate:
             ok = not ok
-        return seed, ok, detail, doc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
-    report = CampaignReport(
-        theorem, seeds.start, seeds.stop, params, instances=len(results)
-    )
-    for seed, ok, detail, doc in sorted(results, key=lambda t: t[0]):
         if ok:
             report.passes += 1
         else:

@@ -291,14 +291,12 @@ def system_check(
 @click.argument("theorem", type=click.Choice(THEOREMS))
 @click.option("--seeds", default="0..100", show_default=True, help="Half-open A..B.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--negate", is_flag=True, hidden=True, help="Self-test: invert verdicts.")
 @click.option("--replay", type=click.Path(), help="Re-evaluate one saved document.")
 def campaign(
     theorem: str,
     seeds: str,
     as_json: bool,
-    workers: int,
     negate: bool,
     replay: str,
 ) -> None:
@@ -317,9 +315,7 @@ def campaign(
     except ValueError:
         _fail_input(f"bad --seeds {seeds!r}; expected A..B")
     try:
-        report = run_campaign(
-            theorem, seed_range, GenParams(), negate=negate, workers=workers
-        )
+        report = run_campaign(theorem, seed_range, GenParams(), negate=negate)
     except MovcatError as exc:
         _fail_input(f"{type(exc).__name__}: {exc}")
     if as_json:

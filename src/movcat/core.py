@@ -79,14 +79,6 @@ class FiniteCategory:
         return tuple(m for m in range(self.n_mors) if self.mor_cod[m] == x)
 
 
-def compose(cat: FiniteCategory, g: int, f: int) -> int:
-    return cat.compose(g, f)
-
-
-def hom(cat: FiniteCategory, a: int, b: int) -> tuple[int, ...]:
-    return cat.hom(a, b)
-
-
 def validate_category(
     object_names: Sequence[str],
     morphisms: Sequence[tuple[str, int, int]],
@@ -177,12 +169,6 @@ class Functor:
     obj_map: tuple[int, ...]
     mor_map: tuple[int, ...]
 
-    def on_obj(self, a: int) -> int:
-        return self.obj_map[a]
-
-    def on_mor(self, m: int) -> int:
-        return self.mor_map[m]
-
 
 def validate_functor(
     source: FiniteCategory,
@@ -253,9 +239,6 @@ class NaturalTransformation:
     source: Functor
     target: Functor
     components: tuple[int, ...]
-
-    def at(self, a: int) -> int:
-        return self.components[a]
 
 
 def validate_nat_trans(

@@ -7,9 +7,10 @@ hom_L(Phi(M(X)), Phi(Y)) with Phi(p) . u = Phi(m_X).  Strong movability is
 the special case L = K, Phi = 1_K.
 
 Searches iterate candidates in ascending ref order, so reported witnesses
-are the lexicographically least ones.  Transport operations re-verify the
-transported witness rather than trusting the proof; a verification failure
-is a hard internal error.
+are the lexicographically least ones.  These deciders and those in
+``systems`` all run one first-winner search, ``_first_winners``.  Transport
+operations re-verify the transported witness rather than trusting the
+proof; a verification failure is a hard internal error.
 """
 
 from __future__ import annotations
@@ -69,50 +70,66 @@ def _check_phi(k: FiniteCategory, l: FiniteCategory, phi: Functor) -> None:
         raise SourceTargetMismatch("functor does not map K to L")
 
 
+def _first_winners(points, candidates, challenges, respond):
+    """The exists-forall-exists search behind every decider.
+
+    For each point in order, try ``candidates(pt)`` in order; a candidate
+    wins when ``respond(pt, cand, ch)`` returns an answer (not None) for
+    every challenge in ``challenges(pt)``.  Returns ``(won, None)``, where
+    ``won`` lists ``(pt, winner, [(ch, answer), ...])`` per point, or
+    ``(None, (pt, defeats))`` at the first point with no winner, where
+    ``defeats`` maps each candidate to its first defeating challenge.
+    """
+    won = []
+    for pt in points:
+        chs = challenges(pt)
+        defeats = {}
+        for cand in candidates(pt):
+            answers = []
+            for ch in chs:
+                ans = respond(pt, cand, ch)
+                if ans is None:
+                    defeats[cand] = ch
+                    break
+                answers.append((ch, ans))
+            else:
+                won.append((pt, cand, answers))
+                break
+        else:
+            return None, (pt, defeats)
+    return won, None
+
+
 def check_movable_wrt(
     k: FiniteCategory, l: FiniteCategory, phi: Functor
 ) -> MovabilityResult:
     """Decide movability of K w.r.t. L and phi: K -> L, exhaustively."""
     _check_phi(k, l, phi)
-    movers = [0] * k.n_objects
-    mover_mors = [0] * k.n_objects
+
+    def candidates(x):
+        return ((mobj, m) for mobj in range(k.n_objects) for m in k.hom(mobj, x))
+
+    def respond(x, cand, p):
+        mobj, m = cand
+        pp, tm = phi.mor_map[p], phi.mor_map[m]
+        us = l.hom(phi.obj_map[mobj], phi.obj_map[k.mor_dom[p]])
+        return next((u for u in us if l.comp[(pp, u)] == tm), None)
+
+    won, stuck = _first_winners(range(k.n_objects), candidates, k.mors_into, respond)
+    if stuck:
+        x, defeats = stuck
+        return Counterexample(
+            x, tuple(CandidateDefeat(*cand, p) for cand, p in defeats.items())
+        )
     lifts = [0] * k.n_mors
-    for x in range(k.n_objects):
-        ps = k.mors_into(x)
-        found = None
-        defeats: list[CandidateDefeat] = []
-        for mobj in range(k.n_objects):
-            hom_mx = k.hom(mobj, x)
-            if not hom_mx:
-                continue
-            # Achievable targets of Phi(p) . u per p, shared by all m.
-            achieve = []
-            for p in ps:
-                us = l.hom(phi.obj_map[mobj], phi.obj_map[k.mor_dom[p]])
-                pp = phi.mor_map[p]
-                achieve.append({l.comp[(pp, u)] for u in us})
-            for m in hom_mx:
-                tm = phi.mor_map[m]
-                defeat = next(
-                    (p for p, ach in zip(ps, achieve) if tm not in ach), None
-                )
-                if defeat is None:
-                    found = (mobj, m)
-                    break
-                defeats.append(CandidateDefeat(mobj, m, defeat))
-            if found:
-                break
-        if found is None:
-            return Counterexample(x, tuple(defeats))
-        mobj, m = found
-        movers[x] = mobj
-        mover_mors[x] = m
-        tm = phi.mor_map[m]
-        for p in ps:
-            pp = phi.mor_map[p]
-            us = l.hom(phi.obj_map[mobj], phi.obj_map[k.mor_dom[p]])
-            lifts[p] = next(u for u in us if l.comp[(pp, u)] == tm)
-    return MovabilityWitness(tuple(movers), tuple(mover_mors), tuple(lifts))
+    for _, _, answers in won:
+        for p, u in answers:
+            lifts[p] = u
+    return MovabilityWitness(
+        tuple(mobj for _, (mobj, _), _ in won),
+        tuple(m for _, (_, m), _ in won),
+        tuple(lifts),
+    )
 
 
 def check_strongly_movable(k: FiniteCategory) -> MovabilityResult:

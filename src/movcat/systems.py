@@ -8,6 +8,9 @@ poset both system conditions hold trivially (there is a maximum element and
 the bonds themselves are witnesses), so non-directed indices are what make
 the checkers interesting.  Directedness is reported on validation because
 the classical definitions presuppose it.
+
+SM1, SM2 and the copresheaf condition are decided by the same first-winner
+search as movability (``movability._first_winners``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Mapping, Sequence, Union
 
 from .core import Copresheaf, FiniteCategory, FinitePoset
 from .errors import ConeIncompatible, ValidationFailed, Violation
+from .movability import _first_winners
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,6 @@ class InverseSystem:
     @property
     def directed(self) -> bool:
         return self.index.directed
-
-    def bond_of(self, a: int, a2: int) -> int:
-        return self.bond[(a, a2)]
 
 
 def validate_system(
@@ -178,6 +179,28 @@ SM1Result = Union[SM1Witness, SMCounterexample]
 SM2Result = Union[SM2Witness, SMCounterexample]
 
 
+def _check_sm(system: InverseSystem, pick, witness):
+    """For all a, exists a' >= a, for all a'' >= a: ``pick(a', a'', rs)``
+    answers from the r: X_a' -> X_a'' with bond(a, a'') . r = bond(a, a')."""
+    amb, idx, at, bond = system.ambient, system.index, system.at, system.bond
+
+    def respond(a: int, a1: int, a2: int):
+        rs = [
+            r
+            for r in amb.hom(at[a1], at[a2])
+            if amb.comp[(bond[(a, a2)], r)] == bond[(a, a1)]
+        ]
+        return pick(a1, a2, rs)
+
+    won, stuck = _first_winners(range(idx.n), idx.up_set, idx.up_set, respond)
+    if stuck:
+        return SMCounterexample(*stuck)
+    return witness(
+        tuple(a1 for _, a1, _ in won),
+        {(a, a2): ans for a, _, answers in won for a2, ans in answers},
+    )
+
+
 def check_sm1(system: InverseSystem) -> SM1Result:
     """Evaluate the inverse-system strong-movability condition:
 
@@ -185,54 +208,21 @@ def check_sm1(system: InverseSystem) -> SM1Result:
     r: X_a' -> X_a'' with bond(a, a') = bond(a, a'') . r and
     r . bond(a', a*) = bond(a'', a*).
     """
-    amb = system.ambient
-    idx = system.index
-    alpha_prime = [0] * idx.n
-    choices: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(idx.n):
-        ups = idx.up_set(a)
-        winner = None
-        defeats: dict[int, int] = {}
-        for a1 in ups:
-            local: dict[tuple[int, int], tuple[int, int]] = {}
-            defeat = None
-            for a2 in ups:
-                ubs = sorted(set(idx.up_set(a1)) & set(idx.up_set(a2)))
-                rs = amb.hom(system.at[a1], system.at[a2])
+    amb, bond = system.ambient, system.bond
 
-                def eq1(r: int) -> bool:
-                    return (
-                        amb.comp[(system.bond[(a, a2)], r)] == system.bond[(a, a1)]
-                    )
+    def pick(a1: int, a2: int, rs: list[int]):
+        # Single a* serving both equalities; smallest (a*, r).
+        return next(
+            (
+                (astar, r)
+                for astar in system.index.upper_bounds(a1, a2)
+                for r in rs
+                if amb.comp[(r, bond[(a1, astar)])] == bond[(a2, astar)]
+            ),
+            None,
+        )
 
-                def eq2(r: int, astar: int) -> bool:
-                    return (
-                        amb.comp[(r, system.bond[(a1, astar)])]
-                        == system.bond[(a2, astar)]
-                    )
-
-                # Single a* serving both equalities; smallest (a*, r).
-                pick = None
-                for astar in ubs:
-                    for r in rs:
-                        if eq1(r) and eq2(r, astar):
-                            pick = (astar, r)
-                            break
-                    if pick:
-                        break
-                if pick is None:
-                    defeat = a2
-                    break
-                local[(a, a2)] = pick
-            if defeat is None:
-                winner = (a1, local)
-                break
-            defeats[a1] = defeat
-        if winner is None:
-            return SMCounterexample(a, defeats)
-        alpha_prime[a] = winner[0]
-        choices.update(winner[1])
-    return SM1Witness(tuple(alpha_prime), choices)
+    return _check_sm(system, pick, SM1Witness)
 
 
 def check_sm2(system: InverseSystem, cone: SystemCone) -> SM2Result:
@@ -247,42 +237,12 @@ def check_sm2(system: InverseSystem, cone: SystemCone) -> SM2Result:
     bad = cone_compatible(system, cone)
     if bad:
         raise ConeIncompatible(f"cone incompatible at pairs {bad}")
-    amb = system.ambient
-    idx = system.index
-    h = cone.copresheaf
-    alpha_prime = [0] * idx.n
-    choices: dict[tuple[int, int], int] = {}
-    for a in range(idx.n):
-        ups = idx.up_set(a)
-        winner = None
-        defeats: dict[int, int] = {}
-        for a1 in ups:
-            local: dict[tuple[int, int], int] = {}
-            defeat = None
-            for a2 in ups:
-                pick = next(
-                    (
-                        r
-                        for r in amb.hom(system.at[a1], system.at[a2])
-                        if amb.comp[(system.bond[(a, a2)], r)]
-                        == system.bond[(a, a1)]
-                        and h.apply(r, cone.elements[a1]) == cone.elements[a2]
-                    ),
-                    None,
-                )
-                if pick is None:
-                    defeat = a2
-                    break
-                local[(a, a2)] = pick
-            if defeat is None:
-                winner = (a1, local)
-                break
-            defeats[a1] = defeat
-        if winner is None:
-            return SMCounterexample(a, defeats)
-        alpha_prime[a] = winner[0]
-        choices.update(winner[1])
-    return SM2Witness(tuple(alpha_prime), choices)
+    h, el = cone.copresheaf, cone.elements
+
+    def pick(a1: int, a2: int, rs: list[int]):
+        return next((r for r in rs if h.apply(r, el[a1]) == el[a2]), None)
+
+    return _check_sm(system, pick, SM2Witness)
 
 
 @dataclass(frozen=True)
@@ -377,51 +337,32 @@ def check_star(h: Copresheaf) -> StarResult:
     building it.
     """
     base = h.base
-    choice: dict[tuple[int, int], tuple[int, int, int]] = {}
-    connectors: dict[tuple[int, int, int, int, int], int] = {}
-    for q in range(base.n_objects):
-        for x in range(h.fiber_size(q)):
-            challenges = [
-                (q2, x2, eta2)
-                for q2 in range(base.n_objects)
-                for x2 in range(h.fiber_size(q2))
-                for eta2 in base.hom(q2, q)
-                if h.apply(eta2, x2) == x
-            ]
-            winner = None
-            defeats: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-            for q1 in range(base.n_objects):
-                for x1 in range(h.fiber_size(q1)):
-                    for eta in base.hom(q1, q):
-                        if h.apply(eta, x1) != x:
-                            continue
-                        local: dict[tuple[int, int, int, int, int], int] = {}
-                        defeat = None
-                        for (q2, x2, eta2) in challenges:
-                            conn = next(
-                                (
-                                    e
-                                    for e in base.hom(q1, q2)
-                                    if base.comp[(eta2, e)] == eta
-                                    and h.apply(e, x1) == x2
-                                ),
-                                None,
-                            )
-                            if conn is None:
-                                defeat = (q2, x2, eta2)
-                                break
-                            local[(q, x, q2, x2, eta2)] = conn
-                        if defeat is None:
-                            winner = (q1, x1, eta, local)
-                            break
-                        defeats[(q1, x1, eta)] = defeat
-                    if winner:
-                        break
-                if winner:
-                    break
-            if winner is None:
-                return StarCounterexample((q, x), defeats)
-            q1, x1, eta, local = winner
-            choice[(q, x)] = (q1, x1, eta)
-            connectors.update(local)
-    return StarWitness(choice, connectors)
+    points = [(q, x) for q in range(base.n_objects) for x in range(h.fiber_size(q))]
+
+    def over(pt: tuple[int, int]) -> list[tuple[int, int, int]]:
+        q, x = pt
+        return [
+            (q2, x2, eta2)
+            for q2, x2 in points
+            for eta2 in base.hom(q2, q)
+            if h.apply(eta2, x2) == x
+        ]
+
+    def respond(pt, cand, ch):
+        (q1, x1, eta), (q2, x2, eta2) = cand, ch
+        return next(
+            (
+                e
+                for e in base.hom(q1, q2)
+                if base.comp[(eta2, e)] == eta and h.apply(e, x1) == x2
+            ),
+            None,
+        )
+
+    won, stuck = _first_winners(points, over, over, respond)
+    if stuck:
+        return StarCounterexample(*stuck)
+    return StarWitness(
+        {pt: cand for pt, cand, _ in won},
+        {(*pt, *ch): e for pt, _, answers in won for ch, e in answers},
+    )

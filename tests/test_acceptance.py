@@ -185,9 +185,8 @@ def test_c11_reports_deterministic(capsys):
     for theorem in ("product", "sm-bridge", "star-bridge"):
         a = run_campaign(theorem, range(0, 25), SMALL).to_json()
         b = run_campaign(theorem, range(0, 25), SMALL).to_json()
-        c = run_campaign(theorem, range(0, 25), SMALL, workers=4).to_json()
-        ok &= a == b == c
+        ok &= a == b
     _report(
-        capsys, 11, "byte-identical campaign reports across runs and workers",
+        capsys, 11, "byte-identical campaign reports across runs",
         ok,
     )

@@ -27,12 +27,11 @@ def test_negate_hook_inverts_every_verdict():
     assert len(report.failures) == 10
 
 
-def test_reports_byte_identical_across_runs_and_workers():
+def test_reports_byte_identical_across_runs():
     for theorem in ("product", "sm-bridge"):
         a = run_campaign(theorem, range(0, 12), PARAMS).to_json()
         b = run_campaign(theorem, range(0, 12), PARAMS).to_json()
-        c = run_campaign(theorem, range(0, 12), PARAMS, workers=4).to_json()
-        assert a == b == c
+        assert a == b
 
 
 def test_json_has_no_timing():

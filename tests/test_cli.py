@@ -21,7 +21,8 @@ def invoke(args, files=None):
         for a in args:
             if isinstance(a, str) and a.endswith(".out.cat"):
                 try:
-                    outputs[a] = open(a, encoding="utf-8").read()
+                    with open(a, encoding="utf-8") as fh:
+                        outputs[a] = fh.read()
                 except FileNotFoundError:
                     pass
         return result, outputs
@@ -164,9 +165,7 @@ def test_system_check_pass_and_fail():
 
 def test_campaign_json_deterministic_and_clean():
     out1, _ = invoke(["campaign", "poset-oracle", "--seeds", "0..8", "--json"])
-    out2, _ = invoke(
-        ["campaign", "poset-oracle", "--seeds", "0..8", "--json", "--workers", "3"]
-    )
+    out2, _ = invoke(["campaign", "poset-oracle", "--seeds", "0..8", "--json"])
     assert out1.exit_code == 0 and out2.exit_code == 0
     assert out1.output == out2.output
     payload = json.loads(out1.output)

@@ -43,9 +43,10 @@ def _naive_space(h):
 
 def _diamond_over_retract():
     """Index a < b, c < t over a retract: p: X -> Y, s: Y -> X with
-    p . s = 1_Y and e = s . p.  X_t = Y and the other objects are X; the
-    bonds are s into b and c, e out of a.  At a the least a' is b, and for
-    a'' = c the only a* is t, where both r = 1_X and r = e answer."""
+    p . s = 1_Y and e = s . p.  X_t = Y and the other objects are X;
+    bond(a, b) = bond(a, c) = e and every bond out of t is s.  At a the
+    least a' is b, and for a'' = c the only a* is t, where both r = 1_X and
+    r = e answer."""
     amb = validate_category(
         ["X", "Y"],
         [("1X", 0, 0), ("1Y", 1, 1), ("p", 0, 1), ("s", 1, 0), ("e", 0, 0)],

@@ -167,12 +167,11 @@ def naive_movable_wrt(k, l, phi):
 
         good = [c for c in cands if all(answers(*c).values())]
         if not good:
+            first_defeat = {
+                c: min(p for p, us in answers(*c).items() if not us) for c in cands
+            }
             return Counterexample(
-                x,
-                tuple(
-                    CandidateDefeat(mo, m, min(p for p, us in answers(mo, m).items() if not us))
-                    for mo, m in cands
-                ),
+                x, tuple(CandidateDefeat(mo, m, p) for (mo, m), p in first_defeat.items())
             )
         mo, m = good[0]
         movers.append(mo)
