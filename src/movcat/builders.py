@@ -121,9 +121,6 @@ class ProductResult:
     projections: tuple[Functor, ...]
     factors: tuple[FiniteCategory, ...]
 
-    def __iter__(self):
-        return iter((self.category, self.projections))
-
     def object_index(self, components: Sequence[int]) -> int:
         return _mixed_radix_encode(components, [c.n_objects for c in self.factors])
 
@@ -137,12 +134,7 @@ class ProductResult:
         return _mixed_radix_decode(m, [c.n_mors for c in self.factors])
 
 
-def product_category(
-    factors: Sequence[FiniteCategory],
-    *,
-    max_objects: int = MAX_OBJECTS,
-    max_morphisms: int = MAX_MORPHISMS,
-) -> ProductResult:
+def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
     """Product of categories: tuple objects/morphisms, componentwise tables.
 
     Objects and morphisms are ordered lexicographically by component refs.
@@ -155,7 +147,7 @@ def product_category(
     for c in factors:
         n_obj *= c.n_objects
         n_mor *= c.n_mors
-    if n_obj > max_objects or n_mor > max_morphisms:
+    if n_obj > MAX_OBJECTS or n_mor > MAX_MORPHISMS:
         raise SizeBoundExceeded(
             f"product would have {n_obj} objects / {n_mor} morphisms"
         )
@@ -249,9 +241,6 @@ class CosliceResult:
     object_mors: tuple[int, ...]
     morphism_triples: tuple[tuple[int, int, int], ...]  # (src_obj, tgt_obj, eta)
 
-    def __iter__(self):
-        return iter((self.category, self.forgetful))
-
     def object_index(self, f: int) -> int:
         return self.object_mors.index(f)
 
@@ -285,9 +274,6 @@ class ElementsResult:
     forgetful: Functor
     objects: tuple[tuple[int, int], ...]
     morphism_triples: tuple[tuple[int, int, int], ...]
-
-    def __iter__(self):
-        return iter((self.category, self.forgetful))
 
     def object_index(self, q: int, x: int) -> int:
         return self.objects.index((q, x))

@@ -15,7 +15,8 @@ what makes parse . serialize the identity on tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from typing import Iterator, Optional, Union
 
 from .builders import (
     build_monoid_category,
@@ -23,6 +24,8 @@ from .builders import (
     canonical_category,
 )
 from .core import (
+    MAX_MORPHISMS,
+    MAX_OBJECTS,
     Copresheaf,
     FiniteCategory,
     FinitePoset,
@@ -36,24 +39,13 @@ from .core import (
 )
 from .errors import (
     DslSyntaxError,
+    SizeBoundExceeded,
     UnresolvedReference,
     ValidationFailed,
     Violation,
 )
 from .search import CoproductDesignation, validate_designation
 from .systems import InverseSystem, SystemCone, make_cone, validate_system
-
-_KEYWORDS = (
-    "poset",
-    "monoid",
-    "category",
-    "functor",
-    "nattrans",
-    "copresheaf",
-    "system",
-    "coproducts",
-)
-
 
 # ---------------------------------------------------------------------------
 # Entities
@@ -63,6 +55,11 @@ _KEYWORDS = (
 class PosetEntity:
     name: str
     poset: FinitePoset
+
+    @cached_property
+    def category(self) -> FiniteCategory:
+        """The poset's thin category, built once per entity."""
+        return build_poset_category(self.poset)
 
 
 @dataclass(frozen=True)
@@ -157,11 +154,7 @@ class Document:
     def category_of(self, name: str) -> FiniteCategory:
         """The category denoted by a category, poset, or monoid entity."""
         e = self[name]
-        if isinstance(e, CategoryEntity):
-            return e.category
-        if isinstance(e, PosetEntity):
-            return build_poset_category(e.poset)
-        if isinstance(e, MonoidEntity):
+        if isinstance(e, (CategoryEntity, PosetEntity, MonoidEntity)):
             return e.category
         raise UnresolvedReference(f"{name} does not denote a category")
 
@@ -247,98 +240,107 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect_punct(self, value: str) -> _Token:
-        t = self.next()
-        if t.kind != "punct" or t.value != value:
-            raise DslSyntaxError(t.line, t.col, repr(value), t.value or "<eof>")
-        return t
-
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        t = self.next()
-        if t.kind != "ident":
-            raise DslSyntaxError(t.line, t.col, what, t.value or "<eof>")
-        return t
-
-    def at_ident(self, value: str) -> bool:
+    def at(self, part: str) -> bool:
+        """Whether the next token matches `part`, one entry of a shape."""
         t = self.peek()
-        return t.kind == "ident" and t.value == value
+        return t.kind == "ident" if part == "_" else t.value == part
 
-    def take_ident(self, value: str) -> bool:
-        if self.at_ident(value):
-            self.next()
-            return True
-        return False
+    def read(self, *shape: str) -> list:
+        """Read tokens by shape and return the identifiers in order.
+
+        ``"_"`` is one identifier, returned as its token; ``"*"`` is one or
+        more identifiers, returned as a list of names; any other entry is
+        that exact keyword or punctuation, checked and dropped.
+        """
+        out: list = []
+        for part in shape:
+            t = self.next()
+            if part == "_" or part == "*":
+                if t.kind != "ident":
+                    raise DslSyntaxError(
+                        t.line, t.col, "identifier", t.value or "<eof>"
+                    )
+                if part == "_":
+                    out.append(t)
+                    continue
+                names = [t.value]
+                while self.at("_"):
+                    names.append(self.next().value)
+                out.append(names)
+            elif t.value != part:
+                raise DslSyntaxError(t.line, t.col, repr(part), t.value or "<eof>")
+        return out
 
     def end_stmt(self) -> None:
         """Consume a `;` terminator; the last one before `}` may be omitted."""
-        t = self.peek()
-        if t.kind == "punct" and t.value == ";":
+        if self.at(";"):
             self.next()
-            return
-        if t.kind == "punct" and t.value == "}":
-            return
-        raise DslSyntaxError(t.line, t.col, "';'", t.value or "<eof>")
+        elif not self.at("}"):
+            t = self.peek()
+            raise DslSyntaxError(t.line, t.col, "';'", t.value or "<eof>")
 
-    def ident_list(self) -> list[str]:
-        out = [self.expect_ident().value]
-        while self.peek().kind == "ident":
-            out.append(self.next().value)
-        return out
+    def clauses(self, keyword: str, *shape: str) -> Iterator[list]:
+        """Yield ``read(keyword, *shape)`` for each consecutive
+        ``keyword <shape> ;`` statement (keyword ``"_"``: any identifier)."""
+        while self.at(keyword):
+            values = self.read(keyword, *shape)
+            self.end_stmt()
+            yield values
 
 
-def _resolve(mapping: dict, name: str, tok: _Token, what: str) -> int:
-    if name not in mapping:
-        raise UnresolvedReference(f"{what} {name!r} (line {tok.line})")
-    return mapping[name]
+def _resolve(mapping: dict, tok: _Token, what: str) -> int:
+    if tok.value not in mapping:
+        raise UnresolvedReference(f"{what} {tok.value!r} (line {tok.line})")
+    return mapping[tok.value]
+
+
+def _check_cap(tok: _Token, n: int, cap: int, what: str) -> None:
+    if n > cap:
+        raise SizeBoundExceeded(
+            f"{n} {what} at line {tok.line}, over the cap of {cap}"
+        )
+
+
+def _names(cat: FiniteCategory) -> tuple[dict, dict]:
+    """Object and morphism name -> ref tables of a category."""
+    return (
+        {o: i for i, o in enumerate(cat.object_names)},
+        {m: i for i, m in enumerate(cat.mor_names)},
+    )
 
 
 # ---------------------------------------------------------------------------
 # Entity parsers
 
 
-def _parse_poset(p: _Parser) -> PosetEntity:
-    name = p.expect_ident("poset name").value
-    p.expect_punct("{")
-    p.expect_ident("elements")  # keyword checked loosely below
-    elems = p.ident_list()
+def _parse_poset(p: _Parser, doc: Document) -> PosetEntity:
+    name, elems = p.read("_", "{", "elements", "*")
+    _check_cap(name, len(elems), MAX_OBJECTS, "poset elements")
     p.end_stmt()
     idx = {e: i for i, e in enumerate(elems)}
-    pairs = []
-    while p.at_ident("leq"):
-        p.next()
-        a = p.expect_ident()
-        b = p.expect_ident()
-        p.end_stmt()
-        pairs.append((_resolve(idx, a.value, a, "element"),
-                      _resolve(idx, b.value, b, "element")))
-    p.expect_punct("}")
-    return PosetEntity(name, make_poset(elems, pairs))
+    pairs = [
+        (_resolve(idx, a, "element"), _resolve(idx, b, "element"))
+        for a, b in p.clauses("leq", "_", "_")
+    ]
+    p.read("}")
+    return PosetEntity(name.value, make_poset(elems, pairs))
 
 
-def _parse_monoid(p: _Parser) -> MonoidEntity:
-    name = p.expect_ident("monoid name").value
-    p.expect_punct("{")
-    p.expect_ident("elements")
-    elems = p.ident_list()
+def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
+    name, elems = p.read("_", "{", "elements", "*")
+    _check_cap(name, len(elems), MAX_MORPHISMS, "monoid elements")
     p.end_stmt()
     idx = {e: i for i, e in enumerate(elems)}
-    p.expect_ident("unit")
-    ut = p.expect_ident()
-    unit = _resolve(idx, ut.value, ut, "element")
+    (ut,) = p.read("unit", "_")
+    unit = _resolve(idx, ut, "element")
     p.end_stmt()
     k = len(elems)
     table: list[list[Optional[int]]] = [[None] * k for _ in range(k)]
-    while p.at_ident("mul"):
-        p.next()
-        a = p.expect_ident()
-        b = p.expect_ident()
-        p.expect_punct("=")
-        c = p.expect_ident()
-        p.end_stmt()
-        table[_resolve(idx, a.value, a, "element")][
-            _resolve(idx, b.value, b, "element")
-        ] = _resolve(idx, c.value, c, "element")
-    p.expect_punct("}")
+    for a, b, c in p.clauses("mul", "_", "_", "=", "_"):
+        table[_resolve(idx, a, "element")][
+            _resolve(idx, b, "element")
+        ] = _resolve(idx, c, "element")
+    p.read("}")
     missing = [
         (elems[i], elems[j])
         for i in range(k)
@@ -352,15 +354,13 @@ def _parse_monoid(p: _Parser) -> MonoidEntity:
         )
     full = tuple(tuple(row) for row in table)  # type: ignore[arg-type]
     return MonoidEntity(
-        name, tuple(elems), unit, full, build_monoid_category(elems, unit, full)
+        name.value, tuple(elems), unit, full, build_monoid_category(elems, unit, full)
     )
 
 
-def _parse_category(p: _Parser) -> CategoryEntity:
-    name = p.expect_ident("category name").value
-    p.expect_punct("{")
-    p.expect_ident("objects")
-    objs = p.ident_list()
+def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:
+    name, objs = p.read("_", "{", "objects", "*")
+    _check_cap(name, len(objs), MAX_OBJECTS, "objects")
     p.end_stmt()
     obj_idx = {o: i for i, o in enumerate(objs)}
     n = len(objs)
@@ -368,19 +368,12 @@ def _parse_category(p: _Parser) -> CategoryEntity:
         (f"id_{o}", i, i) for i, o in enumerate(objs)
     ]
     mor_idx = {m[0]: i for i, m in enumerate(mors)}
-    while p.at_ident("arrows"):
-        p.next()
-        aname = p.expect_ident("arrow name")
+    for aname, a, b in p.clauses("arrows", "_", ":", "_", "->", "_"):
         if aname.value.startswith("id_"):
             raise ValidationFailed(
                 "category",
                 [Violation("ReservedName", f"arrow name {aname.value!r}")],
             )
-        p.expect_punct(":")
-        a = p.expect_ident()
-        p.expect_punct("->")
-        b = p.expect_ident()
-        p.end_stmt()
         if aname.value in mor_idx:
             raise ValidationFailed(
                 "category", [Violation("DuplicateName", aname.value)]
@@ -389,72 +382,46 @@ def _parse_category(p: _Parser) -> CategoryEntity:
         mors.append(
             (
                 aname.value,
-                _resolve(obj_idx, a.value, a, "object"),
-                _resolve(obj_idx, b.value, b, "object"),
+                _resolve(obj_idx, a, "object"),
+                _resolve(obj_idx, b, "object"),
             )
         )
+        _check_cap(aname, len(mors), MAX_MORPHISMS, "morphisms")
     comp: dict[tuple[int, int], int] = {}
-    while p.at_ident("compose"):
-        p.next()
-        g = p.expect_ident()
-        f = p.expect_ident()
-        p.expect_punct("=")
-        h = p.expect_ident()
-        p.end_stmt()
-        key = (
-            _resolve(mor_idx, g.value, g, "arrow"),
-            _resolve(mor_idx, f.value, f, "arrow"),
-        )
-        val = _resolve(mor_idx, h.value, h, "arrow")
+    for g, f, h in p.clauses("compose", "_", "_", "=", "_"):
+        key = (_resolve(mor_idx, g, "arrow"), _resolve(mor_idx, f, "arrow"))
+        val = _resolve(mor_idx, h, "arrow")
         if key in comp and comp[key] != val:
             raise ValidationFailed(
                 "category",
                 [Violation("IllegalComposite", f"conflicting compose {g.value} {f.value}")],
             )
         comp[key] = val
-    p.expect_punct("}")
+    p.read("}")
     # Identity-law completion for pairs involving identities.
     for m, (_, d, c) in enumerate(mors):
         comp.setdefault((c, m), m)  # id after m (identity of cod has ref cod)
         comp.setdefault((m, d), m)
     cat = validate_category(objs, mors, list(range(n)), comp)
-    return CategoryEntity(name, cat)
+    return CategoryEntity(name.value, cat)
 
 
 def _parse_functor(p: _Parser, doc: Document) -> FunctorEntity:
-    name = p.expect_ident("functor name").value
-    p.expect_punct(":")
-    src_name = p.expect_ident("source category").value
-    p.expect_punct("->")
-    tgt_name = p.expect_ident("target category").value
-    src = doc.category_of(src_name)
-    tgt = doc.category_of(tgt_name)
-    p.expect_punct("{")
-    s_obj = {o: i for i, o in enumerate(src.object_names)}
-    t_obj = {o: i for i, o in enumerate(tgt.object_names)}
-    s_mor = {m: i for i, m in enumerate(src.mor_names)}
-    t_mor = {m: i for i, m in enumerate(tgt.mor_names)}
-    obj_map: dict[int, int] = {}
-    while p.at_ident("object"):
-        p.next()
-        a = p.expect_ident()
-        p.expect_punct("=>")
-        b = p.expect_ident()
-        p.end_stmt()
-        obj_map[_resolve(s_obj, a.value, a, "object")] = _resolve(
-            t_obj, b.value, b, "object"
-        )
-    mor_map: dict[int, int] = {}
-    while p.at_ident("arrow"):
-        p.next()
-        a = p.expect_ident()
-        p.expect_punct("=>")
-        b = p.expect_ident()
-        p.end_stmt()
-        mor_map[_resolve(s_mor, a.value, a, "arrow")] = _resolve(
-            t_mor, b.value, b, "arrow"
-        )
-    p.expect_punct("}")
+    name, s, t = p.read("_", ":", "_", "->", "_")
+    src = doc.category_of(s.value)
+    tgt = doc.category_of(t.value)
+    p.read("{")
+    s_obj, s_mor = _names(src)
+    t_obj, t_mor = _names(tgt)
+    obj_map = {
+        _resolve(s_obj, a, "object"): _resolve(t_obj, b, "object")
+        for a, b in p.clauses("object", "_", "=>", "_")
+    }
+    mor_map = {
+        _resolve(s_mor, a, "arrow"): _resolve(t_mor, b, "arrow")
+        for a, b in p.clauses("arrow", "_", "=>", "_")
+    }
+    p.read("}")
     missing = [src.object_names[i] for i in range(src.n_objects) if i not in obj_map]
     if missing:
         raise ValidationFailed(
@@ -475,34 +442,26 @@ def _parse_functor(p: _Parser, doc: Document) -> FunctorEntity:
         [obj_map[i] for i in range(src.n_objects)],
         [mor_map[i] for i in range(src.n_mors)],
     )
-    return FunctorEntity(name, src_name, tgt_name, functor)
+    return FunctorEntity(name.value, s.value, t.value, functor)
 
 
 def _parse_nattrans(p: _Parser, doc: Document) -> NatTransEntity:
-    name = p.expect_ident("nattrans name").value
-    p.expect_punct(":")
-    f_name = p.expect_ident().value
-    p.expect_punct("=>")
-    g_name = p.expect_ident().value
-    fe = doc[f_name]
-    ge = doc[g_name]
+    name, f_tok, g_tok = p.read("_", ":", "_", "=>", "_")
+    fe = doc[f_tok.value]
+    ge = doc[g_tok.value]
     if not isinstance(fe, FunctorEntity) or not isinstance(ge, FunctorEntity):
-        raise UnresolvedReference(f"{f_name} / {g_name} must be functors")
+        raise UnresolvedReference(
+            f"{f_tok.value} / {g_tok.value} must be functors"
+        )
     f, g = fe.functor, ge.functor
-    p.expect_punct("{")
+    p.read("{")
     s_obj = {o: i for i, o in enumerate(f.source.object_names)}
     t_mor = {m: i for i, m in enumerate(f.target.mor_names)}
-    comps: dict[int, int] = {}
-    while p.at_ident("at"):
-        p.next()
-        a = p.expect_ident()
-        p.expect_punct("=")
-        m = p.expect_ident()
-        p.end_stmt()
-        comps[_resolve(s_obj, a.value, a, "object")] = _resolve(
-            t_mor, m.value, m, "arrow"
-        )
-    p.expect_punct("}")
+    comps = {
+        _resolve(s_obj, a, "object"): _resolve(t_mor, m, "arrow")
+        for a, m in p.clauses("at", "_", "=", "_")
+    }
+    p.read("}")
     missing = [
         f.source.object_names[i]
         for i in range(f.source.n_objects)
@@ -515,43 +474,25 @@ def _parse_nattrans(p: _Parser, doc: Document) -> NatTransEntity:
     nt = validate_nat_trans(
         [comps[i] for i in range(f.source.n_objects)], f, g
     )
-    return NatTransEntity(name, f_name, g_name, nt)
+    return NatTransEntity(name.value, f_tok.value, g_tok.value, nt)
 
 
 def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
-    name = p.expect_ident("copresheaf name").value
-    p.expect_ident("on")
-    base_name = p.expect_ident().value
-    base = doc.category_of(base_name)
-    p.expect_punct("{")
-    obj_idx = {o: i for i, o in enumerate(base.object_names)}
-    mor_idx = {m: i for i, m in enumerate(base.mor_names)}
+    name, base_tok = p.read("_", "on", "_")
+    base = doc.category_of(base_tok.value)
+    p.read("{")
+    obj_idx, mor_idx = _names(base)
     fibers: list[list[str]] = [[] for _ in range(base.n_objects)]
-    while p.at_ident("at"):
-        p.next()
-        q = p.expect_ident()
-        p.expect_punct("=")
-        p.expect_punct("{")
-        elems = p.ident_list()
-        p.expect_punct("}")
-        p.end_stmt()
-        fibers[_resolve(obj_idx, q.value, q, "object")] = elems
+    for q, elems in p.clauses("at", "_", "=", "{", "*", "}"):
+        fibers[_resolve(obj_idx, q, "object")] = elems
     acts: dict[int, dict[str, str]] = {}
-    while p.at_ident("act"):
-        p.next()
-        a = p.expect_ident()
-        m = _resolve(mor_idx, a.value, a, "arrow")
-        p.expect_punct("{")
-        mapping: dict[str, str] = {}
-        while p.peek().kind == "ident":
-            x = p.expect_ident()
-            p.expect_punct("=>")
-            y = p.expect_ident()
-            p.end_stmt()
-            mapping[x.value] = y.value
-        p.expect_punct("}")
-        acts[m] = mapping
-    p.expect_punct("}")
+    while p.at("act"):
+        (a,) = p.read("act", "_")
+        m = _resolve(mor_idx, a, "arrow")
+        p.read("{")
+        acts[m] = {x.value: y.value for x, y in p.clauses("_", "=>", "_")}
+        p.read("}")
+    p.read("}")
     elem_idx = [{e: i for i, e in enumerate(f)} for f in fibers]
     action: list[list[int]] = []
     bad: list[Violation] = []
@@ -579,23 +520,18 @@ def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
     if bad:
         raise ValidationFailed("copresheaf", bad)
     cop = validate_copresheaf(base, fibers, action)
-    return CopresheafEntity(name, base_name, cop)
+    return CopresheafEntity(name.value, base_tok.value, cop)
 
 
 def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
-    name = p.expect_ident("system name").value
-    p.expect_ident("in")
-    cat_name = p.expect_ident().value
-    p.expect_ident("over")
-    poset_name = p.expect_ident().value
+    name, cat_tok, poset_tok = p.read("_", "in", "_", "over", "_")
     cop_name: Optional[str] = None
-    if p.take_ident("using"):
-        p.expect_ident("copresheaf")
-        cop_name = p.expect_ident().value
-    ambient = doc.category_of(cat_name)
-    pe = doc[poset_name]
+    if p.at("using"):
+        cop_name = p.read("using", "copresheaf", "_")[0].value
+    ambient = doc.category_of(cat_tok.value)
+    pe = doc[poset_tok.value]
     if not isinstance(pe, PosetEntity):
-        raise UnresolvedReference(f"{poset_name} must be a poset")
+        raise UnresolvedReference(f"{poset_tok.value} must be a poset")
     index = pe.poset
     cop = None
     if cop_name is not None:
@@ -603,43 +539,23 @@ def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
         if not isinstance(ce, CopresheafEntity):
             raise UnresolvedReference(f"{cop_name} must be a copresheaf")
         cop = ce.copresheaf
-    p.expect_punct("{")
+    p.read("{")
     idx = {e: i for i, e in enumerate(index.elements)}
-    obj_idx = {o: i for i, o in enumerate(ambient.object_names)}
-    mor_idx = {m: i for i, m in enumerate(ambient.mor_names)}
-    at: dict[int, int] = {}
-    while p.at_ident("object"):
-        p.next()
-        a = p.expect_ident()
-        p.expect_punct("=>")
-        o = p.expect_ident()
-        p.end_stmt()
-        at[_resolve(idx, a.value, a, "index")] = _resolve(
-            obj_idx, o.value, o, "object"
-        )
-    bond: dict[tuple[int, int], int] = {}
-    while p.at_ident("bond"):
-        p.next()
-        a = p.expect_ident()
-        b = p.expect_ident()
-        p.expect_punct("=>")
-        m = p.expect_ident()
-        p.end_stmt()
-        bond[
-            (
-                _resolve(idx, a.value, a, "index"),
-                _resolve(idx, b.value, b, "index"),
-            )
-        ] = _resolve(mor_idx, m.value, m, "arrow")
-    cone_elems: dict[int, str] = {}
-    while p.at_ident("cone"):
-        p.next()
-        a = p.expect_ident()
-        p.expect_punct("=>")
-        e = p.expect_ident()
-        p.end_stmt()
-        cone_elems[_resolve(idx, a.value, a, "index")] = e.value
-    p.expect_punct("}")
+    obj_idx, mor_idx = _names(ambient)
+    at = {
+        _resolve(idx, a, "index"): _resolve(obj_idx, o, "object")
+        for a, o in p.clauses("object", "_", "=>", "_")
+    }
+    bond = {
+        (_resolve(idx, a, "index"), _resolve(idx, b, "index")):
+            _resolve(mor_idx, m, "arrow")
+        for a, b, m in p.clauses("bond", "_", "_", "=>", "_")
+    }
+    cone_elems = {
+        _resolve(idx, a, "index"): e.value
+        for a, e in p.clauses("cone", "_", "=>", "_")
+    }
+    p.read("}")
     missing = [index.elements[i] for i in range(index.n) if i not in at]
     if missing:
         raise ValidationFailed(
@@ -670,42 +586,44 @@ def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
                 )
             elems.append(fiber.index(ename))
         cone = make_cone(system, cop, elems)
-    return SystemEntity(name, cat_name, poset_name, cop_name, system, cone)
+    return SystemEntity(
+        name.value, cat_tok.value, poset_tok.value, cop_name, system, cone
+    )
 
 
 def _parse_coproducts(p: _Parser, doc: Document) -> CoproductsEntity:
-    p.expect_ident("on")
-    base_name = p.expect_ident().value
-    base = doc.category_of(base_name)
-    p.expect_punct("{")
-    obj_idx = {o: i for i, o in enumerate(base.object_names)}
-    mor_idx = {m: i for i, m in enumerate(base.mor_names)}
-    table: dict[tuple[int, int], tuple[int, int, int]] = {}
-    while p.at_ident("pair"):
-        p.next()
-        a = p.expect_ident()
-        b = p.expect_ident()
-        p.expect_punct("=>")
-        j = p.expect_ident()
-        p.expect_ident("with")
-        p.expect_ident("inj1")
-        m1 = p.expect_ident()
-        p.expect_ident("inj2")
-        m2 = p.expect_ident()
-        p.end_stmt()
-        table[
-            (
-                _resolve(obj_idx, a.value, a, "object"),
-                _resolve(obj_idx, b.value, b, "object"),
-            )
-        ] = (
-            _resolve(obj_idx, j.value, j, "object"),
-            _resolve(mor_idx, m1.value, m1, "arrow"),
-            _resolve(mor_idx, m2.value, m2, "arrow"),
+    (base_tok,) = p.read("on", "_")
+    base = doc.category_of(base_tok.value)
+    p.read("{")
+    obj_idx, mor_idx = _names(base)
+    table = {
+        (_resolve(obj_idx, a, "object"), _resolve(obj_idx, b, "object")): (
+            _resolve(obj_idx, j, "object"),
+            _resolve(mor_idx, m1, "arrow"),
+            _resolve(mor_idx, m2, "arrow"),
         )
-    p.expect_punct("}")
+        for a, b, j, m1, m2 in p.clauses(
+            "pair", "_", "_", "=>", "_", "with", "inj1", "_", "inj2", "_"
+        )
+    }
+    p.read("}")
     designation = validate_designation(base, table)
-    return CoproductsEntity(f"coproducts_{base_name}", base_name, designation)
+    return CoproductsEntity(
+        f"coproducts_{base_tok.value}", base_tok.value, designation
+    )
+
+
+_PARSERS = {
+    "poset": _parse_poset,
+    "monoid": _parse_monoid,
+    "category": _parse_category,
+    "functor": _parse_functor,
+    "nattrans": _parse_nattrans,
+    "copresheaf": _parse_copresheaf,
+    "system": _parse_system,
+    "coproducts": _parse_coproducts,
+}
+_KEYWORDS = tuple(_PARSERS)
 
 
 def parse_document(text: str) -> Document:
@@ -713,27 +631,13 @@ def parse_document(text: str) -> Document:
     p = _Parser(text)
     doc = Document()
     while p.peek().kind != "eof":
-        t = p.expect_ident("entity keyword")
-        if t.value == "poset":
-            doc.add(_parse_poset(p))
-        elif t.value == "monoid":
-            doc.add(_parse_monoid(p))
-        elif t.value == "category":
-            doc.add(_parse_category(p))
-        elif t.value == "functor":
-            doc.add(_parse_functor(p, doc))
-        elif t.value == "nattrans":
-            doc.add(_parse_nattrans(p, doc))
-        elif t.value == "copresheaf":
-            doc.add(_parse_copresheaf(p, doc))
-        elif t.value == "system":
-            doc.add(_parse_system(p, doc))
-        elif t.value == "coproducts":
-            doc.add(_parse_coproducts(p, doc))
-        else:
+        t = p.next()
+        parse = _PARSERS.get(t.value)
+        if parse is None:
             raise DslSyntaxError(
                 t.line, t.col, "one of " + ", ".join(_KEYWORDS), t.value
             )
+        doc.add(parse(p, doc))
     return doc
 
 

@@ -35,7 +35,7 @@ from .core import (
     make_poset,
     validate_copresheaf,
 )
-from .errors import NoDesignatedCoproducts, ParamsOutOfRange, SizeBoundExceeded
+from .errors import NoDesignatedCoproducts, ParamsOutOfRange
 from .search import CoproductDesignation, validate_designation
 from .systems import make_cone, validate_system
 from .dsl import (
@@ -210,35 +210,18 @@ def _random_composite(
 ) -> FiniteCategory:
     for _ in range(20):
         sub = rng.randrange(3)
-        try:
-            if sub == 0:
-                f1 = build_poset_category(
-                    random_poset(rng, 2, forest=movable_bias)
-                )
-                f2 = build_poset_category(
-                    random_poset(rng, 2, forest=movable_bias)
-                )
-                cat = product_category(
-                    [f1, f2],
-                    max_objects=params.max_objects,
-                    max_morphisms=params.max_morphisms,
-                ).category
-            elif sub == 1:
-                base = build_poset_category(
-                    random_poset(rng, params.max_objects)
-                )
-                cat = coslice_category(
-                    base, rng.randrange(base.n_objects)
-                ).category
-            else:
-                base_poset = random_poset(
-                    rng, max(1, params.max_objects // 2)
-                )
-                base = build_poset_category(base_poset)
-                h = representable_copresheaf(base, rng.randrange(base.n_objects))
-                cat = elements_category(h).category
-        except SizeBoundExceeded:
-            continue
+        if sub == 0:
+            f1 = build_poset_category(random_poset(rng, 2, forest=movable_bias))
+            f2 = build_poset_category(random_poset(rng, 2, forest=movable_bias))
+            cat = product_category([f1, f2]).category
+        elif sub == 1:
+            base = build_poset_category(random_poset(rng, params.max_objects))
+            cat = coslice_category(base, rng.randrange(base.n_objects)).category
+        else:
+            base_poset = random_poset(rng, max(1, params.max_objects // 2))
+            base = build_poset_category(base_poset)
+            h = representable_copresheaf(base, rng.randrange(base.n_objects))
+            cat = elements_category(h).category
         if (
             cat.n_objects <= params.max_objects
             and cat.n_mors <= params.max_morphisms
@@ -540,9 +523,7 @@ def random_domination_doc(rng: random.Random, params: GenParams) -> Document:
         k = build_poset_category(k_poset)
         m = build_poset_category(m_poset)
         l = canonical_category(
-            product_category(
-                [k, m], max_objects=MAX_OBJECTS, max_morphisms=MAX_MORPHISMS
-            ).category
+            product_category([k, m]).category
         )[0]
         doc.add(make_category_entity("K", k))
         doc.add(make_category_entity("L", l))

@@ -189,11 +189,18 @@ def find_functorial_domination(
     G(F(f)) = f.  The first pair found (lexicographically) is re-validated
     and returned.
     """
+    return _strict_search(k, l, budget)[0]
+
+
+def _strict_search(
+    k: FiniteCategory, l: FiniteCategory, budget: int
+) -> tuple[DominationResult, int]:
+    """`find_functorial_domination`, also returning the budget it spent."""
     emitted = 0
     for f_obj, f_mor in _iter_functor_maps(k, l):
         emitted += 1
         if emitted > budget:
-            return DominationResult(None, True)
+            return DominationResult(None, True), emitted
         fixed_obj: dict[int, int] = {}
         fixed_mor: dict[int, int] = {}
         ok = True
@@ -215,13 +222,13 @@ def find_functorial_domination(
         for g_obj, g_mor in _iter_functor_maps(l, k, fixed_obj, fixed_mor):
             emitted += 1
             if emitted > budget:
-                return DominationResult(None, True)
+                return DominationResult(None, True), emitted
             f = validate_functor(k, l, f_obj, f_mor)
             g = validate_functor(l, k, g_obj, g_mor)
             if compose_functors(g, f) != identity_functor(k):
                 raise VerificationFailed("retraction constraint violated")
-            return DominationResult((f, g), False)
-    return DominationResult(None, False)
+            return DominationResult((f, g), False), emitted
+    return DominationResult(None, False), emitted
 
 
 def find_weak_domination(
@@ -231,9 +238,9 @@ def find_weak_domination(
 
     Strict domination pairs are tried first (so strict domination implies a
     weak-domination hit), then general (F, G) pairs with a natural
-    transformation search.
+    transformation search.  Both phases draw on the one budget.
     """
-    strict = find_functorial_domination(k, l, budget)
+    strict, emitted = _strict_search(k, l, budget)
     if strict.found is not None:
         f, g = strict.found
         phi = validate_nat_trans(
@@ -243,7 +250,6 @@ def find_weak_domination(
     if strict.truncated:
         return DominationResult(None, True)
     one_k = identity_functor(k)
-    emitted = 0
     for f_obj, f_mor in _iter_functor_maps(k, l):
         emitted += 1
         if emitted > budget:

@@ -92,7 +92,7 @@ def test_product_with_terminal_preserves_counts():
 
 def test_product_size_bound():
     with pytest.raises(SizeBoundExceeded):
-        product_category([chain(3), chain(3)], max_objects=4)
+        product_category([chain(9), chain(8)])
 
 
 def test_product_codecs_roundtrip():

@@ -73,6 +73,16 @@ def test_check_bad_input_exit_2():
     assert res.exit_code == 2
 
 
+def test_check_unchecked_keyword_and_oversize_input_exit_2():
+    bogus = "poset P { bogus a b ; leq a b }"
+    big = "poset P { elements " + " ".join(f"e{i}" for i in range(65)) + " }"
+    wide = "category P { objects " + " ".join(f"o{i}" for i in range(65)) + " }"
+    for text in (bogus, big, wide):
+        res, _ = invoke(["check", "doc.cat", "--entity", "P"], {"doc.cat": text})
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+
+
 def test_search_domination_found_and_none():
     res, _ = invoke(
         ["search", "domination", "doc.cat", "C3", "C3"], {"doc.cat": BOTH}

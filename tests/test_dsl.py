@@ -1,5 +1,9 @@
+import re
+
 import pytest
 
+from movcat.builders import product_category
+from movcat.core import MAX_MORPHISMS, MAX_OBJECTS
 from movcat.dsl import (
     Document,
     make_category_entity,
@@ -8,11 +12,12 @@ from movcat.dsl import (
 )
 from movcat.errors import (
     DslSyntaxError,
+    SizeBoundExceeded,
     UnresolvedReference,
     ValidationFailed,
 )
 from movcat.generators import GenParams, generate_instance
-from util import v_poset_category
+from util import chain, v_poset_category
 
 
 def test_parse_poset_example():
@@ -177,3 +182,84 @@ def test_document_lookup_errors():
         doc.category_of("missing")
     # a poset coerces to its down-closed thin category
     assert doc.category_of("P").n_objects == 1
+
+
+# One document with every fixed word that is not an entity or statement
+# keyword; each (word, occurrence) below names one position.
+FIXED_WORDS_DOC = """\
+poset P { elements a b ; leq a b }
+monoid M { elements e ; unit e ; mul e e = e }
+category C { objects A B ; arrows f : A -> B }
+copresheaf H on P { at a = { x } ; at b = { y } ; act le0_1 { x => y } }
+system S in C over P using copresheaf H { object a => A ; object b => A ; bond a b => id_A }
+coproducts on P { pair a b => b with inj1 le0_1 inj2 id_b }
+"""
+
+
+@pytest.mark.parametrize(
+    "word, occurrence",
+    [
+        ("elements", 0),
+        ("elements", 1),
+        ("unit", 0),
+        ("objects", 0),
+        ("on", 0),
+        ("on", 1),
+        ("in", 0),
+        ("over", 0),
+        ("copresheaf", 1),
+        ("with", 0),
+        ("inj1", 0),
+        ("inj2", 0),
+    ],
+)
+def test_fixed_words_are_checked(word, occurrence):
+    parse_document(FIXED_WORDS_DOC)
+    at = [m.start() for m in re.finditer(rf"\b{word}\b", FIXED_WORDS_DOC)]
+    pos = at[occurrence]
+    text = FIXED_WORDS_DOC[:pos] + "bogus" + FIXED_WORDS_DOC[pos + len(word):]
+    with pytest.raises(DslSyntaxError) as e:
+        parse_document(text)
+    line = FIXED_WORDS_DOC.count("\n", 0, pos) + 1
+    col = pos - FIXED_WORDS_DOC.rfind("\n", 0, pos)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert (e.value.expected, e.value.found) == (repr(word), "bogus")
+
+
+def test_poset_category_built_once_per_entity():
+    doc = parse_document(FIXED_WORDS_DOC)
+    assert doc.category_of("P") is doc.category_of("P")
+    assert doc["H"].copresheaf.base is doc.category_of("P")
+    doc = parse_document(
+        "poset P { elements a b ; leq a b }\n"
+        "copresheaf H on P { at a = { x } ; at b = { y } ; act le0_1 { x => y } }\n"
+        "system S in P over P { object a => b ; object b => a ; bond a b => le0_1 }"
+    )
+    assert doc["H"].copresheaf.base is doc["S"].system.ambient
+
+
+def _names(prefix, n):
+    return " ".join(f"{prefix}{i}" for i in range(n))
+
+
+def test_size_caps_hold_at_parse_time():
+    with pytest.raises(SizeBoundExceeded):
+        parse_document(f"category C {{ objects {_names('o', MAX_OBJECTS + 1)} }}")
+    with pytest.raises(SizeBoundExceeded):
+        parse_document(f"poset P {{ elements {_names('e', MAX_OBJECTS + 1)} }}")
+    with pytest.raises(SizeBoundExceeded):
+        parse_document(
+            f"monoid M {{ elements {_names('e', MAX_MORPHISMS + 1)} ; unit e0 }}"
+        )
+    loops = " ".join(f"arrows f{i} : A -> A ;" for i in range(MAX_MORPHISMS))
+    with pytest.raises(SizeBoundExceeded):
+        parse_document(f"category C {{ objects A ; {loops} }}")
+    parse_document(f"category C {{ objects {_names('o', MAX_OBJECTS)} }}")
+
+
+def test_cap_size_grid_parses():
+    doc = Document()
+    doc.add(make_category_entity("G", product_category([chain(8), chain(8)]).category))
+    text = serialize_document(doc)
+    grid = parse_document(text)["G"].category
+    assert (grid.n_objects, grid.n_mors) == (64, 1296)

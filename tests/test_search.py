@@ -120,6 +120,16 @@ def test_weak_domination_budget_truncation():
     assert res.found is None and res.truncated
 
 
+def test_weak_domination_one_budget_for_both_phases():
+    # V <~ chain(3) emits 14 candidates in the strict phase and 112 in the
+    # weak phase; both phases draw on one budget.
+    k, l = v_poset_category(), chain(3)
+    assert find_weak_domination(k, l, budget=112).truncated
+    assert find_weak_domination(k, l, budget=125).truncated
+    res = find_weak_domination(k, l, budget=126)
+    assert res.found is None and not res.truncated
+
+
 def test_weak_domination_transfers_movability():
     k, l = chain(2), chain(3)
     f, g, phi = find_weak_domination(k, l).found
