@@ -61,18 +61,6 @@ from .systems import (
 )
 from .systems import StarWitness
 
-THEOREMS = (
-    "product",
-    "transfer",
-    "coslice",
-    "initial",
-    "poset-oracle",
-    "sm-bridge",
-    "star-bridge",
-    "coproduct-coslice",
-)
-
-
 # ---------------------------------------------------------------------------
 # Instance generation per law
 
@@ -121,18 +109,18 @@ def generate_campaign_instance(
 # Law evaluators (document in, verdict out)
 
 
-def _movable(cat: FiniteCategory):
+def _movable(cat: FiniteCategory) -> Optional[MovabilityWitness]:
     res = check_strongly_movable(cat)
-    return (res if isinstance(res, MovabilityWitness) else None), res
+    return res if isinstance(res, MovabilityWitness) else None
 
 
 def _law_product(doc: Document) -> tuple[bool, str]:
     k1 = doc.category_of("K1")
     k2 = doc.category_of("K2")
-    w1, _ = _movable(k1)
-    w2, _ = _movable(k2)
+    w1 = _movable(k1)
+    w2 = _movable(k2)
     prod = product_category([k1, k2])
-    wp, _ = _movable(prod.category)
+    wp = _movable(prod.category)
     if (wp is not None) != (w1 is not None and w2 is not None):
         return False, "product verdict differs from conjunction of factors"
     if w1 is not None and w2 is not None:
@@ -154,7 +142,7 @@ def _law_transfer(doc: Document) -> tuple[bool, str]:
     if res.found is None:
         return True, "vacuous: no domination found"
     f, g, phi = res.found
-    wl, _ = _movable(l)
+    wl = _movable(l)
     if wl is None:
         return True, "vacuous: L not strongly movable"
     wk = weak_domination_transfer(f, g, phi, wl)
@@ -166,7 +154,7 @@ def _law_transfer(doc: Document) -> tuple[bool, str]:
 def _law_coslice(doc: Document) -> tuple[bool, str]:
     k = doc.category_of("K")
     for x in range(k.n_objects):
-        w, _ = _movable(coslice_category(k, x).category)
+        w = _movable(coslice_category(k, x).category)
         if w is None:
             return False, f"coslice under object {k.object_names[x]} not movable"
     return True, "all coslices strongly movable"
@@ -174,7 +162,7 @@ def _law_coslice(doc: Document) -> tuple[bool, str]:
 
 def _law_initial(doc: Document) -> tuple[bool, str]:
     k = doc.category_of("K")
-    w, _ = _movable(add_initial_object(k))
+    w = _movable(add_initial_object(k))
     if w is None:
         return False, "category with fresh initial object not movable"
     return True, "movable after adjoining an initial object"
@@ -183,7 +171,7 @@ def _law_initial(doc: Document) -> tuple[bool, str]:
 def _law_poset_oracle(doc: Document) -> tuple[bool, str]:
     poset = doc["P"].poset
     cat = doc.category_of("P")
-    w, _ = _movable(cat)
+    w = _movable(cat)
     expected = poset_has_downset_minima(poset)
     if (w is not None) != expected:
         return False, (
@@ -196,17 +184,17 @@ def _law_sm_bridge(doc: Document) -> tuple[bool, str]:
     ent = doc["S"]
     system, cone = ent.system, ent.cone
     compatible = not cone_compatible(system, cone)
-    sm1 = check_sm1(system)
-    if isinstance(sm1, SM1Witness) and compatible:
+    sm1_ok = isinstance(check_sm1(system), SM1Witness)
+    # SM2 is decided at most once: when SM1 holds it is asked only by the
+    # first branch, and when SM1 fails only by the second.
+    if sm1_ok and compatible:
         if not isinstance(check_sm2(system, cone), SM2Witness):
             return False, "SM1 with a compatible cone but SM2 fails"
     if compatible and system.directed:
         rep = check_associated(system, cone)
-        if rep.cond3 and isinstance(check_sm2(system, cone), SM2Witness):
-            if not isinstance(check_sm1(system), SM1Witness):
-                return False, "directed SM2 with conditions 1+3 but SM1 fails"
-    detail = "sm1=" + ("pass" if isinstance(sm1, SM1Witness) else "fail")
-    return True, detail
+        if rep.cond3 and not sm1_ok and isinstance(check_sm2(system, cone), SM2Witness):
+            return False, "directed SM2 with conditions 1+3 but SM1 fails"
+    return True, "sm1=" + ("pass" if sm1_ok else "fail")
 
 
 def _law_star_bridge(doc: Document) -> tuple[bool, str]:
@@ -215,7 +203,7 @@ def _law_star_bridge(doc: Document) -> tuple[bool, str]:
     h = cone.copresheaf
     star = check_star(h)
     star_ok = isinstance(star, StarWitness)
-    w, _ = _movable(elements_category(h).category)
+    w = _movable(elements_category(h).category)
     if star_ok != (w is not None):
         return False, "direct condition disagrees with elements-category verdict"
     if system.directed and not cone_compatible(system, cone):
@@ -237,7 +225,7 @@ def _law_coproduct_coslice(doc: Document) -> tuple[bool, str]:
             k = res.coslice_sum.category
             ws = []
             for part in res.coslice_factors:
-                w, _ = _movable(part.category)
+                w = _movable(part.category)
                 if w is None:
                     return False, "coslice factor unexpectedly not movable"
                 ws.append(w)
@@ -261,6 +249,7 @@ _LAWS = {
     "star-bridge": _law_star_bridge,
     "coproduct-coslice": _law_coproduct_coslice,
 }
+THEOREMS = tuple(_LAWS)
 
 
 def evaluate_instance(theorem: str, doc: Document) -> tuple[bool, str]:

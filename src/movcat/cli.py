@@ -54,11 +54,19 @@ def _load(path: str) -> Document:
         _fail_input(f"no such file: {path}")
     except DslSyntaxError as exc:
         _fail_input(str(exc))
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a MovcatError from any command exits 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MovcatError as exc:
+            _fail_input(f"{type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Finite-category toolkit: movability checks, domination search,
     category builders, system conditions, and law campaigns."""
@@ -78,19 +86,16 @@ def main() -> None:
 def check(file: str, entity: str, prop: str, via: str) -> None:
     """Decide (strong or relative) movability of a category entity."""
     doc = _load(file)
-    try:
-        k = doc.category_of(entity)
-        if prop == "movable":
-            if not via:
-                _fail_input("--property movable requires --via FUNCTOR")
-            fe = doc[via]
-            if not isinstance(fe, FunctorEntity) or fe.functor.source != k:
-                _fail_input(f"--via {via} is not a functor out of {entity}")
-            res = check_movable_wrt(k, fe.functor.target, fe.functor)
-        else:
-            res = check_strongly_movable(k)
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
+    k = doc.category_of(entity)
+    if prop == "movable":
+        if not via:
+            _fail_input("--property movable requires --via FUNCTOR")
+        fe = doc[via]
+        if not isinstance(fe, FunctorEntity) or fe.functor.source != k:
+            _fail_input(f"--via {via} is not a functor out of {entity}")
+        res = check_movable_wrt(k, fe.functor.target, fe.functor)
+    else:
+        res = check_strongly_movable(k)
     if isinstance(res, MovabilityWitness):
         click.echo(f"{entity}: {prop} (witness found)")
         for x in range(k.n_objects):
@@ -119,15 +124,12 @@ def search() -> None:
 def domination(file: str, k_name: str, l_name: str, weak: bool, budget: int) -> None:
     """Search for a (weak) functorial domination of K by L."""
     doc = _load(file)
-    try:
-        k = doc.category_of(k_name)
-        l = doc.category_of(l_name)
-        if weak:
-            res = find_weak_domination(k, l, budget)
-        else:
-            res = find_functorial_domination(k, l, budget)
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
+    k = doc.category_of(k_name)
+    l = doc.category_of(l_name)
+    if weak:
+        res = find_weak_domination(k, l, budget)
+    else:
+        res = find_functorial_domination(k, l, budget)
     if res.found is None:
         suffix = " (budget exhausted)" if res.truncated else " (exhaustive)"
         click.echo(f"none{suffix}")
@@ -182,12 +184,9 @@ def _write_doc(doc: Document, out: str) -> None:
 def product(file: str, a_name: str, b_name: str, output: str) -> None:
     """Product of two category entities."""
     doc = _load(file)
-    try:
-        a = doc.category_of(a_name)
-        b = doc.category_of(b_name)
-        prod = product_category([a, b]).category
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
+    a = doc.category_of(a_name)
+    b = doc.category_of(b_name)
+    prod = product_category([a, b]).category
     out = Document()
     out.add(make_category_entity(f"product_{a_name}_{b_name}", prod))
     _write_doc(out, output)
@@ -201,14 +200,11 @@ def product(file: str, a_name: str, b_name: str, output: str) -> None:
 def coslice(file: str, c_name: str, obj_name: str, output: str) -> None:
     """Coslice of a category entity under one of its objects."""
     doc = _load(file)
-    try:
-        c = doc.category_of(c_name)
-        if obj_name not in c.object_names:
-            _fail_input(f"no object {obj_name!r} in {c_name}")
-        x = c.object_names.index(obj_name)
-        cos = coslice_category(c, x).category
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
+    c = doc.category_of(c_name)
+    if obj_name not in c.object_names:
+        _fail_input(f"no object {obj_name!r} in {c_name}")
+    x = c.object_names.index(obj_name)
+    cos = coslice_category(c, x).category
     out = Document()
     out.add(make_category_entity(f"coslice_{c_name}_{obj_name}", cos))
     _write_doc(out, output)
@@ -221,13 +217,10 @@ def coslice(file: str, c_name: str, obj_name: str, output: str) -> None:
 def elements(file: str, h_name: str, output: str) -> None:
     """Category of elements of a copresheaf entity."""
     doc = _load(file)
-    try:
-        he = doc[h_name]
-        if not isinstance(he, CopresheafEntity):
-            _fail_input(f"{h_name} is not a copresheaf")
-        cat = elements_category(he.copresheaf).category
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
+    he = doc[h_name]
+    if not isinstance(he, CopresheafEntity):
+        _fail_input(f"{h_name} is not a copresheaf")
+    cat = elements_category(he.copresheaf).category
     out = Document()
     out.add(make_category_entity(f"elements_{h_name}", cat))
     _write_doc(out, output)
@@ -257,31 +250,28 @@ def system_check(
         sm1 = True
         sm2 = associated = star = ent.cone is not None
     failed = False
-    try:
-        if sm1:
-            ok = isinstance(check_sm1(ent.system), SM1Witness)
-            click.echo(f"sm1: {'pass' if ok else 'fail'}")
-            failed |= not ok
-        if sm2 or associated or star:
-            if ent.cone is None:
-                _fail_input(f"{entity} carries no cone")
-        if sm2:
-            ok = isinstance(check_sm2(ent.system, ent.cone), SM2Witness)
-            click.echo(f"sm2: {'pass' if ok else 'fail'}")
-            failed |= not ok
-        if associated:
-            rep = check_associated(ent.system, ent.cone)
-            click.echo(
-                f"associated: {'pass' if rep.associated else 'fail'}"
-                f" (1:{rep.cond1} 2:{rep.cond2} 3:{rep.cond3})"
-            )
-            failed |= not rep.associated
-        if star:
-            ok = isinstance(check_star(ent.cone.copresheaf), StarWitness)
-            click.echo(f"star: {'pass' if ok else 'fail'}")
-            failed |= not ok
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
+    if sm1:
+        ok = isinstance(check_sm1(ent.system), SM1Witness)
+        click.echo(f"sm1: {'pass' if ok else 'fail'}")
+        failed |= not ok
+    if sm2 or associated or star:
+        if ent.cone is None:
+            _fail_input(f"{entity} carries no cone")
+    if sm2:
+        ok = isinstance(check_sm2(ent.system, ent.cone), SM2Witness)
+        click.echo(f"sm2: {'pass' if ok else 'fail'}")
+        failed |= not ok
+    if associated:
+        rep = check_associated(ent.system, ent.cone)
+        click.echo(
+            f"associated: {'pass' if rep.associated else 'fail'}"
+            f" (1:{rep.cond1} 2:{rep.cond2} 3:{rep.cond3})"
+        )
+        failed |= not rep.associated
+    if star:
+        ok = isinstance(check_star(ent.cone.copresheaf), StarWitness)
+        click.echo(f"star: {'pass' if ok else 'fail'}")
+        failed |= not ok
     if failed:
         click.echo(serialize_document(doc))
     sys.exit(1 if failed else 0)
@@ -303,10 +293,7 @@ def campaign(
     """Run a law over a seed range, or replay a saved counterexample."""
     if replay:
         doc = _load(replay)
-        try:
-            ok, detail = evaluate_instance(theorem, doc)
-        except MovcatError as exc:
-            _fail_input(f"{type(exc).__name__}: {exc}")
+        ok, detail = evaluate_instance(theorem, doc)
         click.echo(f"{'pass' if ok else 'fail'}: {detail}")
         sys.exit(0 if ok else 1)
     try:
@@ -314,10 +301,7 @@ def campaign(
         seed_range = range(int(lo), int(hi))
     except ValueError:
         _fail_input(f"bad --seeds {seeds!r}; expected A..B")
-    try:
-        report = run_campaign(theorem, seed_range, GenParams(), negate=negate)
-    except MovcatError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
+    report = run_campaign(theorem, seed_range, GenParams(), negate=negate)
     if as_json:
         click.echo(report.to_json())
     else:

@@ -294,6 +294,21 @@ def _resolve(mapping: dict, tok: _Token, what: str) -> int:
     return mapping[tok.value]
 
 
+def _clause_table(subject: str, keyword: str, rows: Iterator[tuple]) -> dict:
+    """The map of ``(key tokens, key, value)`` rows, one per statement; a key
+    stated twice raises ValidationFailed naming the repeated line."""
+    table: dict = {}
+    for toks, key, value in rows:
+        if key in table:
+            stmt = " ".join([keyword, *(t.value for t in toks)])
+            raise ValidationFailed(
+                subject,
+                [Violation("DuplicateStatement", f"{stmt} (line {toks[0].line})")],
+            )
+        table[key] = value
+    return table
+
+
 def _check_cap(tok: _Token, n: int, cap: int, what: str) -> None:
     if n > cap:
         raise SizeBoundExceeded(
@@ -335,24 +350,24 @@ def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
     unit = _resolve(idx, ut, "element")
     p.end_stmt()
     k = len(elems)
-    table: list[list[Optional[int]]] = [[None] * k for _ in range(k)]
-    for a, b, c in p.clauses("mul", "_", "_", "=", "_"):
-        table[_resolve(idx, a, "element")][
-            _resolve(idx, b, "element")
-        ] = _resolve(idx, c, "element")
+    mul = _clause_table("monoid", "mul", (
+        ((a, b), (_resolve(idx, a, "element"), _resolve(idx, b, "element")),
+         _resolve(idx, c, "element"))
+        for a, b, c in p.clauses("mul", "_", "_", "=", "_")
+    ))
     p.read("}")
     missing = [
         (elems[i], elems[j])
         for i in range(k)
         for j in range(k)
-        if table[i][j] is None
+        if (i, j) not in mul
     ]
     if missing:
         raise ValidationFailed(
             "monoid",
             [Violation("TableNotTotal", f"missing mul {a} {b}") for a, b in missing],
         )
-    full = tuple(tuple(row) for row in table)  # type: ignore[arg-type]
+    full = tuple(tuple(mul[(i, j)] for j in range(k)) for i in range(k))
     return MonoidEntity(
         name.value, tuple(elems), unit, full, build_monoid_category(elems, unit, full)
     )
@@ -413,14 +428,14 @@ def _parse_functor(p: _Parser, doc: Document) -> FunctorEntity:
     p.read("{")
     s_obj, s_mor = _names(src)
     t_obj, t_mor = _names(tgt)
-    obj_map = {
-        _resolve(s_obj, a, "object"): _resolve(t_obj, b, "object")
+    obj_map = _clause_table("functor", "object", (
+        ((a,), _resolve(s_obj, a, "object"), _resolve(t_obj, b, "object"))
         for a, b in p.clauses("object", "_", "=>", "_")
-    }
-    mor_map = {
-        _resolve(s_mor, a, "arrow"): _resolve(t_mor, b, "arrow")
+    ))
+    mor_map = _clause_table("functor", "arrow", (
+        ((a,), _resolve(s_mor, a, "arrow"), _resolve(t_mor, b, "arrow"))
         for a, b in p.clauses("arrow", "_", "=>", "_")
-    }
+    ))
     p.read("}")
     missing = [src.object_names[i] for i in range(src.n_objects) if i not in obj_map]
     if missing:
@@ -457,10 +472,10 @@ def _parse_nattrans(p: _Parser, doc: Document) -> NatTransEntity:
     p.read("{")
     s_obj = {o: i for i, o in enumerate(f.source.object_names)}
     t_mor = {m: i for i, m in enumerate(f.target.mor_names)}
-    comps = {
-        _resolve(s_obj, a, "object"): _resolve(t_mor, m, "arrow")
+    comps = _clause_table("nat-trans", "at", (
+        ((a,), _resolve(s_obj, a, "object"), _resolve(t_mor, m, "arrow"))
         for a, m in p.clauses("at", "_", "=", "_")
-    }
+    ))
     p.read("}")
     missing = [
         f.source.object_names[i]
@@ -482,18 +497,33 @@ def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
     base = doc.category_of(base_tok.value)
     p.read("{")
     obj_idx, mor_idx = _names(base)
-    fibers: list[list[str]] = [[] for _ in range(base.n_objects)]
-    for q, elems in p.clauses("at", "_", "=", "{", "*", "}"):
-        fibers[_resolve(obj_idx, q, "object")] = elems
-    acts: dict[int, dict[str, str]] = {}
-    while p.at("act"):
-        (a,) = p.read("act", "_")
-        m = _resolve(mor_idx, a, "arrow")
-        p.read("{")
-        acts[m] = {x.value: y.value for x, y in p.clauses("_", "=>", "_")}
-        p.read("}")
+    at = _clause_table("copresheaf", "at", (
+        ((q,), _resolve(obj_idx, q, "object"), elems)
+        for q, elems in p.clauses("at", "_", "=", "{", "*", "}")
+    ))
+    fibers: list[list[str]] = [at.get(q, []) for q in range(base.n_objects)]
+
+    def act_blocks() -> Iterator[tuple]:
+        while p.at("act"):
+            (a,) = p.read("act", "_")
+            m = _resolve(mor_idx, a, "arrow")
+            p.read("{")
+            yield (a,), m, _clause_table("copresheaf", f"act {a.value}", (
+                ((x,), x.value, y.value) for x, y in p.clauses("_", "=>", "_")
+            ))
+            p.read("}")
+
+    acts: dict[int, dict[str, str]] = _clause_table("copresheaf", "act", act_blocks())
     p.read("}")
     elem_idx = [{e: i for i, e in enumerate(f)} for f in fibers]
+
+    def element(q: int, e: str) -> int:
+        if e not in elem_idx[q]:
+            raise UnresolvedReference(
+                f"element {e!r} in fiber of {base.object_names[q]}"
+            )
+        return elem_idx[q][e]
+
     action: list[list[int]] = []
     bad: list[Violation] = []
     for m in range(base.n_mors):
@@ -502,6 +532,8 @@ def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
             action.append(list(range(len(fibers[d]))))
             continue
         mapping = acts.get(m, {})
+        for x in mapping:
+            element(d, x)
         row = []
         for e in fibers[d]:
             if e not in mapping:
@@ -510,12 +542,7 @@ def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
                 )
                 row.append(0)
             else:
-                y = mapping[e]
-                if y not in elem_idx[c]:
-                    raise UnresolvedReference(
-                        f"element {y!r} in fiber of {base.object_names[c]}"
-                    )
-                row.append(elem_idx[c][y])
+                row.append(element(c, mapping[e]))
         action.append(row)
     if bad:
         raise ValidationFailed("copresheaf", bad)
@@ -542,19 +569,19 @@ def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
     p.read("{")
     idx = {e: i for i, e in enumerate(index.elements)}
     obj_idx, mor_idx = _names(ambient)
-    at = {
-        _resolve(idx, a, "index"): _resolve(obj_idx, o, "object")
+    at = _clause_table("system", "object", (
+        ((a,), _resolve(idx, a, "index"), _resolve(obj_idx, o, "object"))
         for a, o in p.clauses("object", "_", "=>", "_")
-    }
-    bond = {
-        (_resolve(idx, a, "index"), _resolve(idx, b, "index")):
-            _resolve(mor_idx, m, "arrow")
+    ))
+    bond = _clause_table("system", "bond", (
+        ((a, b), (_resolve(idx, a, "index"), _resolve(idx, b, "index")),
+         _resolve(mor_idx, m, "arrow"))
         for a, b, m in p.clauses("bond", "_", "_", "=>", "_")
-    }
-    cone_elems = {
-        _resolve(idx, a, "index"): e.value
+    ))
+    cone_elems = _clause_table("system", "cone", (
+        ((a,), _resolve(idx, a, "index"), e.value)
         for a, e in p.clauses("cone", "_", "=>", "_")
-    }
+    ))
     p.read("}")
     missing = [index.elements[i] for i in range(index.n) if i not in at]
     if missing:
@@ -596,16 +623,20 @@ def _parse_coproducts(p: _Parser, doc: Document) -> CoproductsEntity:
     base = doc.category_of(base_tok.value)
     p.read("{")
     obj_idx, mor_idx = _names(base)
-    table = {
-        (_resolve(obj_idx, a, "object"), _resolve(obj_idx, b, "object")): (
-            _resolve(obj_idx, j, "object"),
-            _resolve(mor_idx, m1, "arrow"),
-            _resolve(mor_idx, m2, "arrow"),
+    table = _clause_table("coproducts", "pair", (
+        (
+            (a, b),
+            (_resolve(obj_idx, a, "object"), _resolve(obj_idx, b, "object")),
+            (
+                _resolve(obj_idx, j, "object"),
+                _resolve(mor_idx, m1, "arrow"),
+                _resolve(mor_idx, m2, "arrow"),
+            ),
         )
         for a, b, j, m1, m2 in p.clauses(
             "pair", "_", "_", "=>", "_", "with", "inj1", "_", "inj2", "_"
         )
-    }
+    ))
     p.read("}")
     designation = validate_designation(base, table)
     return CoproductsEntity(

@@ -2,10 +2,12 @@
 (weak) functorial domination, and the designated-coproduct construction
 relating a coslice over a coproduct to the product of coslices.
 
-All enumeration is backtracking with incremental constraint propagation
-(dom/cod typing, identity preservation, composition closure as assignments
-complete) and emits in lexicographic obj-map/mor-map order.  Budgets count
-emitted candidates, not internal nodes.
+Functor maps and natural-transformation components are both enumerated by
+one slot backtracker, ``_backtrack``, with incremental constraint propagation
+(dom/cod typing, identity preservation, composition closure and naturality
+as assignments complete); it emits in lexicographic obj-map/mor-map order.
+Every search spends one ``_Budget``, which counts emitted candidates (not
+internal nodes) across all of its phases.
 """
 
 from __future__ import annotations
@@ -38,70 +40,86 @@ from .errors import (
 DEFAULT_BUDGET = 10**6
 
 
+class _Exhausted(Exception):
+    """A search spent its whole budget."""
+
+
+class _Budget:
+    """Counts emitted candidates; the first one past the budget raises
+    _Exhausted."""
+
+    def __init__(self, budget: int):
+        self.left = budget
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise _Exhausted
+
+
+def _backtrack(candidates: list, checks: list) -> Iterator[tuple[int, ...]]:
+    """Yield every assignment of slots 0..n-1 in lexicographic order.
+
+    ``candidates[i](vals)`` lists slot i's values given ``vals[:i]``;
+    ``checks[i]``, when not None, is asked once slot i is set and prunes the
+    branch when it answers False.
+    """
+    n = len(candidates)
+    vals = [0] * n
+
+    def fill(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(vals)
+            return
+        check = checks[i]
+        for v in candidates[i](vals):
+            vals[i] = v
+            if check is None or check(vals):
+                yield from fill(i + 1)
+
+    return fill(0)
+
+
 def _iter_functor_maps(
     k: FiniteCategory,
     l: FiniteCategory,
-    fixed_obj: Optional[Mapping[int, int]] = None,
-    fixed_mor: Optional[Mapping[int, int]] = None,
+    fixed: Optional[Mapping[int, int]] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Backtrack over (obj_map, mor_map) pairs in lexicographic order.
 
-    fixed_obj / fixed_mor pin individual assignments (used when searching
-    retractions G with G(F(X)) = X forced).
+    Objects are slots 0..n-1 and morphism m is slot n+m; ``fixed`` pins
+    individual slots (used when searching retractions G with G(F(X)) = X
+    and G(F(f)) = f forced).  A pinned morphism is not type-checked, so the
+    slots of its endpoints must be pinned to its dom and cod as well.
     """
-    fixed_obj = fixed_obj or {}
-    fixed_mor = fixed_mor or {}
-    n_obj, n_mor = k.n_objects, k.n_mors
+    n = k.n_objects
+    candidates = [lambda v, c=range(l.n_objects): c] * n
+    for m in range(k.n_mors):
+        d, c = k.mor_dom[m], k.mor_cod[m]
+        if k.is_identity(m):
+            candidates.append(lambda v, d=d, ident=l.identity: (ident[v[d]],))
+        else:
+            candidates.append(lambda v, d=d, c=c, hom=l.hom: hom(v[d], v[c]))
+    for slot, value in (fixed or {}).items():
+        candidates[slot] = lambda v, c=(value,): c
 
     # Composition checks that become decidable once morphism m is assigned.
-    closure_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n_mor)]
+    closure_at: list[list[tuple[int, int, int]]] = [[] for _ in range(k.n_mors)]
     for (g, f), h in k.comp.items():
-        closure_at[max(g, f, h)].append((g, f, h))
+        closure_at[max(g, f, h)].append((n + g, n + f, n + h))
 
-    obj_map = [0] * n_obj
-    mor_map = [0] * n_mor
+    def closes(triples, comp=l.comp):
+        def check(v: list[int]) -> bool:
+            for g, f, h in triples:
+                if comp[(v[g], v[f])] != v[h]:
+                    return False
+            return True
 
-    def assign_objects(i: int) -> Iterator[None]:
-        if i == n_obj:
-            yield None
-            return
-        candidates = (
-            (fixed_obj[i],) if i in fixed_obj else range(l.n_objects)
-        )
-        for o in candidates:
-            if not 0 <= o < l.n_objects:
-                continue
-            obj_map[i] = o
-            yield from assign_objects(i + 1)
+        return check
 
-    def mor_candidates(m: int) -> tuple[int, ...]:
-        d = obj_map[k.mor_dom[m]]
-        c = obj_map[k.mor_cod[m]]
-        if k.is_identity(m):
-            want = l.identity[d] if d == c else None
-            base = (want,) if want is not None else ()
-        else:
-            base = l.hom(d, c)
-        if m in fixed_mor:
-            return tuple(x for x in base if x == fixed_mor[m])
-        return base
-
-    def assign_mors(m: int) -> Iterator[None]:
-        if m == n_mor:
-            yield None
-            return
-        for cand in mor_candidates(m):
-            mor_map[m] = cand
-            ok = all(
-                l.comp[(mor_map[g], mor_map[f])] == mor_map[h]
-                for (g, f, h) in closure_at[m]
-            )
-            if ok:
-                yield from assign_mors(m + 1)
-
-    for _ in assign_objects(0):
-        for _ in assign_mors(0):
-            yield tuple(obj_map), tuple(mor_map)
+    checks = [None] * n + [closes(t) if t else None for t in closure_at]
+    for vals in _backtrack(candidates, checks):
+        yield vals[:n], vals[n:]
 
 
 @dataclass
@@ -117,10 +135,13 @@ def enumerate_functors(
 ) -> FunctorEnumeration:
     """Enumerate all functors K -> L in lexicographic order, up to budget."""
     out: list[Functor] = []
-    for obj_map, mor_map in _iter_functor_maps(k, l):
-        if len(out) >= budget:
-            return FunctorEnumeration(out, True)
-        out.append(Functor(k, l, obj_map, mor_map))
+    allowance = _Budget(budget)
+    try:
+        for obj_map, mor_map in _iter_functor_maps(k, l):
+            allowance.spend()
+            out.append(Functor(k, l, obj_map, mor_map))
+    except _Exhausted:
+        return FunctorEnumeration(out, True)
     return FunctorEnumeration(out, False)
 
 
@@ -130,31 +151,23 @@ def _iter_nat_trans_components(
     src, tgt = f.source, f.target
     n = src.n_objects
     # Naturality squares checkable once both endpoints are assigned.
-    square_at: list[list[int]] = [[] for _ in range(max(n, 1))]
+    square_at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for m in range(src.n_mors):
         a, b = src.mor_dom[m], src.mor_cod[m]
-        square_at[max(a, b)].append(m)
-    comps = [0] * n
+        square_at[max(a, b)].append((g.mor_map[m], a, b, f.mor_map[m]))
 
-    def assign(i: int) -> Iterator[None]:
-        if i == n:
-            yield None
-            return
-        for c in tgt.hom(f.obj_map[i], g.obj_map[i]):
-            comps[i] = c
-            ok = all(
-                tgt.comp[(g.mor_map[m], comps[src.mor_dom[m]])]
-                == tgt.comp[(comps[src.mor_cod[m]], f.mor_map[m])]
-                for m in square_at[i]
-            )
-            if ok:
-                yield from assign(i + 1)
+    def commutes(squares, comp=tgt.comp):
+        def check(v: list[int]) -> bool:
+            for gm, a, b, fm in squares:
+                if comp[(gm, v[a])] != comp[(v[b], fm)]:
+                    return False
+            return True
 
-    if n == 0:
-        yield ()
-        return
-    for _ in assign(0):
-        yield tuple(comps)
+        return check
+
+    homs = [tgt.hom(f.obj_map[i], g.obj_map[i]) for i in range(n)]
+    checks = [commutes(s) if s else None for s in square_at]
+    return _backtrack([lambda v, h=h: h for h in homs], checks)
 
 
 def enumerate_nat_trans(f: Functor, g: Functor) -> list[NaturalTransformation]:
@@ -180,6 +193,35 @@ class DominationResult:
     truncated: bool = False
 
 
+def _first(found: Iterator[tuple]) -> DominationResult:
+    """The first hit of a budgeted search, or None with the budget stop."""
+    try:
+        return DominationResult(next(found, None), False)
+    except _Exhausted:
+        return DominationResult(None, True)
+
+
+def _retractions(
+    k: FiniteCategory, l: FiniteCategory, budget: _Budget
+) -> Iterator[tuple[Functor, Functor]]:
+    """Pairs (F, G) with G . F = 1_K, each re-validated, F outer."""
+    n = l.n_objects
+    for f_obj, f_mor in _iter_functor_maps(k, l):
+        budget.spend()
+        # G(F(X)) = X and G(F(f)) = f, so F must be injective.
+        fixed = {o: x for x, o in enumerate(f_obj)}
+        fixed.update((n + t, m) for m, t in enumerate(f_mor))
+        if len(fixed) < len(f_obj) + len(f_mor):
+            continue
+        for g_obj, g_mor in _iter_functor_maps(l, k, fixed):
+            budget.spend()
+            f = validate_functor(k, l, f_obj, f_mor)
+            g = validate_functor(l, k, g_obj, g_mor)
+            if compose_functors(g, f) != identity_functor(k):
+                raise VerificationFailed("retraction constraint violated")
+            yield f, g
+
+
 def find_functorial_domination(
     k: FiniteCategory, l: FiniteCategory, budget: int = DEFAULT_BUDGET
 ) -> DominationResult:
@@ -189,46 +231,26 @@ def find_functorial_domination(
     G(F(f)) = f.  The first pair found (lexicographically) is re-validated
     and returned.
     """
-    return _strict_search(k, l, budget)[0]
+    return _first(_retractions(k, l, _Budget(budget)))
 
 
-def _strict_search(
-    k: FiniteCategory, l: FiniteCategory, budget: int
-) -> tuple[DominationResult, int]:
-    """`find_functorial_domination`, also returning the budget it spent."""
-    emitted = 0
+def _weak_dominations(
+    k: FiniteCategory, l: FiniteCategory, budget: _Budget
+) -> Iterator[tuple[Functor, Functor, NaturalTransformation]]:
+    """Triples (F, G, phi: G.F => 1_K), strict pairs first."""
+    one_k = identity_functor(k)
+    for f, g in _retractions(k, l, budget):
+        yield f, g, validate_nat_trans(k.identity, compose_functors(g, f), one_k)
     for f_obj, f_mor in _iter_functor_maps(k, l):
-        emitted += 1
-        if emitted > budget:
-            return DominationResult(None, True), emitted
-        fixed_obj: dict[int, int] = {}
-        fixed_mor: dict[int, int] = {}
-        ok = True
-        for x in range(k.n_objects):
-            img = f_obj[x]
-            if fixed_obj.get(img, x) != x:
-                ok = False
-                break
-            fixed_obj[img] = x
-        if ok:
-            for m in range(k.n_mors):
-                img = f_mor[m]
-                if fixed_mor.get(img, m) != m:
-                    ok = False
-                    break
-                fixed_mor[img] = m
-        if not ok:
-            continue
-        for g_obj, g_mor in _iter_functor_maps(l, k, fixed_obj, fixed_mor):
-            emitted += 1
-            if emitted > budget:
-                return DominationResult(None, True), emitted
-            f = validate_functor(k, l, f_obj, f_mor)
-            g = validate_functor(l, k, g_obj, g_mor)
-            if compose_functors(g, f) != identity_functor(k):
-                raise VerificationFailed("retraction constraint violated")
-            return DominationResult((f, g), False), emitted
-    return DominationResult(None, False), emitted
+        budget.spend()
+        f = Functor(k, l, f_obj, f_mor)
+        for g_obj, g_mor in _iter_functor_maps(l, k):
+            budget.spend()
+            g = Functor(l, k, g_obj, g_mor)
+            gf = compose_functors(g, f)
+            for comps in _iter_nat_trans_components(gf, one_k):
+                budget.spend()
+                yield f, g, validate_nat_trans(comps, gf, one_k)
 
 
 def find_weak_domination(
@@ -240,34 +262,7 @@ def find_weak_domination(
     weak-domination hit), then general (F, G) pairs with a natural
     transformation search.  Both phases draw on the one budget.
     """
-    strict, emitted = _strict_search(k, l, budget)
-    if strict.found is not None:
-        f, g = strict.found
-        phi = validate_nat_trans(
-            k.identity, compose_functors(g, f), identity_functor(k)
-        )
-        return DominationResult((f, g, phi), False)
-    if strict.truncated:
-        return DominationResult(None, True)
-    one_k = identity_functor(k)
-    for f_obj, f_mor in _iter_functor_maps(k, l):
-        emitted += 1
-        if emitted > budget:
-            return DominationResult(None, True)
-        f = Functor(k, l, f_obj, f_mor)
-        for g_obj, g_mor in _iter_functor_maps(l, k):
-            emitted += 1
-            if emitted > budget:
-                return DominationResult(None, True)
-            g = Functor(l, k, g_obj, g_mor)
-            gf = compose_functors(g, f)
-            for comps in _iter_nat_trans_components(gf, one_k):
-                emitted += 1
-                if emitted > budget:
-                    return DominationResult(None, True)
-                phi = validate_nat_trans(comps, gf, one_k)
-                return DominationResult((f, g, phi), False)
-    return DominationResult(None, False)
+    return _first(_weak_dominations(k, l, _Budget(budget)))
 
 
 @dataclass(frozen=True)

@@ -263,3 +263,54 @@ def test_cap_size_grid_parses():
     text = serialize_document(doc)
     grid = parse_document(text)["G"].category
     assert (grid.n_objects, grid.n_mors) == (64, 1296)
+
+
+def test_act_source_outside_domain_fiber_rejected():
+    with pytest.raises(UnresolvedReference) as e:
+        parse_document(
+            "poset P { elements a b ; leq a b }\n"
+            "copresheaf H on P { at a = { x } ; at b = { y } ;\n"
+            "  act le0_1 { x => y ; ghost => y } }"
+        )
+    assert "element 'ghost' in fiber of a" in str(e.value)
+
+
+# A valid document with one statement of every map-like clause kind.
+DUPLICATES_DOC = """\
+poset P { elements a b ; leq a b }
+monoid M { elements e t ; unit e ; mul e e = e ; mul e t = t ; mul t e = t ; mul t t = t }
+category C { objects A B ; arrows f : A -> B }
+functor F : C -> C { object A => A ; object B => B ; arrow f => f }
+nattrans phi : F => F { at A = id_A ; at B = id_B }
+copresheaf H on P { at a = { x } ; at b = { y } ; act le0_1 { x => y } }
+system S in P over P using copresheaf H { object a => b ; object b => a ; bond a b => le0_1 ; cone a => y ; cone b => x }
+coproducts on P { pair a b => b with inj1 le0_1 inj2 id_b }
+"""
+
+
+@pytest.mark.parametrize(
+    "stmt, sep",
+    [
+        pytest.param("mul e t = t", " ; ", id="monoid-mul"),
+        pytest.param("object A => A", " ; ", id="functor-object"),
+        pytest.param("arrow f => f", " ; ", id="functor-arrow"),
+        pytest.param("at A = id_A", " ; ", id="nattrans-at"),
+        pytest.param("at a = { x }", " ; ", id="copresheaf-at"),
+        pytest.param("act le0_1 { x => y }", " ", id="copresheaf-act"),
+        pytest.param("x => y", " ; ", id="copresheaf-act-line"),
+        pytest.param("object a => b", " ; ", id="system-object"),
+        pytest.param("bond a b => le0_1", " ; ", id="system-bond"),
+        pytest.param("cone a => y", " ; ", id="system-cone"),
+        pytest.param(
+            "pair a b => b with inj1 le0_1 inj2 id_b", " ; ", id="coproducts-pair"
+        ),
+    ],
+)
+def test_repeated_statement_rejected(stmt, sep):
+    parse_document(DUPLICATES_DOC)
+    pos = DUPLICATES_DOC.index(stmt)
+    text = DUPLICATES_DOC.replace(stmt, stmt + sep + stmt, 1)
+    with pytest.raises(ValidationFailed) as e:
+        parse_document(text)
+    assert e.value.codes == {"DuplicateStatement"}
+    assert f"(line {DUPLICATES_DOC.count(chr(10), 0, pos) + 1})" in str(e.value)

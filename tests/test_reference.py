@@ -1,4 +1,4 @@
-"""Every decider against its quantifier transcription in ``util``.
+"""Every decider and search against its transcription in ``util``.
 
 Results are compared field by field with each dict as its item list, so a
 decider that picks a different (still valid) witness, reports a different
@@ -7,12 +7,18 @@ the campaign verdicts stay the same.
 """
 
 import dataclasses
+import itertools
 
 from movcat.builders import elements_category
 from movcat.campaign import generate_campaign_instance
 from movcat.core import identity_functor, make_poset, validate_category
 from movcat.generators import generate_instance, terminal_copresheaf
 from movcat.movability import check_strongly_movable, space_movability
+from movcat.search import (
+    enumerate_functors,
+    find_functorial_domination,
+    find_weak_domination,
+)
 from movcat.systems import (
     check_sm1,
     check_sm2,
@@ -21,7 +27,19 @@ from movcat.systems import (
     make_cone,
     validate_system,
 )
-from util import naive_movable_wrt, naive_sm1, naive_sm2, naive_star
+from util import (
+    antichain,
+    chain,
+    diamond,
+    naive_domination,
+    naive_functors,
+    naive_movable_wrt,
+    naive_sm1,
+    naive_sm2,
+    naive_star,
+    pointed_sets_2,
+    v_poset_category,
+)
 
 
 def _pinned(res):
@@ -90,3 +108,29 @@ def test_deciders_match_quantifier_reference():
         h = generate_instance("copresheaf", seed)["H"].copresheaf
         _same(check_star(h), naive_star(h), f"copresheaf seed {seed}")
         _same(space_movability(h), _naive_space(h), f"copresheaf seed {seed}")
+
+
+def test_domination_search_matches_reference():
+    """Every budget from 0 to the exhaustive count + 1: the same F, G and
+    phi, the same budget stops, and the same functor list prefixes."""
+    cats = [v_poset_category(), chain(1), chain(2), chain(3), antichain(2),
+            antichain(3), diamond()[0], pointed_sets_2()]
+    for k, l in itertools.product(cats, repeat=2):
+        where = f"{k.object_names} <~ {l.object_names}"
+        for weak, search in ((False, find_functorial_domination),
+                             (True, find_weak_domination)):
+            for budget in itertools.count():
+                found, truncated = naive_domination(k, l, budget, weak)
+                got = search(k, l, budget)
+                assert (got.found, got.truncated) == (found, truncated), (
+                    f"{where} weak={weak} budget {budget}"
+                )
+                if not truncated:
+                    break
+            got = search(k, l, budget + 1)
+            assert (got.found, got.truncated) == (found, False), where
+        functors = naive_functors(k, l)
+        for budget in range(len(functors) + 2):
+            got = enumerate_functors(k, l, budget)
+            assert got.functors == functors[:budget], f"{where} budget {budget}"
+            assert got.truncated == (len(functors) > budget), where

@@ -1,7 +1,6 @@
 import pytest
 
-from movcat.builders import build_poset_category
-from movcat.core import compose_functors, identity_functor, make_poset
+from movcat.core import compose_functors, identity_functor
 from movcat.errors import (
     NoDesignatedCoproducts,
     SourceTargetMismatch,
@@ -22,14 +21,13 @@ from movcat.search import (
     find_weak_domination,
     validate_designation,
 )
-from util import chain, naive_functors, naive_nat_trans_count, v_poset_category
-
-
-def diamond():
-    poset = make_poset(
-        ["bot", "a", "b", "top"], [(0, 1), (0, 2), (1, 3), (2, 3)]
-    )
-    return build_poset_category(poset), poset
+from util import (
+    chain,
+    diamond,
+    naive_functors,
+    naive_nat_trans_count,
+    v_poset_category,
+)
 
 
 def test_enumerate_functors_from_terminal():

@@ -8,7 +8,14 @@ import itertools
 from typing import Optional
 
 from movcat.builders import build_poset_category
-from movcat.core import FiniteCategory, make_poset, validate_functor
+from movcat.core import (
+    FiniteCategory,
+    compose_functors,
+    identity_functor,
+    make_poset,
+    validate_functor,
+    validate_nat_trans,
+)
 from movcat.errors import ConeIncompatible, ValidationFailed
 from movcat.movability import CandidateDefeat, Counterexample, MovabilityWitness
 from movcat.systems import (
@@ -33,6 +40,14 @@ def v_poset_category() -> FiniteCategory:
 
 def antichain(n: int) -> FiniteCategory:
     return build_poset_category(make_poset([f"a{i}" for i in range(n)], []))
+
+
+def diamond():
+    """The poset bot < a, b < top and its thin category."""
+    poset = make_poset(
+        ["bot", "a", "b", "top"], [(0, 1), (0, 2), (1, 3), (2, 3)]
+    )
+    return build_poset_category(poset), poset
 
 
 def pointed_sets_2() -> FiniteCategory:
@@ -111,22 +126,66 @@ def naive_functors(k: FiniteCategory, l: FiniteCategory) -> list:
     return out
 
 
-def naive_nat_trans_count(f, g) -> int:
+def naive_nat_trans(f, g) -> list:
+    """Natural component tuples F => G, generate-and-filter, in
+    lexicographic order."""
     k, l = f.source, f.target
-    count = 0
-    for comps in itertools.product(
-        *(
-            l.hom(f.obj_map[a], g.obj_map[a])
-            for a in range(k.n_objects)
+    return [
+        comps
+        for comps in itertools.product(
+            *(l.hom(f.obj_map[a], g.obj_map[a]) for a in range(k.n_objects))
         )
-    ):
-        ok = all(
+        if all(
             l.comp[(comps[k.mor_cod[m]], f.mor_map[m])]
             == l.comp[(g.mor_map[m], comps[k.mor_dom[m]])]
             for m in range(k.n_mors)
         )
-        count += ok
-    return count
+    ]
+
+
+def naive_nat_trans_count(f, g) -> int:
+    return len(naive_nat_trans(f, g))
+
+
+def naive_domination(k, l, budget: int, weak: bool):
+    """``(found, truncated)`` of the strict (``weak=False``) or weak
+    domination search, transcribed over whole functor lists.
+
+    One unit is spent per F, per G with G.F = 1_K (once F is injective), and
+    in the weak phase per F, per G and per natural phi: G.F => 1_K; the
+    strict phase runs first, and the first unit past ``budget`` stops the
+    search.
+    """
+    one_k = identity_functor(k)
+    fs, gs = naive_functors(k, l), naive_functors(l, k)
+
+    def units():
+        """Yield None per spent unit, or the hit that unit finds."""
+        for f in fs:
+            yield None
+            if len(set(f.obj_map)) < k.n_objects or len(set(f.mor_map)) < k.n_mors:
+                continue
+            for g in gs:
+                gf = compose_functors(g, f)
+                if gf == one_k:
+                    phi = validate_nat_trans(k.identity, gf, one_k)
+                    yield (f, g, phi) if weak else (f, g)
+        if not weak:
+            return
+        for f in fs:
+            yield None
+            for g in gs:
+                yield None
+                gf = compose_functors(g, f)
+                for comps in naive_nat_trans(gf, one_k):
+                    yield f, g, validate_nat_trans(comps, gf, one_k)
+
+    for spent, hit in enumerate(units(), 1):
+        if spent > budget:
+            return None, True
+        if hit is not None:
+            return hit, False
+    return None, False
 
 
 # ---------------------------------------------------------------------------
