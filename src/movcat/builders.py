@@ -313,16 +313,16 @@ def representable_copresheaf(cat: FiniteCategory, p: int) -> Copresheaf:
     return validate_copresheaf(cat, fibers, action)
 
 
-def add_initial_object(cat: FiniteCategory, name: str = "bot") -> FiniteCategory:
-    """Adjoin a fresh initial object with one morphism to every object.
+def add_initial_object(cat: FiniteCategory) -> FiniteCategory:
+    """Adjoin a fresh initial object ``bot`` (``bot_`` when ``bot`` is
+    taken) with one morphism to every object.
 
     The new object, its identity, and the unique morphisms are appended
     after the existing tables.
     """
     n_obj = cat.n_objects
     n_mor = cat.n_mors
-    if name in cat.object_names:
-        name = name + "_"
+    name = "bot_" if "bot" in cat.object_names else "bot"
     obj_names = cat.object_names + (name,)
     bot = n_obj
     mor_names = list(cat.mor_names) + [f"id_{name}"]

@@ -1,7 +1,9 @@
 """Randomized law campaigns: generate instances, evaluate a named law on
 each, and report failures with replayable serialized documents.
 
-Each law is evaluated from the document alone, so any failure's serialized
+Each law is one record in ``_LAWS``: the document family that generates
+its instances and the evaluator that decides it.  Each law is evaluated
+from the document alone, so any failure's serialized
 counterexample re-triggers the failure when fed back in.  Reports are
 deterministic in (theorem, seed range, params): instances are generated
 from per-seed random streams, aggregation is sorted by seed, and the JSON
@@ -11,9 +13,10 @@ form contains no timing data.
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .builders import (
     add_initial_object,
@@ -36,10 +39,11 @@ from .generators import (
     random_category,
     random_domination_doc,
     random_join_semilattice,
-    random_poset,
     random_system_doc,
     semilattice_designation,
-    _rng,
+    _FAMILIES,
+    _Family,
+    _generate,
 )
 from .movability import (
     MovabilityWitness,
@@ -62,47 +66,34 @@ from .systems import (
 from .systems import StarWitness
 
 # ---------------------------------------------------------------------------
-# Instance generation per law
+# Instance generators of their own (the other laws share a generators family)
 
 
-def generate_campaign_instance(
-    theorem: str, seed: int, params: Optional[GenParams] = None
-) -> Document:
-    """Deterministic instance document for one law evaluation."""
-    if theorem not in THEOREMS:
-        raise UnknownTheorem(theorem)
-    params = params or GenParams()
-    rng = _rng(f"campaign:{theorem}", seed, params)
-    doc = Document()
-    if theorem == "product":
-        small = GenParams(4, 16, params.max_fiber)
-        doc.add(make_category_entity("K1", random_category(rng, small)))
-        doc.add(make_category_entity("K2", random_category(rng, small)))
-        return doc
-    if theorem == "transfer":
-        return random_domination_doc(rng, params)
-    if theorem in ("coslice", "initial"):
-        doc.add(make_category_entity("K", random_category(rng, params)))
-        return doc
-    if theorem == "poset-oracle":
-        doc.add(PosetEntity("P", random_poset(rng, params.max_objects)))
-        return doc
-    if theorem == "sm-bridge":
-        roll = rng.random()
-        directed = False if roll < 0.45 else (None if roll < 0.75 else True)
-        return random_system_doc(rng, params, directed=directed)
-    if theorem == "star-bridge":
-        roll = rng.random()
-        directed = True if roll < 0.5 else None
-        return random_system_doc(rng, params, directed=directed)
-    # coproduct-coslice
-    sl = random_join_semilattice(rng)
-    doc.add(PosetEntity("P", sl))
-    cat = doc.category_of("P")
-    doc.add(
-        CoproductsEntity("coproducts_P", "P", semilattice_designation(cat, sl))
+def _product_doc(rng: random.Random, params: GenParams) -> Document:
+    small = GenParams(4, 16, params.max_fiber)
+    return Document(
+        [
+            make_category_entity(name, random_category(rng, small))
+            for name in ("K1", "K2")
+        ]
     )
-    return doc
+
+
+def _sm_bridge_doc(rng: random.Random, params: GenParams) -> Document:
+    roll = rng.random()
+    directed = False if roll < 0.45 else (None if roll < 0.75 else True)
+    return random_system_doc(rng, params, directed=directed)
+
+
+def _star_bridge_doc(rng: random.Random, params: GenParams) -> Document:
+    directed = True if rng.random() < 0.5 else None
+    return random_system_doc(rng, params, directed=directed)
+
+
+def _semilattice_doc(rng: random.Random, params: GenParams) -> Document:
+    sl = PosetEntity("P", random_join_semilattice(rng))
+    designation = semilattice_designation(sl.category, sl.poset)
+    return Document([sl, CoproductsEntity("coproducts_P", "P", designation)])
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +230,31 @@ def _law_coproduct_coslice(doc: Document) -> tuple[bool, str]:
     return True, "all pairs compose to verified witnesses"
 
 
+class _Law(NamedTuple):
+    generate: _Family
+    evaluate: Callable[[Document], tuple[bool, str]]
+
+
 _LAWS = {
-    "product": _law_product,
-    "transfer": _law_transfer,
-    "coslice": _law_coslice,
-    "initial": _law_initial,
-    "poset-oracle": _law_poset_oracle,
-    "sm-bridge": _law_sm_bridge,
-    "star-bridge": _law_star_bridge,
-    "coproduct-coslice": _law_coproduct_coslice,
+    "product": _Law(_product_doc, _law_product),
+    "transfer": _Law(random_domination_doc, _law_transfer),
+    "coslice": _Law(_FAMILIES["category"], _law_coslice),
+    "initial": _Law(_FAMILIES["category"], _law_initial),
+    "poset-oracle": _Law(_FAMILIES["poset"], _law_poset_oracle),
+    "sm-bridge": _Law(_sm_bridge_doc, _law_sm_bridge),
+    "star-bridge": _Law(_star_bridge_doc, _law_star_bridge),
+    "coproduct-coslice": _Law(_semilattice_doc, _law_coproduct_coslice),
 }
 THEOREMS = tuple(_LAWS)
+
+
+def generate_campaign_instance(
+    theorem: str, seed: int, params: Optional[GenParams] = None
+) -> Document:
+    """Deterministic instance document for one law evaluation."""
+    if theorem not in _LAWS:
+        raise UnknownTheorem(theorem)
+    return _generate(_LAWS[theorem].generate, f"campaign:{theorem}", seed, params)
 
 
 def evaluate_instance(theorem: str, doc: Document) -> tuple[bool, str]:
@@ -257,7 +262,7 @@ def evaluate_instance(theorem: str, doc: Document) -> tuple[bool, str]:
     if theorem not in _LAWS:
         raise UnknownTheorem(theorem)
     try:
-        return _LAWS[theorem](doc)
+        return _LAWS[theorem].evaluate(doc)
     except MovcatError as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
@@ -302,16 +307,9 @@ class CampaignReport:
 
 
 def run_campaign(
-    theorem: str,
-    seeds: range,
-    params: Optional[GenParams] = None,
-    *,
-    negate: bool = False,
+    theorem: str, seeds: range, params: Optional[GenParams] = None
 ) -> CampaignReport:
-    """Run one law over a seed range.
-
-    ``negate`` inverts every verdict (harness self-test hook).
-    """
+    """Run one law over a seed range."""
     if theorem not in THEOREMS:
         raise UnknownTheorem(theorem)
     params = params or GenParams()
@@ -322,8 +320,6 @@ def run_campaign(
     for seed in sorted(seeds):
         doc = generate_campaign_instance(theorem, seed, params)
         ok, detail = evaluate_instance(theorem, doc)
-        if negate:
-            ok = not ok
         if ok:
             report.passes += 1
         else:

@@ -281,13 +281,11 @@ def system_check(
 @click.argument("theorem", type=click.Choice(THEOREMS))
 @click.option("--seeds", default="0..100", show_default=True, help="Half-open A..B.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@click.option("--negate", is_flag=True, hidden=True, help="Self-test: invert verdicts.")
 @click.option("--replay", type=click.Path(), help="Re-evaluate one saved document.")
 def campaign(
     theorem: str,
     seeds: str,
     as_json: bool,
-    negate: bool,
     replay: str,
 ) -> None:
     """Run a law over a seed range, or replay a saved counterexample."""
@@ -300,8 +298,10 @@ def campaign(
         lo, _, hi = seeds.partition("..")
         seed_range = range(int(lo), int(hi))
     except ValueError:
-        _fail_input(f"bad --seeds {seeds!r}; expected A..B")
-    report = run_campaign(theorem, seed_range, GenParams(), negate=negate)
+        seed_range = range(0)
+    if not seed_range:
+        _fail_input(f"bad --seeds {seeds!r}; expected A..B with A < B")
+    report = run_campaign(theorem, seed_range, GenParams())
     if as_json:
         click.echo(report.to_json())
     else:

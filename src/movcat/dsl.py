@@ -68,7 +68,12 @@ class MonoidEntity:
     elements: tuple[str, ...]
     unit: int
     table: tuple[tuple[int, ...], ...]
-    category: FiniteCategory
+    category: FiniteCategory = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Built at construction, so a non-monoid table is rejected here.
+        category = build_monoid_category(self.elements, self.unit, self.table)
+        object.__setattr__(self, "category", category)
 
 
 @dataclass(frozen=True)
@@ -346,6 +351,10 @@ def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
     _check_cap(name, len(elems), MAX_MORPHISMS, "monoid elements")
     p.end_stmt()
     idx = {e: i for i, e in enumerate(elems)}
+    if len(idx) != len(elems):
+        raise ValidationFailed(
+            "monoid", [Violation("DuplicateName", "monoid elements not unique")]
+        )
     (ut,) = p.read("unit", "_")
     unit = _resolve(idx, ut, "element")
     p.end_stmt()
@@ -368,9 +377,7 @@ def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
             [Violation("TableNotTotal", f"missing mul {a} {b}") for a, b in missing],
         )
     full = tuple(tuple(mul[(i, j)] for j in range(k)) for i in range(k))
-    return MonoidEntity(
-        name.value, tuple(elems), unit, full, build_monoid_category(elems, unit, full)
-    )
+    return MonoidEntity(name.value, tuple(elems), unit, full)
 
 
 def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:

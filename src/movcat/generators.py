@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .builders import (
     build_monoid_category,
@@ -46,9 +46,6 @@ from .dsl import (
     SystemEntity,
     make_category_entity,
 )
-
-KINDS = ("poset", "monoid", "category", "copresheaf", "system", "domination-pair")
-
 
 @dataclass(frozen=True)
 class GenParams:
@@ -141,8 +138,6 @@ def poset_has_downset_minima(poset: FinitePoset) -> bool:
 
 # ---------------------------------------------------------------------------
 # Monoids (catalog of associative tables)
-
-_T = tuple
 
 MONOID_CATALOG: tuple[tuple[tuple[str, ...], int, tuple[tuple[int, ...], ...]], ...] = (
     (("e",), 0, ((0,),)),
@@ -287,12 +282,7 @@ def random_copresheaf_doc(rng: random.Random, params: GenParams) -> Document:
     roll = rng.random()
     if roll < 0.25:
         elements, unit, table = random_monoid(rng)
-        doc.add(
-            MonoidEntity(
-                "B", elements, unit, table,
-                build_monoid_category(elements, unit, table),
-            )
-        )
+        doc.add(MonoidEntity("B", elements, unit, table))
         base = doc.category_of("B")
         h = representable_copresheaf(base, 0)
     else:
@@ -348,7 +338,7 @@ def random_system_doc(
     doc_index = PosetEntity("P", index)
     family = rng.random()
     if family < 0.6:
-        # Thin chain ambient; bonds are the unique comparisons.
+        # Thin chain ambient.
         chain_len = rng.randint(2, 4)
         amb_poset = make_poset(
             [f"c{i}" for i in range(chain_len)],
@@ -391,34 +381,23 @@ def random_system_doc(
         elems = [0] * index.n
     else:
         elements, unit, table = random_monoid(rng)
-        doc.add(
-            MonoidEntity(
-                "C", elements, unit, table,
-                build_monoid_category(elements, unit, table),
-            )
-        )
+        doc.add(MonoidEntity("C", elements, unit, table))
         ambient = doc.category_of("C")
         doc.add(doc_index)
         at = [0] * index.n
         h = representable_copresheaf(ambient, 0)
         idems = _monoid_idempotents(table)
         z = idems[rng.randrange(len(idems))]
-        bond = {
-            (a, a2): z if table[z][z] == z and a != a2 else ambient.identity[0]
-            for (a, a2) in index.relation
-        }
-        system = validate_system(ambient, index, at, bond)
+        bond = dict.fromkeys(index.strict_pairs(), z)
         elems = [z] * index.n
         if rng.random() < 0.25:
             elems = [rng.randrange(len(elements)) for _ in range(index.n)]
-        doc.add(CopresheafEntity("H", "C", h))
-        cone = make_cone(system, h, elems)
-        doc.add(SystemEntity("S", "C", "P", "H", system, cone))
-        return doc
-    bond = {}
-    for a, a2 in index.strict_pairs():
-        hom = ambient.hom(at[a2], at[a])
-        bond[(a, a2)] = hom[0]
+    if family < 0.8:
+        # Thin ambient: each bond is the unique comparison.
+        bond = {
+            (a, a2): ambient.hom(at[a2], at[a])[0]
+            for a, a2 in index.strict_pairs()
+        }
     system = validate_system(ambient, index, at, bond)
     doc.add(CopresheafEntity("H", "C", h))
     cone = make_cone(system, h, elems)
@@ -516,66 +495,65 @@ def random_domination_doc(rng: random.Random, params: GenParams) -> Document:
     instances instead pairs two unrelated categories, where the search may
     or may not find one.
     """
-    doc = Document()
     if rng.random() < 0.75:
-        k_poset = random_poset(rng, 3, forest=True)
-        m_poset = random_poset(rng, 2, forest=True)
-        k = build_poset_category(k_poset)
-        m = build_poset_category(m_poset)
-        l = canonical_category(
-            product_category([k, m]).category
-        )[0]
-        doc.add(make_category_entity("K", k))
-        doc.add(make_category_entity("L", l))
+        k = build_poset_category(random_poset(rng, 3, forest=True))
+        m = build_poset_category(random_poset(rng, 2, forest=True))
+        l = canonical_category(product_category([k, m]).category)[0]
     else:
         small = GenParams(3, 12, params.max_fiber)
-        doc.add(
-            make_category_entity(
-                "K", random_category(rng, small, movable_bias=True)
-            )
-        )
-        doc.add(
-            make_category_entity(
-                "L", random_category(rng, small, movable_bias=True)
-            )
-        )
-    return doc
+        k = random_category(rng, small, movable_bias=True)
+        l = random_category(rng, small, movable_bias=True)
+    return Document([make_category_entity("K", k), make_category_entity("L", l)])
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Entry point: one document family per kind, one checked generation path
+
+
+def _poset_doc(rng: random.Random, params: GenParams) -> Document:
+    return Document([PosetEntity("P", random_poset(rng, params.max_objects))])
+
+
+def _monoid_doc(rng: random.Random, params: GenParams) -> Document:
+    return Document([MonoidEntity("M", *random_monoid(rng))])
+
+
+def _category_doc(rng: random.Random, params: GenParams) -> Document:
+    return Document([make_category_entity("K", random_category(rng, params))])
+
+
+def _system_doc(rng: random.Random, params: GenParams) -> Document:
+    directed = rng.choice([None, True, False])
+    return random_system_doc(rng, params, directed=directed)
+
+
+_Family = Callable[[random.Random, GenParams], Document]
+
+_FAMILIES: dict[str, _Family] = {
+    "poset": _poset_doc,
+    "monoid": _monoid_doc,
+    "category": _category_doc,
+    "copresheaf": random_copresheaf_doc,
+    "system": _system_doc,
+    "domination-pair": random_domination_doc,
+}
+KINDS = tuple(_FAMILIES)
+
+
+def _generate(
+    family: _Family, key: str, seed: int, params: Optional[GenParams]
+) -> Document:
+    """Default and check ``params``, then run ``family`` on the random
+    stream of (key, seed, params)."""
+    params = params or GenParams()
+    _check_params(params)
+    return family(_rng(key, seed, params), params)
 
 
 def generate_instance(
     kind: str, seed: int, params: Optional[GenParams] = None
 ) -> Document:
     """Deterministic random document of the given kind."""
-    params = params or GenParams()
-    _check_params(params)
-    if kind not in KINDS:
+    if kind not in _FAMILIES:
         raise ParamsOutOfRange(f"unknown kind {kind!r}")
-    rng = _rng(kind, seed, params)
-    if kind == "poset":
-        doc = Document()
-        doc.add(PosetEntity("P", random_poset(rng, params.max_objects)))
-        return doc
-    if kind == "monoid":
-        doc = Document()
-        elements, unit, table = random_monoid(rng)
-        doc.add(
-            MonoidEntity(
-                "M", elements, unit, table,
-                build_monoid_category(elements, unit, table),
-            )
-        )
-        return doc
-    if kind == "category":
-        doc = Document()
-        doc.add(make_category_entity("K", random_category(rng, params)))
-        return doc
-    if kind == "copresheaf":
-        return random_copresheaf_doc(rng, params)
-    if kind == "system":
-        directed = rng.choice([None, True, False])
-        return random_system_doc(rng, params, directed=directed)
-    return random_domination_doc(rng, params)
+    return _generate(_FAMILIES[kind], kind, seed, params)

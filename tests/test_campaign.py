@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from movcat.campaign import (
@@ -6,9 +8,10 @@ from movcat.campaign import (
     generate_campaign_instance,
     run_campaign,
 )
-from movcat.dsl import parse_document
-from movcat.errors import UnknownTheorem
-from movcat.generators import GenParams
+from movcat.dsl import parse_document, serialize_document
+from movcat.errors import ParamsOutOfRange, UnknownTheorem
+from movcat.generators import KINDS, GenParams, generate_instance
+from util import fail_every_verdict
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
 
@@ -21,10 +24,12 @@ def test_all_theorems_clean_on_small_range():
         assert report.clean, (theorem, report.failures[:1])
 
 
-def test_negate_hook_inverts_every_verdict():
-    report = run_campaign("product", range(0, 10), PARAMS, negate=True)
+def test_failing_law_records_every_verdict_as_failure(monkeypatch):
+    fail_every_verdict(monkeypatch, "product")
+    report = run_campaign("product", range(0, 10), PARAMS)
     assert report.passes == 0
-    assert len(report.failures) == 10
+    assert [f["seed"] for f in report.failures] == list(range(10))
+    assert {f["detail"] for f in report.failures} == {"forced failure"}
 
 
 def test_reports_byte_identical_across_runs():
@@ -40,22 +45,75 @@ def test_json_has_no_timing():
     assert "wall_time" not in report.to_json()
 
 
-def test_negated_failures_replay():
-    # Negated verdicts mark passing documents as failures; replaying the
-    # stored document must reproduce the original (un-negated) verdict.
-    report = run_campaign("initial", range(0, 5), PARAMS, negate=True)
+def test_forced_failures_replay_to_the_real_verdict(monkeypatch):
+    # A failing record marks passing documents as failures; once the real
+    # record is back, replaying each stored document must pass.
+    fail_every_verdict(monkeypatch, "initial")
+    report = run_campaign("initial", range(0, 5), PARAMS)
+    monkeypatch.undo()
+    assert len(report.failures) == 5
     for failure in report.failures:
         ok, _ = evaluate_instance("initial", parse_document(failure["document"]))
         assert ok
 
 
 def test_campaign_instance_determinism():
-    from movcat.dsl import serialize_document
-
     for theorem in THEOREMS:
         a = serialize_document(generate_campaign_instance(theorem, 3, PARAMS))
         b = serialize_document(generate_campaign_instance(theorem, 3, PARAMS))
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "theorem, params",
+    [
+        ("coslice", GenParams(max_objects=0)),
+        ("sm-bridge", GenParams(max_fiber=0)),
+        ("coslice", GenParams(max_objects=100)),
+    ],
+)
+def test_campaign_params_checked(theorem, params):
+    with pytest.raises(ParamsOutOfRange):
+        run_campaign(theorem, range(0, 20), params)
+
+
+# sha256 over seeds 0..39: for each law, every document's canonical text
+# followed by its verdict detail; for each kind, every document's text.
+# A clean campaign's JSON holds only counts, so these are what pin the
+# generated bytes.
+PINNED = {
+    "product": "6f8927097e8f7659b76b898eca56d0fbe8dd317512a82704f594ad4dee654e3e",
+    "transfer": "24c7977527c65edd6262e72a8d4102faebe72ed5837c34f2b121842bdd795604",
+    "coslice": "4e6b1d82271b55654555524cb20fe63aa317805c3c633f02938b5e364a7d8a66",
+    "initial": "3a9d49fb4634bce5f7ad2240cd73896e0e720599d5d213715f4a659df2a115b5",
+    "poset-oracle": "746803e276ee8e188880d0222f0e9ce69859f01a61fd6715b9299a4ef285c67c",
+    "sm-bridge": "950405b50855fcbf8bdab9b97b8db77199592894146d55c71d6d7cc4997caf8f",
+    "star-bridge": "7db6011fd8ab33a6c421058f8a3ab9dc64c018cc3900574bc248936d2923fd60",
+    "coproduct-coslice": "6e79759afa3f7293275e0bef85d6fcf10a21c35d8ffb17ecda8576b64d9b28c1",
+    "poset": "c764220f0257e18864d4a444082af116bcf97705fd8fbf7f8a220688e85fef4d",
+    "monoid": "7a19b6b67a07f95e47701d416ef619d0b5311a549d6807bbf6871076b25af464",
+    "category": "f1b17ee9b012a3aa94a1aa390e0a6869c07ddf7fdac6edc8d6b5b96b6f023ef9",
+    "copresheaf": "a1cd6045f8755c136216486445cfe0c8e3a05bc21b0174253cf04b19f5b875b3",
+    "system": "5252f90a89d875385b7aeb10bdb77367e7e5f3661a44cb4a4ba6909faade0f88",
+    "domination-pair": "fe9f034c209bd63c365a124e220ee5a8072cd1a24261d185c89ae352820274dc",
+}
+
+
+def test_generated_bytes_pinned():
+    got = {}
+    for theorem in THEOREMS:
+        h = hashlib.sha256()
+        for s in range(40):
+            doc = generate_campaign_instance(theorem, s, PARAMS)
+            h.update(serialize_document(doc).encode())
+            h.update(evaluate_instance(theorem, doc)[1].encode())
+        got[theorem] = h.hexdigest()
+    for kind in KINDS:
+        h = hashlib.sha256()
+        for s in range(40):
+            h.update(serialize_document(generate_instance(kind, s)).encode())
+        got[kind] = h.hexdigest()
+    assert got == PINNED
 
 
 def test_unknown_theorem_rejected():

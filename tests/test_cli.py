@@ -4,6 +4,7 @@ from click.testing import CliRunner
 
 from movcat.cli import main
 from movcat.dsl import parse_document
+from util import fail_every_verdict
 
 CHAIN3 = "poset C3 { elements a b c ; leq a b ; leq b c }"
 V = "poset V { elements a b c ; leq a c ; leq b c }"
@@ -182,8 +183,10 @@ def test_campaign_json_deterministic_and_clean():
     assert payload["instances"] == 8 and payload["failures"] == []
 
 
-def test_campaign_negate_and_replay():
-    res, _ = invoke(["campaign", "initial", "--seeds", "0..3", "--negate"])
+def test_campaign_failure_exit_1_and_replay(monkeypatch):
+    fail_every_verdict(monkeypatch, "initial")
+    res, _ = invoke(["campaign", "initial", "--seeds", "0..3"])
+    monkeypatch.undo()
     assert res.exit_code == 1
     # extract the first replayable document from the failure listing
     body = res.output.split("seed 0:", 1)[1]
@@ -196,5 +199,8 @@ def test_campaign_negate_and_replay():
 
 
 def test_campaign_bad_seeds_exit_2():
-    res, _ = invoke(["campaign", "initial", "--seeds", "nope"])
-    assert res.exit_code == 2
+    # An empty range would report a clean campaign that ran nothing.
+    for seeds in ("nope", "5..2", "3..3"):
+        res, _ = invoke(["campaign", "initial", "--seeds", seeds])
+        assert res.exit_code == 2, seeds
+        assert "bad --seeds" in res.output

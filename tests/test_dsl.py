@@ -106,6 +106,12 @@ def test_monoid_table_must_be_total():
     assert "TableNotTotal" in e.value.codes
 
 
+def test_monoid_repeated_element_rejected():
+    with pytest.raises(ValidationFailed) as e:
+        parse_document("monoid M { elements e e ; unit e ; mul e e = e }")
+    assert e.value.codes == {"DuplicateName"}
+
+
 def test_monoid_parses_to_one_object_category():
     doc = parse_document(
         """

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from movcat import campaign
 from movcat.builders import build_poset_category
 from movcat.core import (
     FiniteCategory,
@@ -529,3 +530,14 @@ def find_isomorphism(
                 tuple(mm[m] for m in range(c1.n_mors)),
             )
     return None
+
+
+def fail_every_verdict(monkeypatch, theorem: str) -> None:
+    """Swap in a record for ``theorem`` that keeps its generator and fails
+    every instance, so campaign failures hold the real documents."""
+    law = campaign._LAWS[theorem]
+    monkeypatch.setitem(
+        campaign._LAWS,
+        theorem,
+        law._replace(evaluate=lambda doc: (False, "forced failure")),
+    )
