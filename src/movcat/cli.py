@@ -90,10 +90,10 @@ def check(file: str, entity: str, prop: str, via: str) -> None:
     if prop == "movable":
         if not via:
             _fail_input("--property movable requires --via FUNCTOR")
-        fe = doc[via]
-        if not isinstance(fe, FunctorEntity) or fe.functor.source != k:
+        phi = doc.get(via, FunctorEntity).functor
+        if phi.source != k:
             _fail_input(f"--via {via} is not a functor out of {entity}")
-        res = check_movable_wrt(k, fe.functor.target, fe.functor)
+        res = check_movable_wrt(k, phi.target, phi)
     else:
         res = check_strongly_movable(k)
     if isinstance(res, MovabilityWitness):
@@ -217,10 +217,8 @@ def coslice(file: str, c_name: str, obj_name: str, output: str) -> None:
 def elements(file: str, h_name: str, output: str) -> None:
     """Category of elements of a copresheaf entity."""
     doc = _load(file)
-    he = doc[h_name]
-    if not isinstance(he, CopresheafEntity):
-        _fail_input(f"{h_name} is not a copresheaf")
-    cat = elements_category(he.copresheaf).category
+    h = doc.get(h_name, CopresheafEntity).copresheaf
+    cat = elements_category(h).category
     out = Document()
     out.add(make_category_entity(f"elements_{h_name}", cat))
     _write_doc(out, output)
@@ -243,9 +241,7 @@ def system_check(
 ) -> None:
     """Run the selected condition checks (all applicable by default)."""
     doc = _load(file)
-    ent = doc[entity] if entity in doc else _fail_input(f"no entity {entity!r}")
-    if not isinstance(ent, SystemEntity):
-        _fail_input(f"{entity} is not a system")
+    ent = doc.get(entity, SystemEntity)
     if not any([sm1, sm2, associated, star]):
         sm1 = True
         sm2 = associated = star = ent.cone is not None

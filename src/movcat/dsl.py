@@ -134,6 +134,11 @@ Entity = Union[
 ]
 
 
+def _kind(cls: type) -> str:
+    """The DSL keyword of an entity class: ``CategoryEntity`` -> ``category``."""
+    return cls.__name__.removesuffix("Entity").lower()
+
+
 @dataclass
 class Document:
     """Ordered, name-resolved collection of entities."""
@@ -156,12 +161,20 @@ class Document:
             )
         self.entities.append(entity)
 
+    def get(self, name: str, *kinds: type) -> Entity:
+        """The entity ``name``, which must be an instance of one of
+        ``kinds``; raises UnresolvedReference naming both otherwise."""
+        e = self[name]
+        if not isinstance(e, kinds):
+            raise UnresolvedReference(
+                f"{name} is a {_kind(type(e))}, expected "
+                + " or ".join(map(_kind, kinds))
+            )
+        return e
+
     def category_of(self, name: str) -> FiniteCategory:
         """The category denoted by a category, poset, or monoid entity."""
-        e = self[name]
-        if isinstance(e, (CategoryEntity, PosetEntity, MonoidEntity)):
-            return e.category
-        raise UnresolvedReference(f"{name} does not denote a category")
+        return self.get(name, CategoryEntity, PosetEntity, MonoidEntity).category
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Document) and self.entities == other.entities
@@ -469,13 +482,8 @@ def _parse_functor(p: _Parser, doc: Document) -> FunctorEntity:
 
 def _parse_nattrans(p: _Parser, doc: Document) -> NatTransEntity:
     name, f_tok, g_tok = p.read("_", ":", "_", "=>", "_")
-    fe = doc[f_tok.value]
-    ge = doc[g_tok.value]
-    if not isinstance(fe, FunctorEntity) or not isinstance(ge, FunctorEntity):
-        raise UnresolvedReference(
-            f"{f_tok.value} / {g_tok.value} must be functors"
-        )
-    f, g = fe.functor, ge.functor
+    f = doc.get(f_tok.value, FunctorEntity).functor
+    g = doc.get(g_tok.value, FunctorEntity).functor
     p.read("{")
     s_obj = {o: i for i, o in enumerate(f.source.object_names)}
     t_mor = {m: i for i, m in enumerate(f.target.mor_names)}
@@ -563,16 +571,10 @@ def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
     if p.at("using"):
         cop_name = p.read("using", "copresheaf", "_")[0].value
     ambient = doc.category_of(cat_tok.value)
-    pe = doc[poset_tok.value]
-    if not isinstance(pe, PosetEntity):
-        raise UnresolvedReference(f"{poset_tok.value} must be a poset")
-    index = pe.poset
+    index = doc.get(poset_tok.value, PosetEntity).poset
     cop = None
     if cop_name is not None:
-        ce = doc[cop_name]
-        if not isinstance(ce, CopresheafEntity):
-            raise UnresolvedReference(f"{cop_name} must be a copresheaf")
-        cop = ce.copresheaf
+        cop = doc.get(cop_name, CopresheafEntity).copresheaf
     p.read("{")
     idx = {e: i for i, e in enumerate(index.elements)}
     obj_idx, mor_idx = _names(ambient)

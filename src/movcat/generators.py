@@ -376,7 +376,7 @@ def random_system_doc(
         at = _antitone_map(rng, index, amb_poset.n)
         # The antitone potential may land on incomparable values; clamp to a
         # monotone-safe choice: follow down-set minima in the ambient order.
-        at = _force_antitone_into(amb_poset, index, at, rng)
+        at = _force_antitone_into(amb_poset, index, at)
         h = terminal_copresheaf(ambient)
         elems = [0] * index.n
     else:
@@ -406,14 +406,14 @@ def random_system_doc(
 
 
 def _force_antitone_into(
-    amb: FinitePoset, index: FinitePoset, at: list[int], rng: random.Random
+    amb: FinitePoset, index: FinitePoset, at: list[int]
 ) -> list[int]:
     """Repair an integer-valued antitone sketch into an ambient-poset
     antitone map: greedily walk down the ambient order along index chains."""
     out = [0] * index.n
-    # Process in a linear extension of the index (construction order works:
-    # down-sets only contain smaller labels is not guaranteed, so sort by
-    # down-set size).
+    # Sort by down-set size, a linear extension of the index (b < a makes
+    # down_set(b) a proper subset of down_set(a)), so every value below a is
+    # fixed before a.
     order = sorted(range(index.n), key=lambda a: (len(index.down_set(a)), a))
     for a in order:
         below = [out[b] for b in index.down_set(a) if b != a]
@@ -498,7 +498,7 @@ def random_domination_doc(rng: random.Random, params: GenParams) -> Document:
     if rng.random() < 0.75:
         k = build_poset_category(random_poset(rng, 3, forest=True))
         m = build_poset_category(random_poset(rng, 2, forest=True))
-        l = canonical_category(product_category([k, m]).category)[0]
+        l = product_category([k, m]).category
     else:
         small = GenParams(3, 12, params.max_fiber)
         k = random_category(rng, small, movable_bias=True)

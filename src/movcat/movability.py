@@ -25,6 +25,7 @@ from .core import (
     Functor,
     compose_functors,
     identity_functor,
+    identity_nat_trans,
     NaturalTransformation,
 )
 from .errors import SourceTargetMismatch, VerificationFailed
@@ -273,29 +274,28 @@ def factor_transport(
 ) -> MovabilityWitness:
     """Project a strong-movability witness of the product onto factor i0.
 
-    Each object X of the factor is padded to a tuple with object 0 in every
-    other slot, and each p: Y -> X to a tuple with identities elsewhere.
+    This is a weak-domination transfer: F pads each object X of the factor
+    to a tuple with object 0 in every other slot, and each p: Y -> X to a
+    tuple with identities elsewhere; G is the projection and phi = 1.
     """
-    cat = product.category
-    if not witness_valid(cat, w):
-        raise VerificationFailed("product witness does not verify")
-    factors = product.factors
-    fac = factors[i0]
-    movers = []
-    mover_mors = []
-    lifts = [0] * fac.n_mors
-    for x in range(fac.n_objects):
-        padded_obj = [0] * len(factors)
-        padded_obj[i0] = x
-        o = product.object_index(padded_obj)
-        movers.append(product.object_components(w.movers[o])[i0])
-        mover_mors.append(product.morphism_components(w.mover_mors[o])[i0])
-        for p in fac.mors_into(x):
-            padded = [c.identity[0] for c in factors]
-            padded[i0] = p
-            big_p = product.morphism_index(padded)
-            lifts[p] = product.morphism_components(w.lifts[big_p])[i0]
-    out = MovabilityWitness(tuple(movers), tuple(mover_mors), tuple(lifts))
-    if not witness_valid(fac, out):
-        raise VerificationFailed("factor witness does not verify")
-    return out
+    fac = product.factors[i0]
+
+    def pad(fill, v):
+        out = list(fill)
+        out[i0] = v
+        return out
+
+    zeros = [0] * len(product.factors)
+    ids = [c.identity[0] for c in product.factors]
+    inclusion = Functor(
+        fac,
+        product.category,
+        tuple(product.object_index(pad(zeros, x)) for x in range(fac.n_objects)),
+        tuple(product.morphism_index(pad(ids, p)) for p in range(fac.n_mors)),
+    )
+    return weak_domination_transfer(
+        inclusion,
+        product.projections[i0],
+        identity_nat_trans(identity_functor(fac)),
+        w,
+    )

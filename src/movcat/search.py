@@ -357,52 +357,51 @@ def coproduct_coslice_domination(
     l1 = coslice_category(c, x1)
     l2 = coslice_category(c, x2)
     prod = product_category([l1.category, l2.category])
-    k = k_res.category
+    k, p = k_res.category, prod.category
 
-    # F: restrict a map out of the coproduct along the two injections.
-    f_obj = []
-    for fm in k_res.object_mors:
-        o1 = l1.object_index(c.comp[(fm, i1)])
-        o2 = l2.object_index(c.comp[(fm, i2)])
-        f_obj.append(prod.object_index([o1, o2]))
-    f_mor = []
-    for (src, tgt, eta) in k_res.morphism_triples:
-        fs, ft = k_res.object_mors[src], k_res.object_mors[tgt]
-        m1 = l1.morphism_index(
-            l1.object_index(c.comp[(fs, i1)]), l1.object_index(c.comp[(ft, i1)]), eta
-        )
-        m2 = l2.morphism_index(
-            l2.object_index(c.comp[(fs, i2)]), l2.object_index(c.comp[(ft, i2)]), eta
-        )
-        f_mor.append(prod.morphism_index([m1, m2]))
-    f = validate_functor(k, prod.category, f_obj, f_mor)
+    # F pairs the restrictions of a map out of the coproduct along the two
+    # injections; each restriction's morphism map reads its object map.
+    def restrict(l: CosliceResult, inj: int) -> tuple[list[int], list[int]]:
+        obj = [l.object_index(c.comp[(fm, inj)]) for fm in k_res.object_mors]
+        mor = [
+            l.morphism_index(obj[s], obj[t], eta)
+            for s, t, eta in k_res.morphism_triples
+        ]
+        return obj, mor
+
+    (f_obj1, f_mor1), (f_obj2, f_mor2) = restrict(l1, i1), restrict(l2, i2)
+    f = validate_functor(
+        k,
+        p,
+        [prod.object_index(o) for o in zip(f_obj1, f_obj2)],
+        [prod.morphism_index(m) for m in zip(f_mor1, f_mor2)],
+    )
 
     # G: copair a pair of maps into the designated coproduct of the targets.
+    q1s, q2s = l1.forgetful.obj_map, l2.forgetful.obj_map
+
     def g_object(o: int) -> int:
         o1, o2 = prod.object_components(o)
         f1 = l1.object_mors[o1]
         f2 = l2.object_mors[o2]
-        q1, q2 = c.mor_cod[f1], c.mor_cod[f2]
-        qj, j1, j2 = designation.pair(q1, q2)
+        _, j1, j2 = designation.pair(q1s[o1], q2s[o2])
         glued = designation.fold(x1, x2, c.comp[(j1, f1)], c.comp[(j2, f2)])
         return k_res.object_index(glued)
 
-    g_obj = [g_object(o) for o in range(prod.category.n_objects)]
+    g_obj = [g_object(o) for o in range(p.n_objects)]
     g_mor = []
-    for m in range(prod.category.n_mors):
+    for m in range(p.n_mors):
         m1, m2 = prod.morphism_components(m)
         s1, t1, eta1 = l1.morphism_triples[m1]
         s2, t2, eta2 = l2.morphism_triples[m2]
-        q1 = c.mor_cod[l1.object_mors[s1]]
-        q2 = c.mor_cod[l2.object_mors[s2]]
-        r1 = c.mor_cod[l1.object_mors[t1]]
-        r2 = c.mor_cod[l2.object_mors[t2]]
-        _, jr1, jr2 = designation.pair(r1, r2)
-        eta = designation.fold(q1, q2, c.comp[(jr1, eta1)], c.comp[(jr2, eta2)])
-        src = g_object(prod.object_index([s1, s2]))
-        tgt = g_object(prod.object_index([t1, t2]))
-        g_mor.append(k_res.morphism_index(src, tgt, eta))
-    g = validate_functor(prod.category, k, g_obj, g_mor)
+        _, jr1, jr2 = designation.pair(q1s[t1], q2s[t2])
+        eta = designation.fold(
+            q1s[s1], q2s[s2], c.comp[(jr1, eta1)], c.comp[(jr2, eta2)]
+        )
+        g_mor.append(
+            k_res.morphism_index(g_obj[p.mor_dom[m]], g_obj[p.mor_cod[m]], eta)
+        )
+    g = validate_functor(p, k, g_obj, g_mor)
 
     # phi: G.F => 1_K via the fold maps Q + Q -> Q.
     gf = compose_functors(g, f)

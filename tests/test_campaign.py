@@ -1,16 +1,25 @@
 import hashlib
 
 import pytest
+from click.testing import CliRunner
 
+from movcat.builders import product_category
 from movcat.campaign import (
     THEOREMS,
     evaluate_instance,
     generate_campaign_instance,
     run_campaign,
 )
+from movcat.cli import main
 from movcat.dsl import parse_document, serialize_document
 from movcat.errors import ParamsOutOfRange, UnknownTheorem
 from movcat.generators import KINDS, GenParams, generate_instance
+from movcat.movability import (
+    MovabilityWitness,
+    check_strongly_movable,
+    factor_transport,
+)
+from movcat.search import coproduct_coslice_domination
 from util import fail_every_verdict
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
@@ -73,8 +82,10 @@ def test_campaign_instance_determinism():
     ],
 )
 def test_campaign_params_checked(theorem, params):
-    with pytest.raises(ParamsOutOfRange):
-        run_campaign(theorem, range(0, 20), params)
+    # Checked before the seed loop, so an empty range is no escape.
+    for seeds in (range(0, 20), range(0)):
+        with pytest.raises(ParamsOutOfRange):
+            run_campaign(theorem, seeds, params)
 
 
 # sha256 over seeds 0..39: for each law, every document's canonical text
@@ -116,6 +127,35 @@ def test_generated_bytes_pinned():
     assert got == PINNED
 
 
+def test_transport_certificates_pinned():
+    # sha256 over seeds 0..39 at default params: every factor projection of a
+    # strongly movable product, and (F, G, phi) of every coproduct-coslice
+    # domination.  Campaign JSON holds only counts, so it cannot see these.
+    h = hashlib.sha256()
+    for s in range(40):
+        doc = generate_campaign_instance("product", s)
+        prod = product_category([doc.category_of("K1"), doc.category_of("K2")])
+        wp = check_strongly_movable(prod.category)
+        if isinstance(wp, MovabilityWitness):
+            for i in (0, 1):
+                h.update(repr(factor_transport(prod, wp, i)).encode())
+    assert h.hexdigest() == (
+        "d5bc69410016f611de116eee474d0e546b04fc4d5d64ee7a5934225a7b102d82"
+    )
+    h = hashlib.sha256()
+    for s in range(40):
+        doc = generate_campaign_instance("coproduct-coslice", s)
+        cat = doc.category_of("P")
+        designation = doc["coproducts_P"].designation
+        for x1 in range(cat.n_objects):
+            for x2 in range(cat.n_objects):
+                r = coproduct_coslice_domination(cat, designation, x1, x2)
+                h.update(repr((r.f, r.g, r.phi)).encode())
+    assert h.hexdigest() == (
+        "9c2ecefa66c3f333bb4428c6e825d0fea5a5e872ddaab4c368ea23693a039eb0"
+    )
+
+
 def test_unknown_theorem_rejected():
     with pytest.raises(UnknownTheorem):
         run_campaign("no-such-law", range(0, 1), PARAMS)
@@ -135,3 +175,43 @@ def test_transfer_law_sometimes_exercised():
         for s in range(30)
     )
     assert exercised >= 5
+
+
+CHAIN2 = "poset C { elements a b ; leq a b }\n"
+CATEGORY_P = "category P { objects a0 a1 ; arrows le0_1: a0 -> a1 ; }\n"
+CONELESS = CHAIN2 + "poset I { elements i }\nsystem S in C over I { object i => a }\n"
+
+
+@pytest.mark.parametrize(
+    "theorem, text, message",
+    [
+        ("poset-oracle", CATEGORY_P, "P is a category, expected poset"),
+        ("sm-bridge", "poset S { elements a }", "S is a poset, expected system"),
+        ("star-bridge", "poset S { elements a }", "S is a poset, expected system"),
+        ("sm-bridge", CONELESS, "S carries no cone"),
+        ("star-bridge", CONELESS, "S carries no cone"),
+        (
+            "coproduct-coslice",
+            CHAIN2.replace(" C ", " P ") + "poset coproducts_P { elements x }",
+            "coproducts_P is a poset, expected coproducts",
+        ),
+    ],
+    ids=[
+        "P-category",
+        "sm-S-poset",
+        "star-S-poset",
+        "sm-no-cone",
+        "star-no-cone",
+        "coproducts-poset",
+    ],
+)
+def test_wrong_entity_kind_is_a_recorded_failure(theorem, text, message):
+    detail = f"UnresolvedReference: unresolved reference: {message!r}"
+    assert evaluate_instance(theorem, parse_document(text)) == (False, detail)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.cat", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        res = runner.invoke(main, ["campaign", theorem, "--replay", "doc.cat"])
+    assert isinstance(res.exception, SystemExit) and res.exit_code == 1
+    assert res.output == f"fail: {detail}\n"

@@ -174,6 +174,31 @@ def test_postcompose_transfer_rejects_bad_witness():
         postcompose_transfer(c3, c3, identity_functor(c3), bad, identity_functor(c3))
 
 
+def _corrupt(w: MovabilityWitness) -> MovabilityWitness:
+    return MovabilityWitness(w.movers, w.mover_mors, tuple(0 for _ in w.lifts))
+
+
+@pytest.mark.parametrize("transport", ["product", "factor", "transfer"])
+def test_transports_reject_corrupted_witness(transport):
+    # The campaign laws rely on this: each transport verifies what it is
+    # given and what it returns, raising VerificationFailed.
+    k1, k2 = chain(3), chain(2)
+    prod = product_category([k1, k2])
+    w1, w2 = check_strongly_movable(k1), check_strongly_movable(k2)
+    one = identity_functor(k1)
+    run = {
+        "product": lambda: product_transport(prod, [_corrupt(w1), w2]),
+        "factor": lambda: factor_transport(
+            prod, _corrupt(product_transport(prod, [w1, w2])), 0
+        ),
+        "transfer": lambda: weak_domination_transfer(
+            one, one, identity_nat_trans(one), _corrupt(w1)
+        ),
+    }[transport]
+    with pytest.raises(VerificationFailed):
+        run()
+
+
 def test_weak_domination_transfer_identity_roundtrip():
     c3 = chain(3)
     one = identity_functor(c3)
