@@ -75,27 +75,19 @@ def main() -> None:
 @main.command()
 @click.argument("file", type=click.Path())
 @click.option("--entity", required=True, help="Category entity to check.")
-@click.option(
-    "--property",
-    "prop",
-    type=click.Choice(["strong-movable", "movable"]),
-    default="strong-movable",
-    show_default=True,
-)
-@click.option("--via", help="Functor entity for relative movability.")
-def check(file: str, entity: str, prop: str, via: str) -> None:
-    """Decide (strong or relative) movability of a category entity."""
+@click.option("--via", help="Functor entity; decide movability relative to it.")
+def check(file: str, entity: str, via: str | None) -> None:
+    """Decide strong movability of a category entity, or its movability
+    relative to the functor named by --via."""
     doc = _load(file)
     k = doc.category_of(entity)
-    if prop == "movable":
-        if not via:
-            _fail_input("--property movable requires --via FUNCTOR")
+    if via is None:
+        prop, res = "strong-movable", check_strongly_movable(k)
+    else:
         phi = doc.get(via, FunctorEntity).functor
         if phi.source != k:
             _fail_input(f"--via {via} is not a functor out of {entity}")
-        res = check_movable_wrt(k, phi.target, phi)
-    else:
-        res = check_strongly_movable(k)
+        prop, res = "movable", check_movable_wrt(k, phi.target, phi)
     if isinstance(res, MovabilityWitness):
         click.echo(f"{entity}: {prop} (witness found)")
         for x in range(k.n_objects):

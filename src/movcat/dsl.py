@@ -2,9 +2,13 @@
 
 A document is an ordered list of named entities (poset, monoid, category,
 functor, nattrans, copresheaf, system, coproducts); later entities refer to
-earlier ones by name.  The grammar is ASCII and line-oriented with `;`
-separators and `#` comments.  Parsing is followed by validation of every
-entity, so no parse ever accepts an entity its validator rejects.
+earlier ones by name.  The grammar is line-oriented with `;` separators and
+`#` comments; an identifier starts with a letter (by `str.isalpha`) or `_`
+and goes on with characters for which `str.isalnum` holds, or `_`.  Every
+map-like block is one table of statements, and a statement that repeats an
+earlier key (a repeated `compose` included) is a `DuplicateStatement`.
+Parsing is followed by validation of every entity, so no parse ever accepts
+an entity its validator rejects.
 
 Canonical serialization: entities in document order (which is a dependency
 order), members in ref order, one declaration per line.  Categories are
@@ -14,9 +18,11 @@ what makes parse . serialize the identity on tables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .builders import (
     build_monoid_category,
@@ -149,7 +155,7 @@ class Document:
         for e in self.entities:
             if e.name == name:
                 return e
-        raise UnresolvedReference(name)
+        raise UnresolvedReference(f"no entity named {name!r}")
 
     def __contains__(self, name: str) -> bool:
         return any(e.name == name for e in self.entities)
@@ -176,9 +182,6 @@ class Document:
         """The category denoted by a category, poset, or monoid entity."""
         return self.get(name, CategoryEntity, PosetEntity, MonoidEntity).category
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Document) and self.entities == other.entities
-
 
 def make_category_entity(name: str, category: FiniteCategory) -> CategoryEntity:
     """Wrap a category for a document, normalizing it to DSL form."""
@@ -190,7 +193,7 @@ def make_category_entity(name: str, category: FiniteCategory) -> CategoryEntity:
 # Tokenizer
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen instance is 4x slower to build
 class _Token:
     kind: str  # "ident" | "punct" | "eof"
     value: str
@@ -198,51 +201,48 @@ class _Token:
     col: int
 
 
-_PUNCT2 = ("->", "=>")
-_PUNCT1 = ";{}:="
+# One alternative per lexeme; blanks and comments match no named group.  A
+# word must start with a letter or `_`, which `\w` alone does not ensure.
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<punct>->|=>|[;{}:=])|(?P<ident>\w+)|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # start: offset of the current line
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i : i + 2] in _PUNCT2:
-            toks.append(_Token("punct", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            toks.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(line, col, "identifier or punctuation", ch)
-    toks.append(_Token("eof", "", line, col))
+        value, col = m.group(), m.start() - start + 1
+        if kind == "bad" or kind == "ident" and not (
+            value[0].isalpha() or value[0] == "_"
+        ):
+            raise DslSyntaxError(line, col, "identifier or punctuation", value[0])
+        toks.append(_Token(kind, value, line, col))
+    # A comment does not advance the column, so the end of a last line that
+    # holds one is where its `#` stands.
+    end = text.find("#", start)
+    toks.append(_Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
     return toks
+
+
+class _Ref:
+    """Shape entry: one identifier, read as its ref among ``names``."""
+
+    def __init__(self, what: str, names: Iterable[str]):
+        self.what = what
+        self.refs = {name: i for i, name in enumerate(names)}
+
+    def resolve(self, tok: _Token) -> int:
+        if tok.value not in self.refs:
+            raise UnresolvedReference(f"{self.what} {tok.value!r} (line {tok.line})")
+        return self.refs[tok.value]
 
 
 class _Parser:
@@ -263,31 +263,45 @@ class _Parser:
         t = self.peek()
         return t.kind == "ident" if part == "_" else t.value == part
 
-    def read(self, *shape: str) -> list:
-        """Read tokens by shape and return the identifiers in order.
+    def read(self, *shape) -> list:
+        """Read tokens by shape and return the values in order.
 
-        ``"_"`` is one identifier, returned as its token; ``"*"`` is one or
-        more identifiers, returned as a list of names; any other entry is
-        that exact keyword or punctuation, checked and dropped.
+        ``"_"`` is one identifier, read as its name; ``"*"`` is one or more
+        identifiers, read as a list of names; a `_Ref` is one identifier,
+        read as its ref; ``";"`` ends a statement (it may be omitted before
+        ``}``); any other entry is that exact keyword or punctuation,
+        checked and dropped.  The refs are resolved once the whole shape has
+        been read, so a syntax error in a statement is reported before an
+        unknown name in it.
         """
         out: list = []
+        refs: list[tuple[int, _Ref]] = []
         for part in shape:
-            t = self.next()
-            if part == "_" or part == "*":
-                if t.kind != "ident":
-                    raise DslSyntaxError(
-                        t.line, t.col, "identifier", t.value or "<eof>"
-                    )
-                if part == "_":
-                    out.append(t)
-                    continue
-                names = [t.value]
+            if isinstance(part, _Ref):
+                refs.append((len(out), part))
+                out.append(self.ident())
+            elif part == ";":
+                self.end_stmt()
+            elif part == "_":
+                out.append(self.ident().value)
+            elif part == "*":
+                names = [self.ident().value]
                 while self.at("_"):
                     names.append(self.next().value)
                 out.append(names)
-            elif t.value != part:
-                raise DslSyntaxError(t.line, t.col, repr(part), t.value or "<eof>")
+            else:
+                t = self.next()
+                if t.value != part:
+                    raise DslSyntaxError(t.line, t.col, repr(part), t.value or "<eof>")
+        for k, ref in refs:
+            out[k] = ref.resolve(out[k])
         return out
+
+    def ident(self) -> _Token:
+        t = self.next()
+        if t.kind != "ident":
+            raise DslSyntaxError(t.line, t.col, "identifier", t.value or "<eof>")
+        return t
 
     def end_stmt(self) -> None:
         """Consume a `;` terminator; the last one before `}` may be omitted."""
@@ -297,49 +311,54 @@ class _Parser:
             t = self.peek()
             raise DslSyntaxError(t.line, t.col, "';'", t.value or "<eof>")
 
-    def clauses(self, keyword: str, *shape: str) -> Iterator[list]:
-        """Yield ``read(keyword, *shape)`` for each consecutive
-        ``keyword <shape> ;`` statement (keyword ``"_"``: any identifier)."""
-        while self.at(keyword):
-            values = self.read(keyword, *shape)
-            self.end_stmt()
-            yield values
+    def clauses(self, *shape) -> Iterator[list]:
+        """Yield ``read(*shape)`` for each consecutive statement that starts
+        with ``shape[0]`` (``"_"``: any identifier)."""
+        while self.at(shape[0]):
+            yield self.read(*shape)
+
+    def table(self, subject: str, n_key: int, *shape) -> dict:
+        """The map from the first ``n_key`` values of each consecutive
+        ``shape`` statement to the rest (a single value or key unwrapped);
+        a key stated twice raises ValidationFailed naming the repeated line.
+        A callable last entry reads the block that ends a statement, after
+        the refs before it are resolved, and gives the block's value."""
+        block = shape[-1] if callable(shape[-1]) else None
+        head = shape[:-1] if block else shape
+        table: dict = {}
+        while self.at(shape[0]):
+            start = self.i
+            values = self.read(*head)
+            if block:
+                values.append(block())
+            key = values[0] if n_key == 1 else tuple(values[:n_key])
+            if key in table:
+                words = self.toks[start : start + n_key + (shape[0] != "_")]
+                stmt = " ".join(t.value for t in words)
+                line = words[-n_key].line  # of the first key
+                raise ValidationFailed(
+                    subject, [Violation("DuplicateStatement", f"{stmt} (line {line})")]
+                )
+            rest = values[n_key:]
+            table[key] = rest[0] if len(rest) == 1 else tuple(rest)
+        return table
 
 
-def _resolve(mapping: dict, tok: _Token, what: str) -> int:
-    if tok.value not in mapping:
-        raise UnresolvedReference(f"{what} {tok.value!r} (line {tok.line})")
-    return mapping[tok.value]
+def _total(
+    subject: str, code: str, table: dict, keys: Iterable, name: Callable
+) -> list:
+    """``table``'s values at ``keys`` in order; raises ValidationFailed with
+    one ``code`` violation per missing key, detailed by ``name(key)``."""
+    keys = list(keys)
+    missing = [k for k in keys if k not in table]
+    if missing:
+        raise ValidationFailed(subject, [Violation(code, name(k)) for k in missing])
+    return [table[k] for k in keys]
 
 
-def _clause_table(subject: str, keyword: str, rows: Iterator[tuple]) -> dict:
-    """The map of ``(key tokens, key, value)`` rows, one per statement; a key
-    stated twice raises ValidationFailed naming the repeated line."""
-    table: dict = {}
-    for toks, key, value in rows:
-        if key in table:
-            stmt = " ".join([keyword, *(t.value for t in toks)])
-            raise ValidationFailed(
-                subject,
-                [Violation("DuplicateStatement", f"{stmt} (line {toks[0].line})")],
-            )
-        table[key] = value
-    return table
-
-
-def _check_cap(tok: _Token, n: int, cap: int, what: str) -> None:
+def _check_cap(entity: str, n: int, cap: int, what: str) -> None:
     if n > cap:
-        raise SizeBoundExceeded(
-            f"{n} {what} at line {tok.line}, over the cap of {cap}"
-        )
-
-
-def _names(cat: FiniteCategory) -> tuple[dict, dict]:
-    """Object and morphism name -> ref tables of a category."""
-    return (
-        {o: i for i, o in enumerate(cat.object_names)},
-        {m: i for i, m in enumerate(cat.mor_names)},
-    )
+        raise SizeBoundExceeded(f"{n} {what} in {entity}, over the cap of {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,256 +369,165 @@ def _parse_poset(p: _Parser, doc: Document) -> PosetEntity:
     name, elems = p.read("_", "{", "elements", "*")
     _check_cap(name, len(elems), MAX_OBJECTS, "poset elements")
     p.end_stmt()
-    idx = {e: i for i, e in enumerate(elems)}
-    pairs = [
-        (_resolve(idx, a, "element"), _resolve(idx, b, "element"))
-        for a, b in p.clauses("leq", "_", "_")
-    ]
+    element = _Ref("element", elems)
+    pairs = list(p.clauses("leq", element, element, ";"))
     p.read("}")
-    return PosetEntity(name.value, make_poset(elems, pairs))
+    return PosetEntity(name, make_poset(elems, pairs))
 
 
 def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
     name, elems = p.read("_", "{", "elements", "*")
     _check_cap(name, len(elems), MAX_MORPHISMS, "monoid elements")
     p.end_stmt()
-    idx = {e: i for i, e in enumerate(elems)}
-    if len(idx) != len(elems):
+    if len(set(elems)) != len(elems):
         raise ValidationFailed(
             "monoid", [Violation("DuplicateName", "monoid elements not unique")]
         )
-    (ut,) = p.read("unit", "_")
-    unit = _resolve(idx, ut, "element")
+    element = _Ref("element", elems)
+    (unit,) = p.read("unit", element)
     p.end_stmt()
-    k = len(elems)
-    mul = _clause_table("monoid", "mul", (
-        ((a, b), (_resolve(idx, a, "element"), _resolve(idx, b, "element")),
-         _resolve(idx, c, "element"))
-        for a, b, c in p.clauses("mul", "_", "_", "=", "_")
-    ))
+    mul = p.table("monoid", 2, "mul", element, element, "=", element, ";")
     p.read("}")
-    missing = [
-        (elems[i], elems[j])
-        for i in range(k)
-        for j in range(k)
-        if (i, j) not in mul
-    ]
-    if missing:
-        raise ValidationFailed(
-            "monoid",
-            [Violation("TableNotTotal", f"missing mul {a} {b}") for a, b in missing],
-        )
-    full = tuple(tuple(mul[(i, j)] for j in range(k)) for i in range(k))
-    return MonoidEntity(name.value, tuple(elems), unit, full)
+    k = len(elems)
+    cells = _total(
+        "monoid", "TableNotTotal", mul, product(range(k), repeat=2),
+        lambda ij: f"missing mul {elems[ij[0]]} {elems[ij[1]]}",
+    )
+    full = tuple(tuple(cells[i * k : (i + 1) * k]) for i in range(k))
+    return MonoidEntity(name, tuple(elems), unit, full)
 
 
 def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:
     name, objs = p.read("_", "{", "objects", "*")
     _check_cap(name, len(objs), MAX_OBJECTS, "objects")
     p.end_stmt()
-    obj_idx = {o: i for i, o in enumerate(objs)}
-    n = len(objs)
-    mors: list[tuple[str, int, int]] = [
-        (f"id_{o}", i, i) for i, o in enumerate(objs)
-    ]
-    mor_idx = {m[0]: i for i, m in enumerate(mors)}
-    for aname, a, b in p.clauses("arrows", "_", ":", "_", "->", "_"):
-        if aname.value.startswith("id_"):
+    obj = _Ref("object", objs)
+    mors = [(f"id_{o}", i, i) for i, o in enumerate(objs)]
+    taken = {m[0] for m in mors}
+    for arrow, a, b in p.clauses("arrows", "_", ":", obj, "->", obj, ";"):
+        if arrow.startswith("id_"):
             raise ValidationFailed(
-                "category",
-                [Violation("ReservedName", f"arrow name {aname.value!r}")],
+                "category", [Violation("ReservedName", f"arrow name {arrow!r}")]
             )
-        if aname.value in mor_idx:
-            raise ValidationFailed(
-                "category", [Violation("DuplicateName", aname.value)]
-            )
-        mor_idx[aname.value] = len(mors)
-        mors.append(
-            (
-                aname.value,
-                _resolve(obj_idx, a, "object"),
-                _resolve(obj_idx, b, "object"),
-            )
-        )
-        _check_cap(aname, len(mors), MAX_MORPHISMS, "morphisms")
-    comp: dict[tuple[int, int], int] = {}
-    for g, f, h in p.clauses("compose", "_", "_", "=", "_"):
-        key = (_resolve(mor_idx, g, "arrow"), _resolve(mor_idx, f, "arrow"))
-        val = _resolve(mor_idx, h, "arrow")
-        if key in comp and comp[key] != val:
-            raise ValidationFailed(
-                "category",
-                [Violation("IllegalComposite", f"conflicting compose {g.value} {f.value}")],
-            )
-        comp[key] = val
+        if arrow in taken:
+            raise ValidationFailed("category", [Violation("DuplicateName", arrow)])
+        taken.add(arrow)
+        mors.append((arrow, a, b))
+        _check_cap(name, len(mors), MAX_MORPHISMS, "morphisms")
+    mor = _Ref("arrow", (m[0] for m in mors))
+    comp = p.table("category", 2, "compose", mor, mor, "=", mor, ";")
     p.read("}")
     # Identity-law completion for pairs involving identities.
     for m, (_, d, c) in enumerate(mors):
         comp.setdefault((c, m), m)  # id after m (identity of cod has ref cod)
         comp.setdefault((m, d), m)
-    cat = validate_category(objs, mors, list(range(n)), comp)
-    return CategoryEntity(name.value, cat)
+    cat = validate_category(objs, mors, list(range(len(objs))), comp)
+    return CategoryEntity(name, cat)
 
 
 def _parse_functor(p: _Parser, doc: Document) -> FunctorEntity:
     name, s, t = p.read("_", ":", "_", "->", "_")
-    src = doc.category_of(s.value)
-    tgt = doc.category_of(t.value)
+    src = doc.category_of(s)
+    tgt = doc.category_of(t)
+    s_obj, t_obj = _Ref("object", src.object_names), _Ref("object", tgt.object_names)
+    s_mor, t_mor = _Ref("arrow", src.mor_names), _Ref("arrow", tgt.mor_names)
     p.read("{")
-    s_obj, s_mor = _names(src)
-    t_obj, t_mor = _names(tgt)
-    obj_map = _clause_table("functor", "object", (
-        ((a,), _resolve(s_obj, a, "object"), _resolve(t_obj, b, "object"))
-        for a, b in p.clauses("object", "_", "=>", "_")
-    ))
-    mor_map = _clause_table("functor", "arrow", (
-        ((a,), _resolve(s_mor, a, "arrow"), _resolve(t_mor, b, "arrow"))
-        for a, b in p.clauses("arrow", "_", "=>", "_")
-    ))
+    obj_map = p.table("functor", 1, "object", s_obj, "=>", t_obj, ";")
+    mor_map = p.table("functor", 1, "arrow", s_mor, "=>", t_mor, ";")
     p.read("}")
-    missing = [src.object_names[i] for i in range(src.n_objects) if i not in obj_map]
-    if missing:
-        raise ValidationFailed(
-            "functor", [Violation("ObjectNotMapped", m) for m in missing]
-        )
-    for m in range(src.n_mors):
-        if m in mor_map:
-            continue
-        if src.is_identity(m):
-            mor_map[m] = tgt.identity[obj_map[src.mor_dom[m]]]
-        else:
-            raise ValidationFailed(
-                "functor", [Violation("ArrowNotMapped", src.mor_names[m])]
-            )
-    functor = validate_functor(
-        src,
-        tgt,
-        [obj_map[i] for i in range(src.n_objects)],
-        [mor_map[i] for i in range(src.n_mors)],
+    objs = _total(
+        "functor", "ObjectNotMapped", obj_map,
+        range(src.n_objects), src.object_names.__getitem__,
     )
-    return FunctorEntity(name.value, s.value, t.value, functor)
+    for a, m in enumerate(src.identity):
+        mor_map.setdefault(m, tgt.identity[objs[a]])
+    mors = _total(
+        "functor", "ArrowNotMapped", mor_map,
+        range(src.n_mors), src.mor_names.__getitem__,
+    )
+    return FunctorEntity(name, s, t, validate_functor(src, tgt, objs, mors))
 
 
 def _parse_nattrans(p: _Parser, doc: Document) -> NatTransEntity:
-    name, f_tok, g_tok = p.read("_", ":", "_", "=>", "_")
-    f = doc.get(f_tok.value, FunctorEntity).functor
-    g = doc.get(g_tok.value, FunctorEntity).functor
+    name, f_name, g_name = p.read("_", ":", "_", "=>", "_")
+    f = doc.get(f_name, FunctorEntity).functor
+    g = doc.get(g_name, FunctorEntity).functor
+    obj, mor = _Ref("object", f.source.object_names), _Ref("arrow", f.target.mor_names)
     p.read("{")
-    s_obj = {o: i for i, o in enumerate(f.source.object_names)}
-    t_mor = {m: i for i, m in enumerate(f.target.mor_names)}
-    comps = _clause_table("nat-trans", "at", (
-        ((a,), _resolve(s_obj, a, "object"), _resolve(t_mor, m, "arrow"))
-        for a, m in p.clauses("at", "_", "=", "_")
-    ))
+    comps = p.table("nat-trans", 1, "at", obj, "=", mor, ";")
     p.read("}")
-    missing = [
-        f.source.object_names[i]
-        for i in range(f.source.n_objects)
-        if i not in comps
-    ]
-    if missing:
-        raise ValidationFailed(
-            "nat-trans", [Violation("ComponentMissing", m) for m in missing]
-        )
-    nt = validate_nat_trans(
-        [comps[i] for i in range(f.source.n_objects)], f, g
+    comps = _total(
+        "nat-trans", "ComponentMissing", comps,
+        range(f.source.n_objects), f.source.object_names.__getitem__,
     )
-    return NatTransEntity(name.value, f_tok.value, g_tok.value, nt)
+    return NatTransEntity(name, f_name, g_name, validate_nat_trans(comps, f, g))
 
 
 def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
-    name, base_tok = p.read("_", "on", "_")
-    base = doc.category_of(base_tok.value)
+    name, base_name = p.read("_", "on", "_")
+    base = doc.category_of(base_name)
+    obj, mor = _Ref("object", base.object_names), _Ref("arrow", base.mor_names)
     p.read("{")
-    obj_idx, mor_idx = _names(base)
-    at = _clause_table("copresheaf", "at", (
-        ((q,), _resolve(obj_idx, q, "object"), elems)
-        for q, elems in p.clauses("at", "_", "=", "{", "*", "}")
-    ))
+    at = p.table("copresheaf", 1, "at", obj, "=", "{", "*", "}", ";")
     fibers: list[list[str]] = [at.get(q, []) for q in range(base.n_objects)]
 
-    def act_blocks() -> Iterator[tuple]:
-        while p.at("act"):
-            (a,) = p.read("act", "_")
-            m = _resolve(mor_idx, a, "arrow")
-            p.read("{")
-            yield (a,), m, _clause_table("copresheaf", f"act {a.value}", (
-                ((x,), x.value, y.value) for x, y in p.clauses("_", "=>", "_")
-            ))
-            p.read("}")
+    def act_lines() -> dict:
+        p.read("{")
+        lines = p.table("copresheaf", 1, "_", "=>", "_", ";")
+        p.read("}")
+        return lines
 
-    acts: dict[int, dict[str, str]] = _clause_table("copresheaf", "act", act_blocks())
+    acts = p.table("copresheaf", 1, "act", mor, act_lines)
     p.read("}")
-    elem_idx = [{e: i for i, e in enumerate(f)} for f in fibers]
+    for q, m in enumerate(base.identity):
+        acts.setdefault(m, {e: e for e in fibers[q]})
 
     def element(q: int, e: str) -> int:
-        if e not in elem_idx[q]:
+        if e not in fibers[q]:
             raise UnresolvedReference(
                 f"element {e!r} in fiber of {base.object_names[q]}"
             )
-        return elem_idx[q][e]
+        return fibers[q].index(e)
 
     action: list[list[int]] = []
     bad: list[Violation] = []
     for m in range(base.n_mors):
         d, c = base.mor_dom[m], base.mor_cod[m]
-        if base.is_identity(m) and m not in acts:
-            action.append(list(range(len(fibers[d]))))
-            continue
-        mapping = acts.get(m, {})
-        for x in mapping:
+        act = acts.get(m, {})
+        for x in act:
             element(d, x)
-        row = []
-        for e in fibers[d]:
-            if e not in mapping:
-                bad.append(
-                    Violation("MissingAction", f"{base.mor_names[m]} on {e}")
-                )
-                row.append(0)
-            else:
-                row.append(element(c, mapping[e]))
-        action.append(row)
+        bad += [
+            Violation("MissingAction", f"{base.mor_names[m]} on {e}")
+            for e in fibers[d]
+            if e not in act
+        ]
+        action.append([element(c, act[e]) if e in act else 0 for e in fibers[d]])
     if bad:
         raise ValidationFailed("copresheaf", bad)
     cop = validate_copresheaf(base, fibers, action)
-    return CopresheafEntity(name.value, base_tok.value, cop)
+    return CopresheafEntity(name, base_name, cop)
 
 
 def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
-    name, cat_tok, poset_tok = p.read("_", "in", "_", "over", "_")
+    name, cat_name, poset_name = p.read("_", "in", "_", "over", "_")
     cop_name: Optional[str] = None
     if p.at("using"):
-        cop_name = p.read("using", "copresheaf", "_")[0].value
-    ambient = doc.category_of(cat_tok.value)
-    index = doc.get(poset_tok.value, PosetEntity).poset
+        (cop_name,) = p.read("using", "copresheaf", "_")
+    ambient = doc.category_of(cat_name)
+    index = doc.get(poset_name, PosetEntity).poset
     cop = None
     if cop_name is not None:
         cop = doc.get(cop_name, CopresheafEntity).copresheaf
+    i = _Ref("index", index.elements)
+    obj, mor = _Ref("object", ambient.object_names), _Ref("arrow", ambient.mor_names)
     p.read("{")
-    idx = {e: i for i, e in enumerate(index.elements)}
-    obj_idx, mor_idx = _names(ambient)
-    at = _clause_table("system", "object", (
-        ((a,), _resolve(idx, a, "index"), _resolve(obj_idx, o, "object"))
-        for a, o in p.clauses("object", "_", "=>", "_")
-    ))
-    bond = _clause_table("system", "bond", (
-        ((a, b), (_resolve(idx, a, "index"), _resolve(idx, b, "index")),
-         _resolve(mor_idx, m, "arrow"))
-        for a, b, m in p.clauses("bond", "_", "_", "=>", "_")
-    ))
-    cone_elems = _clause_table("system", "cone", (
-        ((a,), _resolve(idx, a, "index"), e.value)
-        for a, e in p.clauses("cone", "_", "=>", "_")
-    ))
+    at = p.table("system", 1, "object", i, "=>", obj, ";")
+    bond = p.table("system", 2, "bond", i, i, "=>", mor, ";")
+    cone_elems = p.table("system", 1, "cone", i, "=>", "_", ";")
     p.read("}")
-    missing = [index.elements[i] for i in range(index.n) if i not in at]
-    if missing:
-        raise ValidationFailed(
-            "system", [Violation("ObjectNotMapped", m) for m in missing]
-        )
-    system = validate_system(
-        ambient, index, [at[i] for i in range(index.n)], bond
-    )
+    label = index.elements.__getitem__
+    objects = _total("system", "ObjectNotMapped", at, range(index.n), label)
+    system = validate_system(ambient, index, objects, bond)
     cone = None
     if cone_elems:
         if cop is None:
@@ -607,50 +535,31 @@ def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
                 "system",
                 [Violation("ConeWithoutCopresheaf", "cone requires `using copresheaf`")],
             )
+        names = _total("system", "ConeIncomplete", cone_elems, range(index.n), label)
         elems = []
-        for i in range(index.n):
-            if i not in cone_elems:
-                raise ValidationFailed(
-                    "system",
-                    [Violation("ConeIncomplete", index.elements[i])],
-                )
-            fiber = cop.fibers[system.at[i]]
-            ename = cone_elems[i]
+        for a, ename in enumerate(names):
+            fiber = cop.fibers[system.at[a]]
             if ename not in fiber:
                 raise UnresolvedReference(
-                    f"cone element {ename!r} at index {index.elements[i]}"
+                    f"cone element {ename!r} at index {index.elements[a]}"
                 )
             elems.append(fiber.index(ename))
         cone = make_cone(system, cop, elems)
-    return SystemEntity(
-        name.value, cat_tok.value, poset_tok.value, cop_name, system, cone
-    )
+    return SystemEntity(name, cat_name, poset_name, cop_name, system, cone)
 
 
 def _parse_coproducts(p: _Parser, doc: Document) -> CoproductsEntity:
-    (base_tok,) = p.read("on", "_")
-    base = doc.category_of(base_tok.value)
+    (base_name,) = p.read("on", "_")
+    base = doc.category_of(base_name)
     p.read("{")
-    obj_idx, mor_idx = _names(base)
-    table = _clause_table("coproducts", "pair", (
-        (
-            (a, b),
-            (_resolve(obj_idx, a, "object"), _resolve(obj_idx, b, "object")),
-            (
-                _resolve(obj_idx, j, "object"),
-                _resolve(mor_idx, m1, "arrow"),
-                _resolve(mor_idx, m2, "arrow"),
-            ),
-        )
-        for a, b, j, m1, m2 in p.clauses(
-            "pair", "_", "_", "=>", "_", "with", "inj1", "_", "inj2", "_"
-        )
-    ))
+    obj, mor = _Ref("object", base.object_names), _Ref("arrow", base.mor_names)
+    table = p.table(
+        "coproducts", 2,
+        "pair", obj, obj, "=>", obj, "with", "inj1", mor, "inj2", mor, ";",
+    )
     p.read("}")
     designation = validate_designation(base, table)
-    return CoproductsEntity(
-        f"coproducts_{base_tok.value}", base_tok.value, designation
-    )
+    return CoproductsEntity(f"coproducts_{base_name}", base_name, designation)
 
 
 _PARSERS = {

@@ -96,6 +96,5 @@ class DslSyntaxError(MovcatError):
 
 
 class UnresolvedReference(MovcatError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unresolved reference: {name!r}")
+    """A name that denotes nothing of the expected kind; the message says
+    which name and where."""

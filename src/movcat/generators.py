@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from .builders import (
     build_monoid_category,
     build_poset_category,
-    canonical_category,
     coslice_category,
     elements_category,
     product_category,
@@ -183,7 +182,7 @@ def _monoid_idempotents(table) -> list[int]:
 def random_category(
     rng: random.Random, params: GenParams, *, movable_bias: bool = False
 ) -> FiniteCategory:
-    """Random finite category in DSL normal form.
+    """Random finite category.
 
     Bias: 50% thin (posets), 25% monoids, 25% composites.  With
     ``movable_bias`` thin categories are drawn from forests (guaranteed
@@ -196,7 +195,7 @@ def random_category(
         return build_poset_category(poset)
     if roll < 0.75:
         elements, unit, table = random_monoid(rng)
-        return canonical_category(build_monoid_category(elements, unit, table))[0]
+        return build_monoid_category(elements, unit, table)
     return _random_composite(rng, params, movable_bias=movable_bias)
 
 
@@ -221,7 +220,7 @@ def _random_composite(
             cat.n_objects <= params.max_objects
             and cat.n_mors <= params.max_morphisms
         ):
-            return canonical_category(cat)[0]
+            return cat
     return build_poset_category(make_poset(["e0", "e1"], [(0, 1)]))
 
 

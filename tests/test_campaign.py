@@ -206,7 +206,7 @@ CONELESS = CHAIN2 + "poset I { elements i }\nsystem S in C over I { object i => 
     ],
 )
 def test_wrong_entity_kind_is_a_recorded_failure(theorem, text, message):
-    detail = f"UnresolvedReference: unresolved reference: {message!r}"
+    detail = f"UnresolvedReference: {message}"
     assert evaluate_instance(theorem, parse_document(text)) == (False, detail)
     runner = CliRunner()
     with runner.isolated_filesystem():

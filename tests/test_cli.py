@@ -54,15 +54,15 @@ def test_check_relative_movability_via_functor():
         "arrow f => id_X ; arrow g => id_X ; }\n"
     )
     res, _ = invoke(
-        ["check", "doc.cat", "--entity", "K", "--property", "movable", "--via", "F"],
-        {"doc.cat": doc},
+        ["check", "doc.cat", "--entity", "K", "--via", "F"], {"doc.cat": doc}
     )
     assert res.exit_code == 0
+    assert res.output.startswith("K: movable (witness found)")
     res2, _ = invoke(
-        ["check", "doc.cat", "--entity", "K", "--property", "movable"],
-        {"doc.cat": doc},
+        ["check", "doc.cat", "--entity", "K", "--via", "NOPE"], {"doc.cat": doc}
     )
     assert res2.exit_code == 2
+    assert "UnresolvedReference: no entity named 'NOPE'" in res2.output
 
 
 def test_check_bad_input_exit_2():

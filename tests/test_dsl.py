@@ -182,7 +182,7 @@ def test_generator_documents_roundtrip():
 def test_document_lookup_errors():
     doc = parse_document("poset P { elements a }")
     assert "P" in doc
-    with pytest.raises(UnresolvedReference):
+    with pytest.raises(UnresolvedReference, match=r"^no entity named 'Q'$"):
         doc["Q"]
     with pytest.raises(UnresolvedReference):
         doc.category_of("missing")
@@ -291,6 +291,7 @@ nattrans phi : F => F { at A = id_A ; at B = id_B }
 copresheaf H on P { at a = { x } ; at b = { y } ; act le0_1 { x => y } }
 system S in P over P using copresheaf H { object a => b ; object b => a ; bond a b => le0_1 ; cone a => y ; cone b => x }
 coproducts on P { pair a b => b with inj1 le0_1 inj2 id_b }
+category E { objects A ; arrows e : A -> A ; compose e e = e }
 """
 
 
@@ -310,6 +311,7 @@ coproducts on P { pair a b => b with inj1 le0_1 inj2 id_b }
         pytest.param(
             "pair a b => b with inj1 le0_1 inj2 id_b", " ; ", id="coproducts-pair"
         ),
+        pytest.param("compose e e = e", " ; ", id="category-compose"),
     ],
 )
 def test_repeated_statement_rejected(stmt, sep):
@@ -320,3 +322,35 @@ def test_repeated_statement_rejected(stmt, sep):
         parse_document(text)
     assert e.value.codes == {"DuplicateStatement"}
     assert f"(line {DUPLICATES_DOC.count(chr(10), 0, pos) + 1})" in str(e.value)
+
+
+def test_repeated_fiber_element_rejected():
+    with pytest.raises(ValidationFailed) as e:
+        parse_document(
+            "poset P { elements a b ; leq a b }\n"
+            "copresheaf H on P { at a = { x x } ; at b = { y } ; act le0_1 { x => y } }"
+        )
+    assert e.value.codes == {"DuplicateName"}
+
+
+def test_every_missing_arrow_and_cone_entry_listed():
+    with pytest.raises(ValidationFailed) as e:
+        parse_document(
+            "category C { objects A B ; arrows f : A -> B ; arrows g : A -> B }\n"
+            "functor F : C -> C { object A => A ; object B => B }"
+        )
+    assert [(v.code, v.detail) for v in e.value.violations] == [
+        ("ArrowNotMapped", "f"),
+        ("ArrowNotMapped", "g"),
+    ]
+    with pytest.raises(ValidationFailed) as e:
+        parse_document(
+            "poset P { elements a }\nposet I { elements i j k }\n"
+            "copresheaf H on P { at a = { x } }\n"
+            "system S in P over I using copresheaf H {\n"
+            "  object i => a ; object j => a ; object k => a ; cone i => x }"
+        )
+    assert [(v.code, v.detail) for v in e.value.violations] == [
+        ("ConeIncomplete", "j"),
+        ("ConeIncomplete", "k"),
+    ]

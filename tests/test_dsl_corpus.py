@@ -1,0 +1,148 @@
+"""Seeded corpora for the `.cat` reader: token streams and syntax-error
+positions of the tokenizer, and the outcome of parsing thousands of mutated
+and truncated generated documents."""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import re
+
+from movcat.campaign import THEOREMS, generate_campaign_instance
+from movcat.dsl import _tokenize, parse_document, serialize_document
+from movcat.errors import DslSyntaxError, MovcatError, ValidationFailed
+from movcat.generators import KINDS, GenParams, generate_instance
+
+PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
+
+# Whitespace runs, comments, the two-character arrows and identifiers stay
+# whole; anything else is one character.
+_LEXEME = re.compile(r"\s+|#[^\n]*|->|=>|\w+|.", re.S)
+_INSERTS = (";", "{", "}", "=", ":", "->", "=>", "#", "compose", "act", "at", "x")
+
+
+# No generator emits functors or natural transformations.
+FUNCTORS_DOC = """\
+category C { objects A B ; arrows f : A -> B ; arrows g : B -> B ;
+  compose g g = g ; compose g f = f }
+category T { objects X ; arrows t : X -> X ; compose t t = t }
+functor F : C -> C { object A => A ; object B => B ; arrow f => f ; arrow g => g }
+functor G : C -> C { object A => A ; object B => B ; arrow f => f ; arrow g => g }
+functor K : C -> T { object A => X ; object B => X ; arrow f => t ; arrow g => t }
+nattrans phi : F => G { at A = id_A ; at B = id_B }
+"""
+
+
+def base_texts() -> list[str]:
+    """Serialized generated documents of every kind and every campaign law,
+    and (weighted to a tenth of the list) the functor document."""
+    docs = [generate_instance(k, s, PARAMS) for k in KINDS for s in range(8)]
+    docs += [generate_campaign_instance(t, s, PARAMS) for t in THEOREMS for s in range(4)]
+    docs += [parse_document(FUNCTORS_DOC)] * 9
+    return [serialize_document(d) for d in docs]
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One token-level edit of ``text``, or a truncation of it."""
+    lex = _LEXEME.findall(text)
+    toks = [i for i, s in enumerate(lex) if not s.isspace()]
+    i = rng.choice(toks)
+    op = rng.randrange(8)
+    if op == 0:  # delete a token
+        lex[i] = ""
+    elif op == 1:  # repeat a token
+        lex[i] += " " + lex[i]
+    elif op == 2:  # swap a token with the next one
+        j = toks[min(toks.index(i) + 1, len(toks) - 1)]
+        lex[i], lex[j] = lex[j], lex[i]
+    elif op == 3:  # replace a token by another token of the document
+        lex[i] = lex[rng.choice(toks)]
+    elif op == 4:  # rename a token
+        lex[i] = "ghost"
+    elif op == 5:  # insert punctuation or a keyword
+        lex[i] = rng.choice(_INSERTS) + " " + lex[i]
+    elif op == 6:  # repeat the statement that ends at a `;`
+        ends = [k for k in toks if lex[k] == ";"]
+        if ends:
+            k = rng.choice(ends)
+            start = max((j for j in toks if j < k and lex[j] in ";{"), default=-1)
+            lex[k] += "".join(lex[start + 1 : k + 1])
+    else:  # truncate
+        return text[: rng.randrange(len(text))]
+    return "".join(lex)
+
+
+def outcome(text: str) -> str:
+    """The serialized document, or the exception type and sorted codes."""
+    try:
+        return serialize_document(parse_document(text))
+    except ValidationFailed as e:
+        return f"{type(e).__name__} {sorted(v.code for v in e.violations)}"
+    except MovcatError as e:
+        return type(e).__name__
+
+
+def mutants(n: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    texts = base_texts()
+    return [mutate(rng.choice(texts), rng) for _ in range(n)]
+
+
+def token_texts() -> list[str]:
+    """Generated documents, mutants of them, and the characters the scanner
+    must treat exactly: tabs, carriage returns, a comment that ends the
+    text, letters and digits outside ASCII, and stray symbols."""
+    rng = random.Random(7)
+    texts = base_texts()[::4] + mutants(400, 11)
+    for word in ("é", "²", "١", "\t", "\r", "\r\n", "\x0c", "\xa0", "@", "#", "2a"):
+        for _ in range(20):
+            t = rng.choice(texts)
+            k = rng.randrange(len(t) + 1)
+            texts.append(t[:k] + word + t[k:])
+    texts += [
+        "poset P { elements a b }  # trailing comment",
+        "poset P { elements é x² _١ }\r\n\t# comment\n#",
+        "poset\tP\r{ elements a ; leq a a }\n\n   ",
+        "poset P { elements a ² }",
+        "poset P { elements ١a }",
+        "",
+        "# only a comment",
+        "->=>;{}:=-=",
+    ]
+    return texts
+
+
+def _scan(text: str) -> str:
+    try:
+        return repr([(t.kind, t.value, t.line, t.col) for t in _tokenize(text)])
+    except DslSyntaxError as e:
+        return repr(("error", e.line, e.col, e.expected, e.found))
+
+
+def _sha(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(item.encode() + b"\0")
+    return h.hexdigest()
+
+
+def test_tokens_and_error_positions_pinned():
+    texts = token_texts()
+    assert len(texts) > 600
+    assert _sha(map(_scan, texts)) == TOKENS_SHA
+
+
+def test_mutated_documents_fail_only_with_movcat_errors():
+    texts = mutants(5000, 0)
+    results = []
+    for text in texts:
+        try:
+            results.append(outcome(text))
+        except Exception as e:  # any escape is a reader bug
+            raise AssertionError(f"{type(e).__name__} on {text!r}") from e
+    assert len(set(results)) > 100
+    assert _sha(results) == OUTCOMES_SHA
+
+
+TOKENS_SHA = "71e7fddab100ee09a4bd6a8f76bfa37a0c2f5fc5b898a37df671a4d22debad36"
+OUTCOMES_SHA = "12498b67f4791c743a46492ae21fbe2566f74b7083a607c1dba01f2fa14a9429"
