@@ -8,6 +8,14 @@ one slot backtracker, ``_backtrack``, with incremental constraint propagation
 as assignments complete); it emits in lexicographic obj-map/mor-map order.
 Every search spends one ``_Budget``, which counts emitted candidates (not
 internal nodes) across all of its phases.
+
+The weak domination search enumerates the functors G: L -> K once per call:
+the first F fills a list of them, which every later F replays.  That list
+holds at most the budget, since each new G spends a unit, and nothing
+outlives the call.  Each (F, G) still spends one unit; when some
+hom_K(G(F(x)), x) is empty no phi exists, so the pair is skipped before
+G.F is composed.  Emission order and budget stops are those of the plain
+nested walk.
 """
 
 from __future__ import annotations
@@ -237,16 +245,35 @@ def find_functorial_domination(
 def _weak_dominations(
     k: FiniteCategory, l: FiniteCategory, budget: _Budget
 ) -> Iterator[tuple[Functor, Functor, NaturalTransformation]]:
-    """Triples (F, G, phi: G.F => 1_K), strict pairs first."""
+    """Triples (F, G, phi: G.F => 1_K), strict pairs first.
+
+    The weak phase enumerates the G functors L -> K once: the first F walks
+    ``_iter_functor_maps(l, k)`` and keeps each G in ``gs``, and every later
+    F replays ``gs``.  Each G of the first F spends a unit, so ``gs`` never
+    holds more than the budget, and it dies with the call.  Every (F, G)
+    still spends one unit; a pair with an empty hom_K(G(F(x)), x) for some
+    x admits no phi, so the compose and the phi search are skipped there.
+    """
     one_k = identity_functor(k)
     for f, g in _retractions(k, l, budget):
         yield f, g, validate_nat_trans(k.identity, compose_functors(g, f), one_k)
+    gs: list[Functor] = []
+    g_maps = _iter_functor_maps(l, k)
+
+    def every_g() -> Iterator[Functor]:
+        yield from gs
+        for g_obj, g_mor in g_maps:
+            gs.append(Functor(l, k, g_obj, g_mor))
+            yield gs[-1]
+
+    objects = range(k.n_objects)
     for f_obj, f_mor in _iter_functor_maps(k, l):
         budget.spend()
         f = Functor(k, l, f_obj, f_mor)
-        for g_obj, g_mor in _iter_functor_maps(l, k):
+        for g in every_g():
             budget.spend()
-            g = Functor(l, k, g_obj, g_mor)
+            if not all(k.hom(g.obj_map[f_obj[x]], x) for x in objects):
+                continue
             gf = compose_functors(g, f)
             for comps in _iter_nat_trans_components(gf, one_k):
                 budget.spend()

@@ -32,6 +32,7 @@ from util import (
     chain,
     diamond,
     naive_domination,
+    naive_domination_at,
     naive_functors,
     naive_movable_wrt,
     naive_sm1,
@@ -112,15 +113,17 @@ def test_deciders_match_quantifier_reference():
 
 def test_domination_search_matches_reference():
     """Every budget from 0 to the exhaustive count + 1: the same F, G and
-    phi, the same budget stops, and the same functor list prefixes."""
+    phi, the same budget stops, and the same functor list prefixes.  Each
+    reference is walked once and every budget's answer is read off it."""
     cats = [v_poset_category(), chain(1), chain(2), chain(3), antichain(2),
             antichain(3), diamond()[0], pointed_sets_2()]
     for k, l in itertools.product(cats, repeat=2):
         where = f"{k.object_names} <~ {l.object_names}"
         for weak, search in ((False, find_functorial_domination),
                              (True, find_weak_domination)):
+            trace = naive_domination(k, l, weak)
             for budget in itertools.count():
-                found, truncated = naive_domination(k, l, budget, weak)
+                found, truncated = naive_domination_at(trace, budget)
                 got = search(k, l, budget)
                 assert (got.found, got.truncated) == (found, truncated), (
                     f"{where} weak={weak} budget {budget}"

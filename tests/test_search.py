@@ -1,5 +1,9 @@
+import hashlib
+
 import pytest
 
+from movcat import search
+from movcat.campaign import generate_campaign_instance
 from movcat.core import compose_functors, identity_functor
 from movcat.errors import (
     NoDesignatedCoproducts,
@@ -14,6 +18,7 @@ from movcat.movability import (
     witness_valid,
 )
 from movcat.search import (
+    DEFAULT_BUDGET,
     coproduct_coslice_domination,
     enumerate_functors,
     enumerate_nat_trans,
@@ -22,6 +27,7 @@ from movcat.search import (
     validate_designation,
 )
 from util import (
+    antichain,
     chain,
     diamond,
     naive_functors,
@@ -126,6 +132,49 @@ def test_weak_domination_one_budget_for_both_phases():
     assert find_weak_domination(k, l, budget=125).truncated
     res = find_weak_domination(k, l, budget=126)
     assert res.found is None and not res.truncated
+
+
+def test_weak_phase_enumerates_g_once_per_call(monkeypatch):
+    # The weak phase walks the functors L -> K once and replays them for
+    # every later F; the strict phase's pinned G searches do not count.
+    k, l = v_poset_category(), chain(3)
+    walks = []
+    iter_functor_maps = search._iter_functor_maps
+
+    def counted(src, tgt, fixed=None):
+        if fixed is None and (src, tgt) == (l, k):
+            walks.append(1)
+        return iter_functor_maps(src, tgt, fixed)
+
+    monkeypatch.setattr(search, "_iter_functor_maps", counted)
+    first = find_weak_domination(k, l)
+    assert first.found is None and not first.truncated
+    assert len(walks) == 1
+    # Nothing outlives a call: a second call walks again and agrees.
+    assert find_weak_domination(k, l) == first
+    assert len(walks) == 2
+
+
+PIN_BUDGETS = (0, 1, 2, 3, 5, 8, 13, 50, 126, 500, DEFAULT_BUDGET)
+
+
+def test_domination_results_pinned():
+    # sha256 over repr of both searches at every budget above, on the K, L
+    # of transfer seeds 0..299 and two exhaustive negatives: the searches'
+    # hits and budget stops (ordering included) must not move.
+    pairs = [
+        (doc.category_of("K"), doc.category_of("L"))
+        for doc in (generate_campaign_instance("transfer", s) for s in range(300))
+    ]
+    pairs += [(antichain(4), chain(4)), (v_poset_category(), chain(5))]
+    h = hashlib.sha256()
+    for k, l in pairs:
+        for budget in PIN_BUDGETS:
+            h.update(repr(find_weak_domination(k, l, budget)).encode())
+            h.update(repr(find_functorial_domination(k, l, budget)).encode())
+    assert h.hexdigest() == (
+        "9676ead67e3bfa7069a46e222ef25c348a95b577f8296cd23b0c6f6e05d244c9"
+    )
 
 
 def test_weak_domination_transfers_movability():

@@ -148,14 +148,16 @@ def naive_nat_trans_count(f, g) -> int:
     return len(naive_nat_trans(f, g))
 
 
-def naive_domination(k, l, budget: int, weak: bool):
-    """``(found, truncated)`` of the strict (``weak=False``) or weak
-    domination search, transcribed over whole functor lists.
+def naive_domination(k, l, weak: bool):
+    """``(units, hit)`` of the strict (``weak=False``) or weak domination
+    search, transcribed over whole functor lists: the search spends
+    ``units`` units and then stops with ``hit``, or with None once it has
+    tried everything.
 
     One unit is spent per F, per G with G.F = 1_K (once F is injective), and
     in the weak phase per F, per G and per natural phi: G.F => 1_K; the
-    strict phase runs first, and the first unit past ``budget`` stops the
-    search.
+    strict phase runs first.  The first unit past a budget stops the search,
+    so ``naive_domination_at`` reads every budget's answer off this one walk.
     """
     one_k = identity_functor(k)
     fs, gs = naive_functors(k, l), naive_functors(l, k)
@@ -181,12 +183,19 @@ def naive_domination(k, l, budget: int, weak: bool):
                 for comps in naive_nat_trans(gf, one_k):
                     yield f, g, validate_nat_trans(comps, gf, one_k)
 
-    for spent, hit in enumerate(units(), 1):
-        if spent > budget:
-            return None, True
+    spent = 0
+    for hit in units():
+        spent += 1
         if hit is not None:
-            return hit, False
-    return None, False
+            return spent, hit
+    return spent, None
+
+
+def naive_domination_at(trace, budget: int):
+    """``(found, truncated)`` of a search with ``budget`` units, read off the
+    ``(units, hit)`` that ``naive_domination`` returns."""
+    units, hit = trace
+    return (hit, False) if budget >= units else (None, True)
 
 
 # ---------------------------------------------------------------------------
