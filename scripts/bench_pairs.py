@@ -3,16 +3,16 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload domination-search \\
         --pairs 10 --first-seed 1 --name domination
 
-Each pair runs ``python3 bench/run.py --workload W --seed N --seconds S
---trace 0`` once on the parent commit and once on the working tree, with
-the same seed; even pairs run the parent first, odd pairs the change.  The
-parent is the commit's files unpacked with ``git archive`` into a temporary
-directory, so it runs its own benchmark code on its own committed sources.
-Runs go one at a time.  The result goes to ``BENCH_<name>.json``: every
-run's end-to-end metrics, and per metric each side's median and quartiles
-and the number of pairs the change won (ties count for neither side).  The
-change is recorded as ``git describe --always --dirty`` of the working
-tree, so uncommitted changes read as ``<HEAD>-dirty``.
+The parent is the given commit and the change is HEAD.  Each is unpacked
+with ``git archive`` into a temporary directory, so both sides run their own
+committed files and uncommitted edits are never measured.  Each pair runs
+the command of BENCHMARK.json with ``--workload W --seed N --seconds S
+--trace 0`` once per side, S being BENCHMARK.json's ``run_seconds``, with
+the same seed; even pairs run the parent first, odd pairs the change.  Runs
+go one at a time.  The result goes to ``BENCH_<name>.json``: every run's
+end-to-end metrics, and per metric each side's ``bench/collect.py``
+summary and the number of pairs the change won (ties count for neither
+side).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -28,6 +27,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from collect import summarize  # noqa: E402
 
 
 def _git(*args: str) -> str:
@@ -56,11 +57,6 @@ def _run(where: Path, command: list[str]) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def _quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"q1": q1, "median": median, "q3": q3}
-
-
 def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
@@ -69,8 +65,8 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1 if direction == "higher" else -1
         out[name] = {
             "better": direction,
-            "parent": _quartiles(parent),
-            "change": _quartiles(change),
+            "parent": summarize(parent),
+            "change": summarize(change),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
@@ -79,29 +75,27 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="commit to compare against")
+    ap.add_argument("--parent", required=True, help="commit to compare HEAD with")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    parent_commit = _git("rev-parse", args.parent)
-    sides = {"change": ROOT}
+    args_of = ["--workload", args.workload, "--seconds", str(spec["run_seconds"]),
+               "--trace", "0"]
+    commits = {"parent": _git("rev-parse", args.parent),
+               "change": _git("rev-parse", "HEAD")}
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
-        sides["parent"] = Path(tmp)
-        _unpack(parent_commit, sides["parent"])
+        sides = {side: Path(tmp) / side for side in commits}
+        for side, commit in commits.items():
+            _unpack(commit, sides[side])
         for i in range(args.pairs):
             seed = args.first_seed + i
-            command = [
-                sys.executable, "bench/run.py", "--workload", args.workload,
-                "--seed", str(seed), "--seconds", f"{args.seconds:g}",
-                "--trace", "0",
-            ]
+            command = spec["command"] + args_of + ["--seed", str(seed)]
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
@@ -112,11 +106,8 @@ def main(argv=None) -> int:
 
     report = {
         "workload": args.workload,
-        "command": ["python3", "bench/run.py", "--workload", args.workload,
-                    "--seed", "N", "--seconds", f"{args.seconds:g}",
-                    "--trace", "0"],
-        "parent": parent_commit,
-        "change": _git("describe", "--always", "--dirty", "--abbrev=40"),
+        "command": spec["command"] + args_of + ["--seed", "N"],
+        **commits,
         "python": sys.version.split()[0],
         "pairs": pairs,
         "summary": _summary(pairs, better),

@@ -12,7 +12,9 @@ internal nodes) across all of its phases.
 The weak domination search enumerates the functors G: L -> K once per call:
 the first F fills a list of them, which every later F replays.  That list
 holds at most the budget, since each new G spends a unit, and nothing
-outlives the call.  Each (F, G) still spends one unit; when some
+outlives the call; so the call's memory grows with the number of functors
+L -> K, up to the budget, where the nested walk held one G at a time.
+Each (F, G) still spends one unit; when some
 hom_K(G(F(x)), x) is empty no phi exists, so the pair is skipped before
 G.F is composed.  Emission order and budget stops are those of the plain
 nested walk.
@@ -250,7 +252,8 @@ def _weak_dominations(
     The weak phase enumerates the G functors L -> K once: the first F walks
     ``_iter_functor_maps(l, k)`` and keeps each G in ``gs``, and every later
     F replays ``gs``.  Each G of the first F spends a unit, so ``gs`` never
-    holds more than the budget, and it dies with the call.  Every (F, G)
+    holds more than the budget, and it dies with the call; its size, and
+    the call's memory, grow with the number of functors L -> K.  Every (F, G)
     still spends one unit; a pair with an empty hom_K(G(F(x)), x) for some
     x admits no phi, so the compose and the phi search are skipped there.
     """
