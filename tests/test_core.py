@@ -1,5 +1,10 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 
+from movcat.builders import build_monoid_category, product_category
 from movcat.core import (
     compose_functors,
     identity_functor,
@@ -147,3 +152,83 @@ def test_poset_closure_and_directedness():
     assert p.directed
     fork = make_poset(["a", "b", "c"], [(0, 1), (0, 2)])
     assert not fork.directed
+
+
+def _with_parallel_arrow(cat):
+    """Raw tables of ``cat`` plus an arrow ``x`` parallel to its last one,
+    composing as that arrow does except under identities, so that retargets
+    and broken identities can stay well typed and reach the identity and
+    associativity passes."""
+    objs = list(cat.object_names)
+    mors = list(zip(cat.mor_names, cat.mor_dom, cat.mor_cod))
+    f, x = cat.n_mors - 1, cat.n_mors
+    mors.append(("x", cat.mor_dom[f], cat.mor_cod[f]))
+    comp = dict(cat.comp)
+    ids = set(cat.identity)
+    for (g, h), gh in cat.comp.items():
+        value = x if gh == f and (g in ids or h in ids) else gh
+        for key in itertools.product(*((m, x) if m == f else (m,) for m in (g, h))):
+            comp.setdefault(key, value)
+    return objs, mors, list(cat.identity), comp
+
+
+def _mutants(n, seed):
+    """``n`` raw tables, each a base table with one to three mutations:
+    drop a composite, retarget one, add a non-composable or out-of-range
+    key, or break an identity (in the identity table or in a composite)."""
+    rng = random.Random(seed)
+    left_zeros = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+    bases = [
+        _with_parallel_arrow(product_category([chain(3), chain(3)]).category),
+        _with_parallel_arrow(chain(4)),
+        _with_parallel_arrow(build_monoid_category(["e", "a", "b"], 0, left_zeros)),
+    ]
+    for i in range(n):
+        objs, mors, identity, base = bases[i % len(bases)]
+        identity, comp = list(identity), dict(base)
+        n_mor = len(mors)
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                del comp[rng.choice(list(comp))]
+            elif kind == 1:
+                g, f = key = rng.choice([k for k in base if k in comp])
+                typed = [m for m in range(n_mor)
+                         if mors[m][1:] == (mors[f][1], mors[g][2])]
+                comp[key] = rng.choice(typed if rng.random() < 0.8 else range(n_mor))
+            elif kind == 2:
+                g, f = rng.randrange(n_mor), rng.randrange(n_mor)
+                if rng.random() < 0.5:
+                    g = rng.choice([-1, n_mor, n_mor + 3])
+                comp[(g, f)] = rng.randrange(n_mor)
+            elif rng.random() < 0.2:
+                identity[rng.randrange(len(identity))] = rng.randrange(n_mor)
+            else:
+                f = rng.randrange(n_mor)
+                _, d, c = mors[f]
+                parallel = [m for m in range(n_mor) if mors[m][1:] == (d, c)]
+                key = (identity[c], f) if rng.random() < 0.5 else (f, identity[d])
+                comp[key] = rng.choice(parallel)
+        yield objs, mors, identity, comp
+
+
+def test_violation_lists_pinned():
+    # sha256 over every mutant's violations, (code, detail) in order; a
+    # valid mutant contributes "ok".  Recorded on the all-pairs validator.
+    h = hashlib.sha256()
+    codes = set()
+    for objs, mors, identity, comp in _mutants(600, 10):
+        try:
+            validate_category(objs, mors, identity, comp)
+            h.update(b"ok\n")
+        except ValidationFailed as exc:
+            found = [(v.code, v.detail) for v in exc.violations]
+            codes.update(code for code, _ in found)
+            h.update(repr(found).encode() + b"\n")
+    assert codes == {
+        "BadRef", "MissingComposite", "IllegalComposite",
+        "IdentityLawBroken", "AssocBroken",
+    }
+    assert h.hexdigest() == (
+        "83cd8a4a261e94d3d6ed8bb5c50cfc220c477ac0f6c423840868640ae3e2c7f8"
+    )
