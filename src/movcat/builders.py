@@ -23,20 +23,12 @@ from .core import (
     FiniteCategory,
     FinitePoset,
     Functor,
+    group_by,
     validate_copresheaf,
     MAX_MORPHISMS,
     MAX_OBJECTS,
 )
 from .errors import NotAMonoid, SizeBoundExceeded
-
-
-def _group_by(ends: Sequence[int], n: int) -> list[list[int]]:
-    """Refs ``0..len(ends)-1`` grouped by ``ends[ref]`` in ``range(n)``,
-    each group ascending."""
-    groups: list[list[int]] = [[] for _ in range(n)]
-    for ref, end in enumerate(ends):
-        groups[end].append(ref)
-    return groups
 
 
 def build_poset_category(poset: FinitePoset) -> FiniteCategory:
@@ -55,7 +47,7 @@ def build_poset_category(poset: FinitePoset) -> FiniteCategory:
         names.append(f"le{i}_{j}")
         dom.append(i)
         cod.append(j)
-    by_dom = _group_by(dom, n)
+    by_dom = group_by(dom, n)
     comp = {
         (g, f): ref[(dom[f], cod[g])]
         for f in range(len(names))
@@ -169,7 +161,7 @@ def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
         _mixed_radix_encode([c.identity[o] for c, o in zip(factors, t)], mor_sizes)
         for t in obj_tuples
     )
-    by_cod = _group_by(cod, n_obj)
+    by_cod = group_by(cod, n_obj)
     comp = {}
     for gi, gt in enumerate(mor_tuples):
         for fi in by_cod[dom[gi]]:
@@ -206,7 +198,7 @@ def _comma(
     composable pair, first arrow outer and second arrow ascending; searches
     iterate ``comp`` in insertion order, so this order is part of the result.
     """
-    base_out = _group_by(base.mor_dom, base.n_objects)
+    base_out = group_by(base.mor_dom, base.n_objects)
     triples = tuple(
         sorted(
             (i, act(eta, i), eta) for i, b in enumerate(over) for eta in base_out[b]
@@ -216,7 +208,7 @@ def _comma(
     dom = tuple(i for i, _, _ in triples)
     cod = tuple(j for _, j, _ in triples)
     identity = tuple(ref[(i, i, base.identity[b])] for i, b in enumerate(over))
-    out = _group_by(dom, len(over))
+    out = group_by(dom, len(over))
     comp = {}
     for r1, (i, j, e1) in enumerate(triples):
         for r2 in out[j]:

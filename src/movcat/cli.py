@@ -41,8 +41,16 @@ from .systems import (
 )
 
 
+def _echo(msg: str, err: bool = False) -> None:
+    """``click.echo`` to a stream fetched per call.  click caches its default
+    streams in a weak map whose values are their own keys, so without an
+    explicit ``file`` every stream it writes to (each in-process CliRunner
+    invocation's output among them) stays alive for the whole process."""
+    click.echo(msg, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def _fail_input(msg: str) -> None:
-    click.echo(f"error: {msg}", err=True)
+    _echo(f"error: {msg}", err=True)
     sys.exit(2)
 
 
@@ -89,16 +97,16 @@ def check(file: str, entity: str, via: str | None) -> None:
             _fail_input(f"--via {via} is not a functor out of {entity}")
         prop, res = "movable", check_movable_wrt(k, phi.target, phi)
     if isinstance(res, MovabilityWitness):
-        click.echo(f"{entity}: {prop} (witness found)")
+        _echo(f"{entity}: {prop} (witness found)")
         for x in range(k.n_objects):
-            click.echo(
+            _echo(
                 f"  {k.object_names[x]}: mover {k.object_names[res.movers[x]]}"
                 f" via {k.mor_names[res.mover_mors[x]]}"
             )
         sys.exit(0)
-    click.echo(f"{entity}: not {prop}")
-    click.echo(f"  defeated at object {k.object_names[res.obj]}")
-    click.echo(serialize_document(doc))
+    _echo(f"{entity}: not {prop}")
+    _echo(f"  defeated at object {k.object_names[res.obj]}")
+    _echo(serialize_document(doc))
     sys.exit(1)
 
 
@@ -124,22 +132,22 @@ def domination(file: str, k_name: str, l_name: str, weak: bool, budget: int) -> 
         res = find_functorial_domination(k, l, budget)
     if res.found is None:
         suffix = " (budget exhausted)" if res.truncated else " (exhaustive)"
-        click.echo(f"none{suffix}")
+        _echo(f"none{suffix}")
         sys.exit(1)
     if weak:
         f, g, phi = res.found
     else:
         f, g = res.found
         phi = None
-    click.echo("found")
-    click.echo(
+    _echo("found")
+    _echo(
         "  F objects: "
         + " ".join(
             f"{k.object_names[a]}=>{l.object_names[f.obj_map[a]]}"
             for a in range(k.n_objects)
         )
     )
-    click.echo(
+    _echo(
         "  G objects: "
         + " ".join(
             f"{l.object_names[a]}=>{k.object_names[g.obj_map[a]]}"
@@ -147,7 +155,7 @@ def domination(file: str, k_name: str, l_name: str, weak: bool, budget: int) -> 
         )
     )
     if phi is not None:
-        click.echo(
+        _echo(
             "  phi: "
             + " ".join(
                 f"{k.object_names[a]}:{k.mor_names[phi.components[a]]}"
@@ -165,7 +173,7 @@ def build() -> None:
 def _write_doc(doc: Document, out: str) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(serialize_document(doc))
-    click.echo(f"wrote {out}")
+    _echo(f"wrote {out}")
 
 
 @build.command()
@@ -240,28 +248,28 @@ def system_check(
     failed = False
     if sm1:
         ok = isinstance(check_sm1(ent.system), SM1Witness)
-        click.echo(f"sm1: {'pass' if ok else 'fail'}")
+        _echo(f"sm1: {'pass' if ok else 'fail'}")
         failed |= not ok
     if sm2 or associated or star:
         if ent.cone is None:
             _fail_input(f"{entity} carries no cone")
     if sm2:
         ok = isinstance(check_sm2(ent.system, ent.cone), SM2Witness)
-        click.echo(f"sm2: {'pass' if ok else 'fail'}")
+        _echo(f"sm2: {'pass' if ok else 'fail'}")
         failed |= not ok
     if associated:
         rep = check_associated(ent.system, ent.cone)
-        click.echo(
+        _echo(
             f"associated: {'pass' if rep.associated else 'fail'}"
             f" (1:{rep.cond1} 2:{rep.cond2} 3:{rep.cond3})"
         )
         failed |= not rep.associated
     if star:
         ok = isinstance(check_star(ent.cone.copresheaf), StarWitness)
-        click.echo(f"star: {'pass' if ok else 'fail'}")
+        _echo(f"star: {'pass' if ok else 'fail'}")
         failed |= not ok
     if failed:
-        click.echo(serialize_document(doc))
+        _echo(serialize_document(doc))
     sys.exit(1 if failed else 0)
 
 
@@ -280,7 +288,7 @@ def campaign(
     if replay:
         doc = _load(replay)
         ok, detail = evaluate_instance(theorem, doc)
-        click.echo(f"{'pass' if ok else 'fail'}: {detail}")
+        _echo(f"{'pass' if ok else 'fail'}: {detail}")
         sys.exit(0 if ok else 1)
     try:
         lo, _, hi = seeds.partition("..")
@@ -291,15 +299,15 @@ def campaign(
         _fail_input(f"bad --seeds {seeds!r}; expected A..B with A < B")
     report = run_campaign(theorem, seed_range, GenParams())
     if as_json:
-        click.echo(report.to_json())
+        _echo(report.to_json())
     else:
-        click.echo(
+        _echo(
             f"{theorem}: {report.passes}/{report.instances} pass"
             f" ({report.wall_time:.2f}s)"
         )
         for f in report.failures:
-            click.echo(f"seed {f['seed']}: {f['detail']}")
-            click.echo(f["document"])
+            _echo(f"seed {f['seed']}: {f['detail']}")
+            _echo(f["document"])
     sys.exit(0 if report.clean else 1)
 
 

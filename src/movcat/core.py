@@ -29,6 +29,15 @@ MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
 
 
+def group_by(ends: Sequence[int], n: int) -> list[list[int]]:
+    """Refs ``0..len(ends)-1`` grouped by ``ends[ref]`` in ``range(n)``,
+    each group ascending."""
+    groups: list[list[int]] = [[] for _ in range(n)]
+    for ref, end in enumerate(ends):
+        groups[end].append(ref)
+    return groups
+
+
 @dataclass(frozen=True, eq=True)
 class FiniteCategory:
     """A finite category given by explicit tables.
@@ -113,18 +122,14 @@ def validate_category(
     if bad:
         raise ValidationFailed("category", bad)
 
-    composable = {
-        (g, f)
-        for g in range(n_mor)
-        for f in range(n_mor)
-        if cod[f] == dom[g]
-    }
-    for pair in sorted(composable):
-        if pair not in comp:
-            g, f = pair
+    # Each pass visits only what can compose: f into dom(g), h out of cod(g).
+    out_of, into = group_by(dom, n_obj), group_by(cod, n_obj)
+    composable = [(g, f) for g in range(n_mor) for f in into[dom[g]]]
+    for g, f in composable:
+        if (g, f) not in comp:
             bad.append(Violation("MissingComposite", f"(g, f)=({names[g]}, {names[f]})"))
     for (g, f), h in comp.items():
-        if (g, f) not in composable:
+        if not (0 <= g < n_mor and 0 <= f < n_mor and cod[f] == dom[g]):
             bad.append(Violation("IllegalComposite", f"(g, f)=({g}, {f}) not composable"))
         elif not (0 <= h < n_mor) or dom[h] != dom[f] or cod[h] != cod[g]:
             bad.append(
@@ -136,17 +141,16 @@ def validate_category(
     for f in range(n_mor):
         if comp[(identity[cod[f]], f)] != f or comp[(f, identity[dom[f]])] != f:
             bad.append(Violation("IdentityLawBroken", f"f={names[f]}"))
-    for g, f in sorted(composable):
+    for g, f in composable:
         gf = comp[(g, f)]
-        for h in range(n_mor):
-            if cod[g] == dom[h]:
-                if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
-                    bad.append(
-                        Violation(
-                            "AssocBroken",
-                            f"(h, g, f)=({names[h]}, {names[g]}, {names[f]})",
-                        )
+        for h in out_of[cod[g]]:
+            if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                bad.append(
+                    Violation(
+                        "AssocBroken",
+                        f"(h, g, f)=({names[h]}, {names[g]}, {names[f]})",
                     )
+                )
     if bad:
         raise ValidationFailed("category", bad)
 

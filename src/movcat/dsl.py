@@ -344,16 +344,31 @@ class _Parser:
         return table
 
 
+#: ``_total`` lists at most this many missing keys, then one violation that
+#: counts the rest, so a sparse table over a large key set (a monoid's k²
+#: products) raises a bounded list.
+MISSING_LISTED = 100
+
+
 def _total(
     subject: str, code: str, table: dict, keys: Iterable, name: Callable
 ) -> list:
     """``table``'s values at ``keys`` in order; raises ValidationFailed with
-    one ``code`` violation per missing key, detailed by ``name(key)``."""
-    keys = list(keys)
-    missing = [k for k in keys if k not in table]
-    if missing:
-        raise ValidationFailed(subject, [Violation(code, name(k)) for k in missing])
-    return [table[k] for k in keys]
+    one ``code`` violation per missing key, detailed by ``name(key)``, for
+    the first MISSING_LISTED of them, and one more counting the rest."""
+    values, bad, n_missing = [], [], 0
+    for key in keys:
+        if key in table:
+            values.append(table[key])
+        else:
+            n_missing += 1
+            if n_missing <= MISSING_LISTED:
+                bad.append(Violation(code, name(key)))
+    if n_missing > MISSING_LISTED:
+        bad.append(Violation(code, f"{n_missing - MISSING_LISTED} more not listed"))
+    if bad:
+        raise ValidationFailed(subject, bad)
+    return values
 
 
 def _check_cap(entity: str, n: int, cap: int, what: str) -> None:

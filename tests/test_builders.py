@@ -33,12 +33,13 @@ from util import (
 
 
 def _revalidate(cat):
-    validate_category(
+    """Builder output passes the category axioms and validates to itself."""
+    assert validate_category(
         cat.object_names,
         list(zip(cat.mor_names, cat.mor_dom, cat.mor_cod)),
         cat.identity,
         cat.comp,
-    )
+    ) == cat
 
 
 def test_poset_category_counts():
@@ -242,3 +243,19 @@ def test_builders_match_definition_reference():
         assert _tables(res.category) == _tables(ref_cat)
         assert _maps(res.forgetful) == ref_forgetful
         assert res.morphism_triples == ref_triples
+
+
+def test_cap_size_builder_outputs_revalidate():
+    # The grid chain(8)^2 (64 objects / 1296 morphisms), and the coslice and
+    # the elements of hom(x, -) at x = (0, 1), an upper cover of its bottom
+    # (56 objects / 1008 morphisms each).
+    prod = product_category([chain(8), chain(8)])
+    grid = prod.category
+    x = prod.object_index([0, 1])
+    coslice = coslice_category(grid, x).category
+    elements = elements_category(representable_copresheaf(grid, x)).category
+    assert (grid.n_objects, grid.n_mors) == (64, 1296)
+    assert (coslice.n_objects, coslice.n_mors) == (56, 1008)
+    assert (elements.n_objects, elements.n_mors) == (56, 1008)
+    for cat in (grid, coslice, elements):
+        _revalidate(cat)

@@ -5,6 +5,7 @@ import pytest
 from movcat.builders import product_category
 from movcat.core import MAX_MORPHISMS, MAX_OBJECTS
 from movcat.dsl import (
+    MISSING_LISTED,
     Document,
     make_category_entity,
     parse_document,
@@ -104,6 +105,17 @@ def test_monoid_table_must_be_total():
     with pytest.raises(ValidationFailed) as e:
         parse_document("monoid M { elements e a ; unit e ; mul e e = e }")
     assert "TableNotTotal" in e.value.codes
+
+
+def test_monoid_missing_products_listed_up_to_a_bound():
+    # 300 elements and no products: 90000 missing, MISSING_LISTED named.
+    text = "monoid M { elements " + " ".join(f"e{i}" for i in range(300)) + " ; unit e0 }"
+    with pytest.raises(ValidationFailed) as e:
+        parse_document(text)
+    details = [v.detail for v in e.value.violations]
+    assert e.value.codes == {"TableNotTotal"}
+    assert details[:MISSING_LISTED] == [f"missing mul e0 e{j}" for j in range(MISSING_LISTED)]
+    assert details[MISSING_LISTED:] == [f"{90000 - MISSING_LISTED} more not listed"]
 
 
 def test_monoid_repeated_element_rejected():
