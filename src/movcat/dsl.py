@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .builders import (
@@ -351,21 +350,24 @@ MISSING_LISTED = 100
 
 
 def _total(
-    subject: str, code: str, table: dict, keys: Iterable, name: Callable
+    subject: str, code: str, table: dict, keys: range, name: Callable
 ) -> list:
     """``table``'s values at ``keys`` in order; raises ValidationFailed with
     one ``code`` violation per missing key, detailed by ``name(key)``, for
-    the first MISSING_LISTED of them, and one more counting the rest."""
-    values, bad, n_missing = [], [], 0
+    the first MISSING_LISTED of them, and one more counting the rest.
+    Every key of ``table`` must lie in ``keys``, so the rest is counted
+    without visiting it."""
+    values, bad = [], []
     for key in keys:
         if key in table:
             values.append(table[key])
-        else:
-            n_missing += 1
-            if n_missing <= MISSING_LISTED:
-                bad.append(Violation(code, name(key)))
-    if n_missing > MISSING_LISTED:
-        bad.append(Violation(code, f"{n_missing - MISSING_LISTED} more not listed"))
+            continue
+        bad.append(Violation(code, name(key)))
+        if len(bad) == MISSING_LISTED:
+            rest = len(keys) - len(table) - MISSING_LISTED
+            if rest:
+                bad.append(Violation(code, f"{rest} more not listed"))
+            break
     if bad:
         raise ValidationFailed(subject, bad)
     return values
@@ -405,8 +407,8 @@ def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
     p.read("}")
     k = len(elems)
     cells = _total(
-        "monoid", "TableNotTotal", mul, product(range(k), repeat=2),
-        lambda ij: f"missing mul {elems[ij[0]]} {elems[ij[1]]}",
+        "monoid", "TableNotTotal", {i * k + j: v for (i, j), v in mul.items()},
+        range(k * k), lambda ij: f"missing mul {elems[ij // k]} {elems[ij % k]}",
     )
     full = tuple(tuple(cells[i * k : (i + 1) * k]) for i in range(k))
     return MonoidEntity(name, tuple(elems), unit, full)

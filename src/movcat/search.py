@@ -6,22 +6,30 @@ Functor maps and natural-transformation components are both enumerated by
 one slot backtracker, ``_backtrack``, with incremental constraint propagation
 (dom/cod typing, identity preservation, composition closure and naturality
 as assignments complete); it emits in lexicographic obj-map/mor-map order.
-Every search spends one ``_Budget``, which counts emitted candidates (not
-internal nodes) across all of its phases.
+Functor object slots are forward-checked: once both ends of a non-identity
+morphism are assigned, the target must have a morphism between their
+images, or the branch is cut before any morphism slot is tried.  Every
+search spends one ``_Budget``, which counts emitted candidates (not
+internal nodes) across all of its phases, so pruning never moves a budget
+stop.  The strict phase builds the slots of G: L -> K once and pins them
+anew for each F.
 
-The weak domination search enumerates the functors G: L -> K once per call:
-the first F fills a list of them, which every later F replays.  That list
-holds at most the budget, since each new G spends a unit, and nothing
-outlives the call; so the call's memory grows with the number of functors
-L -> K, up to the budget, where the nested walk held one G at a time.
-Each (F, G) still spends one unit; when some
-hom_K(G(F(x)), x) is empty no phi exists, so the pair is skipped before
-G.F is composed.  Emission order and budget stops are those of the plain
-nested walk.
+The weak domination search enumerates the functors G: L -> K once per call.
+The first F walks them lazily and appends each G's object and morphism maps
+to two flat arrays of K refs (``array("H")``); each G spends a unit as it
+is stored, so the arrays never hold more G than the budget, and nothing
+outlives the call.  When that walk ends, one bitset per (L-object o,
+K-object x) marks the G with hom_K(G(o), x) non-empty.  Each later F ANDs
+the bitsets at (F(x), x) over the objects x of K: what is left are exactly
+the G for which every component of a phi: G.F => 1_K has somewhere to go.
+Only those G are built as ``Functor`` values and searched for a phi; the
+units of the skipped G are spent in bulk, so emission order and budget
+stops are those of the plain nested walk.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -55,14 +63,14 @@ class _Exhausted(Exception):
 
 
 class _Budget:
-    """Counts emitted candidates; the first one past the budget raises
-    _Exhausted."""
+    """Counts emitted candidates, one or ``n`` at a time; the first unit
+    past the budget raises _Exhausted."""
 
     def __init__(self, budget: int):
         self.left = budget
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, n: int = 1) -> None:
+        self.left -= n
         if self.left < 0:
             raise _Exhausted
 
@@ -70,24 +78,109 @@ class _Budget:
 def _backtrack(candidates: list, checks: list) -> Iterator[tuple[int, ...]]:
     """Yield every assignment of slots 0..n-1 in lexicographic order.
 
-    ``candidates[i](vals)`` lists slot i's values given ``vals[:i]``;
-    ``checks[i]``, when not None, is asked once slot i is set and prunes the
-    branch when it answers False.
+    ``candidates[i](vals)`` is the sequence of slot i's values given
+    ``vals[:i]``; ``checks[i]``, when not None, is asked once slot i is set
+    and prunes the branch when it answers False.  With no slots the one
+    empty assignment is yielded.
     """
     n = len(candidates)
+    if n == 0:
+        yield ()
+        return
     vals = [0] * n
-
-    def fill(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(vals)
-            return
-        check = checks[i]
-        for v in candidates[i](vals):
-            vals[i] = v
+    # Slot i's candidates under the current vals[:i] are values[i]; the
+    # ones from index at[i] on are still to be tried.
+    values, at = [()] * n, [0] * n
+    values[0] = candidates[0](vals)
+    i, last = 0, n - 1
+    while i >= 0:
+        check, vs, j = checks[i], values[i], at[i]
+        while j < len(vs):
+            vals[i] = vs[j]
+            j += 1
             if check is None or check(vals):
-                yield from fill(i + 1)
+                break
+        else:
+            i -= 1
+            continue
+        at[i] = j
+        if i == last:
+            yield tuple(vals)
+        else:
+            i += 1
+            values[i], at[i] = candidates[i](vals), 0
 
-    return fill(0)
+
+def _functor_slots(
+    k: FiniteCategory, l: FiniteCategory
+) -> tuple[int, list, list]:
+    """``(n, candidates, checks)`` for ``_backtrack`` over the functors
+    K -> L: objects are slots 0..n-1 and morphism m is slot n+m.
+
+    Object slot i is forward-checked on every non-identity morphism between
+    distinct objects whose later end is i: its candidate list,
+    hom_L(v[dom], v[cod]), must be non-empty, since every object slot comes
+    before every morphism slot and an empty list ends the branch anyway.
+    Morphism slot m checks the composites of K that it completes.
+    """
+    n = k.n_objects
+    candidates = [lambda v, c=range(l.n_objects): c] * n
+    # Each object's identity in L, as a one-value candidate list.
+    identity_of = [(m,) for m in l.identity]
+    # The (dom, cod) ends to forward-check, by the slot that completes them.
+    ends_at: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    for m in range(k.n_mors):
+        d, c = k.mor_dom[m], k.mor_cod[m]
+        if k.is_identity(m):
+            candidates.append(lambda v, d=d, ids=identity_of: ids[v[d]])
+        else:
+            candidates.append(lambda v, d=d, c=c, hom=l.hom: hom(v[d], v[c]))
+            if d != c:
+                ends_at[max(d, c)].add((d, c))
+
+    def connected(ends, linked=set(zip(l.mor_dom, l.mor_cod))):
+        def check(v: list[int]) -> bool:
+            for d, c in ends:
+                if (v[d], v[c]) not in linked:
+                    return False
+            return True
+
+        return check
+
+    # Composition checks that become decidable once morphism m is assigned.
+    # An identity factor maps to the identity of its image object, so its
+    # triples hold by the identity law and are not checked.
+    closure_at: list[list[tuple[int, int, int]]] = [[] for _ in range(k.n_mors)]
+    for (g, f), h in k.comp.items():
+        if not (k.is_identity(g) or k.is_identity(f)):
+            closure_at[max(g, f, h)].append((n + g, n + f, n + h))
+
+    def closes(triples, comp=l.comp):
+        def check(v: list[int]) -> bool:
+            for g, f, h in triples:
+                if comp[(v[g], v[f])] != v[h]:
+                    return False
+            return True
+
+        return check
+
+    checks = [connected(sorted(e)) if e else None for e in ends_at]
+    checks += [closes(t) if t else None for t in closure_at]
+    return n, candidates, checks
+
+
+def _fill_slots(
+    slots: tuple[int, list, list], fixed: Optional[Mapping[int, int]] = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (obj_map, mor_map) pairs of ``_functor_slots`` in lexicographic
+    order, with the slots in ``fixed`` pinned to its values."""
+    n, candidates, checks = slots
+    if fixed:
+        candidates = candidates.copy()
+        for slot, value in fixed.items():
+            candidates[slot] = lambda v, c=(value,): c
+    for vals in _backtrack(candidates, checks):
+        yield vals[:n], vals[n:]
 
 
 def _iter_functor_maps(
@@ -99,37 +192,11 @@ def _iter_functor_maps(
 
     Objects are slots 0..n-1 and morphism m is slot n+m; ``fixed`` pins
     individual slots (used when searching retractions G with G(F(X)) = X
-    and G(F(f)) = f forced).  A pinned morphism is not type-checked, so the
-    slots of its endpoints must be pinned to its dom and cod as well.
+    and G(F(f)) = f forced).  A pinned morphism is not checked, so pins must
+    type like a functor: the slots of a pinned morphism's endpoints are
+    pinned to its dom and cod, and a pinned identity is an identity.
     """
-    n = k.n_objects
-    candidates = [lambda v, c=range(l.n_objects): c] * n
-    for m in range(k.n_mors):
-        d, c = k.mor_dom[m], k.mor_cod[m]
-        if k.is_identity(m):
-            candidates.append(lambda v, d=d, ident=l.identity: (ident[v[d]],))
-        else:
-            candidates.append(lambda v, d=d, c=c, hom=l.hom: hom(v[d], v[c]))
-    for slot, value in (fixed or {}).items():
-        candidates[slot] = lambda v, c=(value,): c
-
-    # Composition checks that become decidable once morphism m is assigned.
-    closure_at: list[list[tuple[int, int, int]]] = [[] for _ in range(k.n_mors)]
-    for (g, f), h in k.comp.items():
-        closure_at[max(g, f, h)].append((n + g, n + f, n + h))
-
-    def closes(triples, comp=l.comp):
-        def check(v: list[int]) -> bool:
-            for g, f, h in triples:
-                if comp[(v[g], v[f])] != v[h]:
-                    return False
-            return True
-
-        return check
-
-    checks = [None] * n + [closes(t) if t else None for t in closure_at]
-    for vals in _backtrack(candidates, checks):
-        yield vals[:n], vals[n:]
+    return _fill_slots(_functor_slots(k, l), fixed)
 
 
 @dataclass
@@ -216,14 +283,15 @@ def _retractions(
 ) -> Iterator[tuple[Functor, Functor]]:
     """Pairs (F, G) with G . F = 1_K, each re-validated, F outer."""
     n = l.n_objects
+    g_slots = _functor_slots(l, k)
     for f_obj, f_mor in _iter_functor_maps(k, l):
         budget.spend()
         # G(F(X)) = X and G(F(f)) = f, so F must be injective.
+        if len(set(f_obj)) < len(f_obj) or len(set(f_mor)) < len(f_mor):
+            continue
         fixed = {o: x for x, o in enumerate(f_obj)}
         fixed.update((n + t, m) for m, t in enumerate(f_mor))
-        if len(fixed) < len(f_obj) + len(f_mor):
-            continue
-        for g_obj, g_mor in _iter_functor_maps(l, k, fixed):
+        for g_obj, g_mor in _fill_slots(g_slots, fixed):
             budget.spend()
             f = validate_functor(k, l, f_obj, f_mor)
             g = validate_functor(l, k, g_obj, g_mor)
@@ -249,38 +317,85 @@ def _weak_dominations(
 ) -> Iterator[tuple[Functor, Functor, NaturalTransformation]]:
     """Triples (F, G, phi: G.F => 1_K), strict pairs first.
 
-    The weak phase enumerates the G functors L -> K once: the first F walks
-    ``_iter_functor_maps(l, k)`` and keeps each G in ``gs``, and every later
-    F replays ``gs``.  Each G of the first F spends a unit, so ``gs`` never
-    holds more than the budget, and it dies with the call; its size, and
-    the call's memory, grow with the number of functors L -> K.  Every (F, G)
-    still spends one unit; a pair with an empty hom_K(G(F(x)), x) for some
-    x admits no phi, so the compose and the phi search are skipped there.
+    The weak phase enumerates the G functors L -> K once.  The first F
+    walks ``_iter_functor_maps(l, k)``, spends a unit per G and appends the
+    G's maps to the flat buffers ``g_objs`` and ``g_mors``, so they never
+    hold more G than the budget, and they die with the call.  A pair with
+    an empty hom_K(G(F(x)), x) for some x admits no phi, so the compose and
+    the phi search are skipped there.  Once the walk ends, ``reach[o][x]``
+    is the bitset of the G with hom_K(G(o), x) non-empty, one per
+    (L-object, K-object); every later F ANDs ``reach[F(x)][x]`` over x,
+    builds a ``Functor`` only for the G left, and spends the units of the
+    G it skips in bulk, where the first F spent them one by one.
     """
     one_k = identity_functor(k)
     for f, g in _retractions(k, l, budget):
         yield f, g, validate_nat_trans(k.identity, compose_functors(g, f), one_k)
-    gs: list[Functor] = []
+
+    def phis(f: Functor, g: Functor):
+        gf = compose_functors(g, f)
+        for comps in _iter_nat_trans_components(gf, one_k):
+            budget.spend()
+            yield f, g, validate_nat_trans(comps, gf, one_k)
+
+    n_obj, n_mor = l.n_objects, l.n_mors
+    # Both arrays hold refs of K, all below k.n_mors (every object has an
+    # identity); two bytes each fit any K within MAX_MORPHISMS.
+    ref = "H" if k.n_mors <= 1 << 16 else "L"
+    g_objs, g_mors, n_g = array(ref), array(ref), 0
     g_maps = _iter_functor_maps(l, k)
-
-    def every_g() -> Iterator[Functor]:
-        yield from gs
-        for g_obj, g_mor in g_maps:
-            gs.append(Functor(l, k, g_obj, g_mor))
-            yield gs[-1]
-
+    reach = None
     objects = range(k.n_objects)
     for f_obj, f_mor in _iter_functor_maps(k, l):
         budget.spend()
         f = Functor(k, l, f_obj, f_mor)
-        for g in every_g():
-            budget.spend()
-            if not all(k.hom(g.obj_map[f_obj[x]], x) for x in objects):
-                continue
-            gf = compose_functors(g, f)
-            for comps in _iter_nat_trans_components(gf, one_k):
+        if reach is None:
+            for g_obj, g_mor in g_maps:
                 budget.spend()
-                yield f, g, validate_nat_trans(comps, gf, one_k)
+                n_g += 1
+                g_objs.extend(g_obj)
+                g_mors.extend(g_mor)
+                if all(k.hom(g_obj[f_obj[x]], x) for x in objects):
+                    yield from phis(f, Functor(l, k, g_obj, g_mor))
+            reach = _reach_bitsets(k, g_objs, n_obj)
+            continue
+        live = (1 << n_g) - 1
+        for x in objects:
+            live &= reach[f_obj[x]][x]
+        bits = format(live, "b")[::-1]
+        spent = -1
+        i = bits.find("1")
+        while i >= 0:
+            budget.spend(i - spent)
+            spent = i
+            g = Functor(
+                l,
+                k,
+                tuple(g_objs[i * n_obj : (i + 1) * n_obj]),
+                tuple(g_mors[i * n_mor : (i + 1) * n_mor]),
+            )
+            yield from phis(f, g)
+            i = bits.find("1", i + 1)
+        budget.spend(n_g - 1 - spent)
+
+
+def _reach_bitsets(
+    k: FiniteCategory, g_objs: array, n_obj: int
+) -> list[list[int]]:
+    """``reach[o][x]``: bit i set when hom_K(G_i(o), x) is non-empty, for
+    the G whose object maps fill ``g_objs`` in rows of ``n_obj``."""
+    # hits[y][x] is the digit "1" when hom(y, x) is non-empty, else "0".
+    # Joined over a column of G(o) values, lowest G last, the hits hold
+    # every x's bitset in binary, interleaved with stride n_objects.
+    n = k.n_objects
+    hits = ["".join("01"[bool(k.hom(y, x))] for x in range(n)) for y in range(n)]
+    reach = []
+    for o in range(n_obj):
+        column = g_objs[o::n_obj]
+        column.reverse()
+        digits = "".join(map(hits.__getitem__, column))
+        reach.append([int("0" + digits[x::n], 2) for x in range(n)])
+    return reach
 
 
 def find_weak_domination(

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -116,6 +117,28 @@ def test_monoid_missing_products_listed_up_to_a_bound():
     assert e.value.codes == {"TableNotTotal"}
     assert details[:MISSING_LISTED] == [f"missing mul e0 e{j}" for j in range(MISSING_LISTED)]
     assert details[MISSING_LISTED:] == [f"{90000 - MISSING_LISTED} more not listed"]
+
+
+def test_monoid_at_the_cap_rejected_without_visiting_every_product():
+    # MAX_MORPHISMS elements and two products: the first MISSING_LISTED
+    # missing products are named and the rest counted, without a walk over
+    # all k² keys.
+    k = MAX_MORPHISMS
+    text = (
+        "monoid M { elements " + " ".join(f"e{i}" for i in range(k))
+        + " ; unit e0 ; mul e0 e0 = e0 ; mul e0 e2 = e2 }"
+    )
+    start = time.perf_counter()
+    with pytest.raises(ValidationFailed) as e:
+        parse_document(text)
+    elapsed = time.perf_counter() - start
+    details = [v.detail for v in e.value.violations]
+    assert e.value.codes == {"TableNotTotal"}
+    assert details[:MISSING_LISTED] == [
+        f"missing mul e0 e{j}" for j in range(MISSING_LISTED + 2) if j not in (0, 2)
+    ]
+    assert details[MISSING_LISTED:] == [f"{k * k - 2 - MISSING_LISTED} more not listed"]
+    assert elapsed < 1.0
 
 
 def test_monoid_repeated_element_rejected():

@@ -1,10 +1,17 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
 from movcat import search
 from movcat.campaign import generate_campaign_instance
-from movcat.core import compose_functors, identity_functor
+from movcat.core import (
+    Functor,
+    NaturalTransformation,
+    compose_functors,
+    identity_functor,
+    validate_category,
+)
 from movcat.errors import (
     NoDesignatedCoproducts,
     SourceTargetMismatch,
@@ -155,6 +162,38 @@ def test_weak_phase_enumerates_g_once_per_call(monkeypatch):
     assert len(walks) == 2
 
 
+def test_weak_phase_yields_every_triple_in_nested_walk_order(monkeypatch):
+    # Drained to the end, the weak phase looks for a phi on exactly the
+    # (F, G) with every hom_K(G(F(x)), x) non-empty, and yields every
+    # (F, G, phi) of the plain nested walk in its order.
+    searched = []
+    nat_trans_components = search._iter_nat_trans_components
+
+    def recorded(gf, one_k):
+        searched.append(gf)
+        return nat_trans_components(gf, one_k)
+
+    monkeypatch.setattr(search, "_iter_nat_trans_components", recorded)
+    for k, l in ((chain(3), diamond()[0]), (diamond()[0], chain(3)),
+                 (antichain(2), antichain(3)), (v_poset_category(),) * 2):
+        searched.clear()
+        budget = search._Budget(DEFAULT_BUDGET)
+        n_strict = sum(1 for _ in search._retractions(k, l, budget))
+        triples = list(search._weak_dominations(k, l, budget))[n_strict:]
+        one_k = identity_functor(k)
+        live = [
+            (f, g, compose_functors(g, f))
+            for f in enumerate_functors(k, l).functors
+            for g in enumerate_functors(l, k).functors
+            if all(k.hom(g.obj_map[f.obj_map[x]], x) for x in range(k.n_objects))
+        ]
+        assert searched == [gf for _, _, gf in live]
+        assert triples == [
+            (f, g, phi) for f, g, gf in live for phi in enumerate_nat_trans(gf, one_k)
+        ]
+        assert triples
+
+
 PIN_BUDGETS = (0, 1, 2, 3, 5, 8, 13, 50, 126, 500, DEFAULT_BUDGET)
 
 
@@ -252,3 +291,81 @@ def test_coproduct_coslice_domination_wrong_base():
     des = semilattice_designation(cat, poset)
     with pytest.raises(SourceTargetMismatch):
         coproduct_coslice_domination(chain(2), des, 0, 1)
+
+
+def test_forward_check_keeps_every_pinned_functor_in_order():
+    # Pruning object slots on empty homs may only cut branches that emit
+    # nothing: each pinned search, pinned as ``_retractions`` pins it for
+    # an injective F, yields exactly the naive functors that agree with the
+    # pins, in the naive (lexicographic) order.
+    pairs = [
+        (doc.category_of("K"), doc.category_of("L"))
+        for doc in (generate_campaign_instance("transfer", s) for s in range(300))
+    ]
+    pairs.append((v_poset_category(), chain(5)))
+    searched = emitted = 0
+    for k, l in pairs:
+        n = l.n_objects
+        naive = [g.obj_map + g.mor_map for g in naive_functors(l, k)]
+        for f in naive_functors(k, l):
+            fixed = {o: x for x, o in enumerate(f.obj_map)}
+            fixed.update((n + t, m) for m, t in enumerate(f.mor_map))
+            if len(fixed) < k.n_objects + k.n_mors:
+                continue  # F is not injective
+            got = list(search._iter_functor_maps(l, k, fixed))
+            want = [
+                (slots[:n], slots[n:])
+                for slots in naive
+                if all(slots[i] == v for i, v in fixed.items())
+            ]
+            assert got == want, (k.object_names, l.object_names, fixed)
+            searched += 1
+            emitted += len(got)
+    assert searched > 1000 and emitted > 4000
+
+
+def test_budget_spends_in_bulk_to_the_same_unit():
+    exact = search._Budget(5)
+    exact.spend(2)
+    exact.spend(3)
+    assert exact.left == 0
+    with pytest.raises(search._Exhausted):
+        exact.spend()
+    with pytest.raises(search._Exhausted):
+        search._Budget(5).spend(6)
+    zero = search._Budget(0)
+    zero.spend(0)
+    with pytest.raises(search._Exhausted):
+        zero.spend(1)
+
+
+def test_empty_category_searches():
+    # No slots to fill: the backtracker yields the empty assignment once,
+    # and a weak phase over no G leaves empty buffers.
+    empty = validate_category([], [], [], {})
+    none = Functor(empty, empty, (), ())
+    assert enumerate_functors(empty, empty) == search.FunctorEnumeration([none], False)
+    assert enumerate_functors(empty, chain(2)) == search.FunctorEnumeration(
+        [Functor(empty, chain(2), (), ())], False
+    )
+    hit = (none, none, NaturalTransformation(none, none, ()))
+    assert find_weak_domination(empty, empty) == search.DominationResult(hit, False)
+    assert find_weak_domination(empty, empty, budget=1).truncated
+    assert find_weak_domination(empty, empty, budget=2).found == hit
+    # One F and no retraction or G: two units, then an exhaustive miss.
+    assert find_weak_domination(empty, chain(2), budget=1).truncated
+    res = find_weak_domination(empty, chain(2), budget=2)
+    assert res.found is None and not res.truncated
+
+
+def test_weak_phase_memory_is_flat_in_g():
+    # V <~ antichain(10) walks 3^10 = 59049 functors G and finds no triple;
+    # the G are kept as flat ref arrays, not as Functor values.
+    tracemalloc.start()
+    try:
+        res = find_weak_domination(v_poset_category(), antichain(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.found is None and not res.truncated
+    assert peak < 6_000_000
