@@ -192,9 +192,10 @@ def _iter_functor_maps(
 
     Objects are slots 0..n-1 and morphism m is slot n+m; ``fixed`` pins
     individual slots (used when searching retractions G with G(F(X)) = X
-    and G(F(f)) = f forced).  A pinned morphism is not checked, so pins must
-    type like a functor: the slots of a pinned morphism's endpoints are
-    pinned to its dom and cod, and a pinned identity is an identity.
+    and G(F(f)) = f forced).  A pinned morphism is not type-checked, and
+    the checks of ``_functor_slots`` assume that pins type like a functor:
+    the slots of a pinned morphism's endpoints are pinned to its dom and
+    cod, and a pinned identity is an identity.
     """
     return _fill_slots(_functor_slots(k, l), fixed)
 
