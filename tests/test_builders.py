@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,8 +19,9 @@ from movcat.core import (
     validate_copresheaf,
     validate_functor,
 )
+from movcat.dsl import Document, make_category_entity, serialize_document
 from movcat.errors import NotAMonoid, SizeBoundExceeded
-from movcat.generators import GenParams, random_copresheaf_doc
+from movcat.generators import GenParams, generate_instance, random_copresheaf_doc
 from util import (
     antichain,
     chain,
@@ -259,3 +261,40 @@ def test_cap_size_builder_outputs_revalidate():
     assert (elements.n_objects, elements.n_mors) == (56, 1008)
     for cat in (grid, coslice, elements):
         _revalidate(cat)
+
+
+def _written_categories():
+    """The categories whose written text is pinned: the coslices of the
+    chain(8)^2 grid under both upper covers of its bottom, the categories of
+    elements of the representables at those covers, chain(8) times an
+    8-element forest and times a sparse 8-element order, and the generated
+    categories of seeds 0..199."""
+    prod = product_category([chain(8), chain(8)])
+    covers = [prod.object_index(c) for c in ([0, 1], [1, 0])]
+    cats = [coslice_category(prod.category, x).category for x in covers]
+    cats += [
+        elements_category(representable_copresheaf(prod.category, x)).category
+        for x in covers
+    ]
+    names = [f"b{i}" for i in range(8)]
+    forest = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (6, 7)]
+    sparse = [(0, 4), (1, 4), (1, 5), (2, 6), (3, 6), (4, 7), (5, 7)]
+    for pairs in (forest, sparse):
+        order = build_poset_category(make_poset(names, pairs))
+        cats.append(product_category([chain(8), order]).category)
+    cats += [generate_instance("category", s).category_of("K") for s in range(200)]
+    return cats
+
+
+def test_written_categories_pinned():
+    # sha256 over the written text of each category above, in that order.
+    # The text lists arrows and compose lines in ref order, so this pins the
+    # writer's order as well as the builders' tables.
+    h = hashlib.sha256()
+    for cat in _written_categories():
+        doc = Document()
+        doc.add(make_category_entity("C", cat))
+        h.update(serialize_document(doc).encode())
+    assert h.hexdigest() == (
+        "76310cbc7aae84b37d1d7f9cb2e5166be408ae8175d7d5066e3d45e2a6a9a08e"
+    )
