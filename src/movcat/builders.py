@@ -10,12 +10,17 @@ Coslices and categories of elements share one comma construction (the
 coslice under X is the category of elements of hom(X, -)), with morphisms
 (i, j, eta) in lexicographic order.  Every builder fills its composition
 table per composable pair, never by scanning all pairs of morphisms.
+
+A copresheaf is checked when it is built, so elements_category trusts its
+input; the copresheaf carries its category of elements once that is built,
+and later calls on the same value return it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import (
@@ -24,7 +29,6 @@ from .core import (
     FinitePoset,
     Functor,
     group_by,
-    validate_copresheaf,
     MAX_MORPHISMS,
     MAX_OBJECTS,
 )
@@ -220,6 +224,15 @@ def _comma(
     return cat, forgetful, triples
 
 
+def _index(refs: dict, key) -> int:
+    """``refs[key]``, raising ValueError (as ``tuple.index`` does) when
+    ``key`` is missing."""
+    try:
+        return refs[key]
+    except KeyError:
+        raise ValueError(f"{key!r} is not in the result") from None
+
+
 @dataclass(frozen=True)
 class CosliceResult:
     """Coslice category under an object, with the forgetful functor.
@@ -234,10 +247,18 @@ class CosliceResult:
     morphism_triples: tuple[tuple[int, int, int], ...]  # (src_obj, tgt_obj, eta)
 
     def object_index(self, f: int) -> int:
-        return self.object_mors.index(f)
+        return _index(self._object_refs, f)
 
     def morphism_index(self, src: int, tgt: int, eta: int) -> int:
-        return self.morphism_triples.index((src, tgt, eta))
+        return _index(self._morphism_refs, (src, tgt, eta))
+
+    @cached_property
+    def _object_refs(self) -> dict[int, int]:
+        return {f: i for i, f in enumerate(self.object_mors)}
+
+    @cached_property
+    def _morphism_refs(self) -> dict[tuple[int, int, int], int]:
+        return {t: r for r, t in enumerate(self.morphism_triples)}
 
 
 def coslice_category(cat: FiniteCategory, x: int) -> CosliceResult:
@@ -268,13 +289,18 @@ class ElementsResult:
     morphism_triples: tuple[tuple[int, int, int], ...]
 
     def object_index(self, q: int, x: int) -> int:
-        return self.objects.index((q, x))
+        return _index(self._object_refs, (q, x))
+
+    @cached_property
+    def _object_refs(self) -> dict[tuple[int, int], int]:
+        return {o: i for i, o in enumerate(self.objects)}
 
 
 def elements_category(h: Copresheaf) -> ElementsResult:
-    """Category of elements of ``h`` (finite model of the comma category)."""
-    # Revalidate: foreign Copresheaf values may carry functoriality bugs.
-    h = validate_copresheaf(h.base, h.fibers, h.action)
+    """Category of elements of ``h`` (finite model of the comma category),
+    built on the first call for ``h`` and stored on it."""
+    if h._elements is not None:
+        return h._elements
     base = h.base
     objects = tuple(
         (q, x) for q in range(base.n_objects) for x in range(len(h.fibers[q]))
@@ -287,7 +313,9 @@ def elements_category(h: Copresheaf) -> ElementsResult:
         [f"x{q}_{h.fibers[q][x]}" for q, x in objects],
         "e",
     )
-    return ElementsResult(cat, forgetful, objects, triples)
+    result = ElementsResult(cat, forgetful, objects, triples)
+    object.__setattr__(h, "_elements", result)
+    return result
 
 
 def representable_copresheaf(cat: FiniteCategory, p: int) -> Copresheaf:
@@ -302,7 +330,7 @@ def representable_copresheaf(cat: FiniteCategory, p: int) -> Copresheaf:
     for m in range(cat.n_mors):
         d, c = cat.mor_dom[m], cat.mor_cod[m]
         action.append([index[c][cat.comp[(m, f)]] for f in cat.hom(p, d)])
-    return validate_copresheaf(cat, fibers, action)
+    return Copresheaf(cat, fibers, action)
 
 
 def add_initial_object(cat: FiniteCategory) -> FiniteCategory:

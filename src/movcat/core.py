@@ -8,7 +8,9 @@ value.  Canonical ordering is construction order, and all searches iterate
 in ascending ref order, so reported witnesses are reproducible.
 
 All values are immutable after validation and safe to share across
-concurrent readers.
+concurrent readers.  The one field stored later is a copresheaf's
+``_elements``, its category of elements, which the first
+``builders.elements_category`` call on that value sets.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ class FiniteCategory:
         for m in range(len(self.mor_names)):
             homs.setdefault((self.mor_dom[m], self.mor_cod[m]), []).append(m)
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in homs.items()})
+        into = group_by(self.mor_cod, len(self.object_names))
+        object.__setattr__(self, "_into", tuple(map(tuple, into)))
         object.__setattr__(self, "_ids", frozenset(self.identity))
 
     @property
@@ -85,7 +89,7 @@ class FiniteCategory:
 
     def mors_into(self, x: int) -> tuple[int, ...]:
         """All morphisms with codomain x, ascending."""
-        return tuple(m for m in range(self.n_mors) if self.mor_cod[m] == x)
+        return self._into[x]
 
 
 def validate_category(
@@ -297,11 +301,62 @@ class Copresheaf:
 
     ``fibers[q]`` lists the element names over object q; ``action[m]`` maps
     element indices of the dom fiber to element indices of the cod fiber.
+    Building one checks the element tables and functoriality of the action,
+    raising InvalidCopresheaf naming the offending morphism or pair.  The
+    first ``builders.elements_category`` call stores its category of
+    elements in ``_elements``, so each value builds it once.
     """
 
     base: FiniteCategory
     fibers: tuple[tuple[str, ...], ...]
     action: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        base = self.base
+        fibers = tuple(map(tuple, self.fibers))
+        action = tuple(map(tuple, self.action))
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_elements", None)
+        bad: list[Violation] = []
+        if len(fibers) != base.n_objects or len(action) != base.n_mors:
+            raise InvalidCopresheaf([Violation("BadRef", "table size mismatch")])
+        for q, names in enumerate(fibers):
+            if len(set(names)) != len(names):
+                bad.append(
+                    Violation("DuplicateName", f"fiber of {base.object_names[q]}")
+                )
+        for m, mapping in enumerate(action):
+            d, c = base.mor_dom[m], base.mor_cod[m]
+            if len(mapping) != len(fibers[d]):
+                bad.append(
+                    Violation("BadRef", f"action of {base.mor_names[m]} partial")
+                )
+                continue
+            if any(not 0 <= y < len(fibers[c]) for y in mapping):
+                bad.append(
+                    Violation("BadRef", f"action of {base.mor_names[m]} out of range")
+                )
+        if bad:
+            raise InvalidCopresheaf(bad)
+        for a, i in enumerate(base.identity):
+            if action[i] != tuple(range(len(fibers[a]))):
+                bad.append(
+                    Violation("FunctorialityBroken", f"id of {base.object_names[a]}")
+                )
+        for (g, f), gf in base.comp.items():
+            af, ag, agf = action[f], action[g], action[gf]
+            for x in range(len(af)):
+                if ag[af[x]] != agf[x]:
+                    bad.append(
+                        Violation(
+                            "FunctorialityBroken",
+                            f"(g, f)=({base.mor_names[g]}, {base.mor_names[f]})",
+                        )
+                    )
+                    break
+        if bad:
+            raise InvalidCopresheaf(bad)
 
     def apply(self, m: int, x: int) -> int:
         return self.action[m][x]
@@ -315,52 +370,8 @@ def validate_copresheaf(
     fibers: Sequence[Sequence[str]],
     action: Sequence[Sequence[int]],
 ) -> Copresheaf:
-    """Check element tables and functoriality of the action.
-
-    Raises InvalidCopresheaf naming the offending morphism or pair.
-    """
-    bad: list[Violation] = []
-    if len(fibers) != base.n_objects or len(action) != base.n_mors:
-        raise InvalidCopresheaf([Violation("BadRef", "table size mismatch")])
-    for q, names in enumerate(fibers):
-        if len(set(names)) != len(names):
-            bad.append(
-                Violation("DuplicateName", f"fiber of {base.object_names[q]}")
-            )
-    for m, mapping in enumerate(action):
-        d, c = base.mor_dom[m], base.mor_cod[m]
-        if len(mapping) != len(fibers[d]):
-            bad.append(Violation("BadRef", f"action of {base.mor_names[m]} partial"))
-            continue
-        if any(not 0 <= y < len(fibers[c]) for y in mapping):
-            bad.append(
-                Violation("BadRef", f"action of {base.mor_names[m]} out of range")
-            )
-    if bad:
-        raise InvalidCopresheaf(bad)
-    for a, i in enumerate(base.identity):
-        if tuple(action[i]) != tuple(range(len(fibers[a]))):
-            bad.append(
-                Violation("FunctorialityBroken", f"id of {base.object_names[a]}")
-            )
-    for (g, f), gf in base.comp.items():
-        af, ag, agf = action[f], action[g], action[gf]
-        for x in range(len(af)):
-            if ag[af[x]] != agf[x]:
-                bad.append(
-                    Violation(
-                        "FunctorialityBroken",
-                        f"(g, f)=({base.mor_names[g]}, {base.mor_names[f]})",
-                    )
-                )
-                break
-    if bad:
-        raise InvalidCopresheaf(bad)
-    return Copresheaf(
-        base,
-        tuple(tuple(ns) for ns in fibers),
-        tuple(tuple(mp) for mp in action),
-    )
+    """The copresheaf of these tables, checked as ``Copresheaf`` checks it."""
+    return Copresheaf(base, fibers, action)
 
 
 @dataclass(frozen=True, eq=True)

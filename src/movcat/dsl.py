@@ -635,22 +635,24 @@ def _ser_monoid(e: MonoidEntity, out: list[str]) -> None:
 
 def _ser_category(e: CategoryEntity, out: list[str]) -> None:
     c = e.category
+    names, objects, comp = c.mor_names, c.object_names, c.comp
+    ids = set(c.identity)
+    arrows = [m for m in range(c.n_mors) if m not in ids]
     out.append(f"category {e.name} {{")
-    out.append("  objects " + " ".join(c.object_names) + " ;")
-    for m in range(c.n_mors):
-        if c.is_identity(m):
-            continue
+    out.append("  objects " + " ".join(objects) + " ;")
+    for m in arrows:
         out.append(
-            f"  arrows {c.mor_names[m]}: {c.object_names[c.mor_dom[m]]} -> "
-            f"{c.object_names[c.mor_cod[m]]} ;"
+            f"  arrows {names[m]}: {objects[c.mor_dom[m]]} -> "
+            f"{objects[c.mor_cod[m]]} ;"
         )
-    for (g, f) in sorted(c.comp):
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        out.append(
-            f"  compose {c.mor_names[g]} {c.mor_names[f]} = "
-            f"{c.mor_names[c.comp[(g, f)]]} ;"
-        )
+    # The composable pairs (g, f) in ascending order, which are exactly the
+    # keys of comp, with identities left out.
+    into = [[f for f in c.mors_into(x) if f not in ids] for x in range(c.n_objects)]
+    for g in arrows:
+        prefix = f"  compose {names[g]} "
+        out.extend([
+            f"{prefix}{names[f]} = {names[comp[(g, f)]]} ;" for f in into[c.mor_dom[g]]
+        ])
     out.append("}")
 
 

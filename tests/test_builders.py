@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from movcat import builders
 from movcat.builders import (
     add_initial_object,
     build_poset_category,
@@ -22,6 +23,7 @@ from movcat.core import (
 from movcat.dsl import Document, make_category_entity, serialize_document
 from movcat.errors import NotAMonoid, SizeBoundExceeded
 from movcat.generators import GenParams, generate_instance, random_copresheaf_doc
+from movcat.movability import check_movable_wrt, space_movability
 from util import (
     antichain,
     chain,
@@ -298,3 +300,59 @@ def test_written_categories_pinned():
     assert h.hexdigest() == (
         "76310cbc7aae84b37d1d7f9cb2e5166be408ae8175d7d5066e3d45e2a6a9a08e"
     )
+
+
+def test_mors_into_matches_scan():
+    cats = _written_categories()
+    cats += [add_initial_object(c) for c in (chain(3), v_poset_category())]
+    cats += [canonical_category(c)[0] for c in cats[-2:]]
+    for cat in cats:
+        for x in range(cat.n_objects):
+            assert cat.mors_into(x) == tuple(
+                m for m in range(cat.n_mors) if cat.mor_cod[m] == x
+            )
+
+
+def test_elements_built_once_per_copresheaf(monkeypatch):
+    calls = []
+    comma = builders._comma
+
+    def counted(*args):
+        calls.append(args[-1])
+        return comma(*args)
+
+    monkeypatch.setattr(builders, "_comma", counted)
+    prod = product_category([chain(3), chain(3)])
+    x = prod.object_index([0, 1])
+    h = representable_copresheaf(prod.category, x)
+    res = elements_category(h)
+    assert space_movability(h) == check_movable_wrt(
+        res.category, prod.category, res.forgetful
+    )
+    assert elements_category(h) is res
+    assert len(calls) == 1
+    # An equal but distinct value builds its own.
+    again = representable_copresheaf(prod.category, x)
+    assert again == h and again is not h
+    assert elements_category(again) == res
+    assert len(calls) == 2
+
+
+def test_result_indices_match_their_tables():
+    prod = product_category([chain(3), chain(3)])
+    x = prod.object_index([0, 1])
+    cos = coslice_category(prod.category, x)
+    for i, f in enumerate(cos.object_mors):
+        assert cos.object_index(f) == i
+    for r, t in enumerate(cos.morphism_triples):
+        assert cos.morphism_index(*t) == r
+    el = elements_category(representable_copresheaf(prod.category, x))
+    for i, (q, e) in enumerate(el.objects):
+        assert el.object_index(q, e) == i
+    # A missing key raises ValueError, as tuple.index does.
+    with pytest.raises(ValueError):
+        cos.object_index(prod.category.identity[0])
+    with pytest.raises(ValueError):
+        cos.morphism_index(0, 0, prod.category.n_mors)
+    with pytest.raises(ValueError):
+        el.object_index(0, 0)

@@ -6,6 +6,7 @@ import pytest
 
 from movcat.builders import build_monoid_category, product_category
 from movcat.core import (
+    Copresheaf,
     compose_functors,
     identity_functor,
     identity_nat_trans,
@@ -15,7 +16,12 @@ from movcat.core import (
     validate_functor,
     validate_nat_trans,
 )
-from movcat.errors import InvalidCopresheaf, NotComposable, ValidationFailed
+from movcat.errors import (
+    InvalidCopresheaf,
+    NotComposable,
+    ValidationFailed,
+    Violation,
+)
 from util import chain, v_poset_category
 
 
@@ -138,6 +144,28 @@ def test_copresheaf_functoriality_checked():
     with pytest.raises(InvalidCopresheaf):
         # identity action on a two-element fiber is not the identity map
         validate_copresheaf(c2, [["x", "y"], ["z"]], [[0, 0], [0], [0, 0]])
+
+
+def test_copresheaf_constructor_checks_its_tables():
+    # Over a0 < a1 < a2: id_a1 swaps its fiber, and le1_2 . le0_1 sends x to
+    # w while le0_2 sends it to v.
+    c3 = chain(3)
+    fibers = [["x"], ["y", "z"], ["w", "v"]]
+    action = [[0], [1, 0], [0, 1], [0], [1], [0, 1]]
+    with pytest.raises(InvalidCopresheaf) as built:
+        Copresheaf(c3, fibers, action)
+    with pytest.raises(InvalidCopresheaf) as validated:
+        validate_copresheaf(c3, fibers, action)
+    assert built.value.violations == validated.value.violations == [
+        Violation("FunctorialityBroken", "id of a1"),
+        Violation("FunctorialityBroken", "(g, f)=(id_a1, id_a1)"),
+        Violation("FunctorialityBroken", "(g, f)=(le1_2, id_a1)"),
+        Violation("FunctorialityBroken", "(g, f)=(id_a1, le0_1)"),
+        Violation("FunctorialityBroken", "(g, f)=(le1_2, le0_1)"),
+    ]
+    good = Copresheaf(c3, fibers, [[0], [0, 1], [0, 1], [0], [0], [0, 1]])
+    assert good == validate_copresheaf(c3, tuple(fibers), good.action)
+    assert good.fibers == (("x",), ("y", "z"), ("w", "v"))
 
 
 def test_poset_antisymmetry():
