@@ -10,7 +10,8 @@ in ascending ref order, so reported witnesses are reproducible.
 All values are immutable after validation and safe to share across
 concurrent readers.  The one field stored later is a copresheaf's
 ``_elements``, its category of elements, which the first
-``builders.elements_category`` call on that value sets.
+``builders.elements_category`` call on that value sets (readers racing on
+it store equal values).
 """
 
 from __future__ import annotations
