@@ -23,7 +23,12 @@ from movcat.core import (
 from movcat.dsl import Document, make_category_entity, serialize_document
 from movcat.errors import NotAMonoid, SizeBoundExceeded
 from movcat.generators import GenParams, generate_instance, random_copresheaf_doc
-from movcat.movability import check_movable_wrt, space_movability
+from movcat.movability import (
+    check_movable_wrt,
+    check_strongly_movable,
+    space_movability,
+)
+from movcat.systems import check_star
 from util import (
     antichain,
     chain,
@@ -263,6 +268,30 @@ def test_cap_size_builder_outputs_revalidate():
     assert (elements.n_objects, elements.n_mors) == (56, 1008)
     for cat in (grid, coslice, elements):
         _revalidate(cat)
+
+
+def test_cap_size_deciders_pinned():
+    # sha256 over the repr of each decider's result at both upper covers x
+    # of the chain(8)^2 grid's bottom: check_star, space_movability and
+    # check_strongly_movable on the elements of hom(x, -), then
+    # check_strongly_movable on the coslice under x.  At 56 points the
+    # quantifier reference is too slow, so this pins the chosen connectors.
+    prod = product_category([chain(8), chain(8)])
+    h = hashlib.sha256()
+    for c in ([0, 1], [1, 0]):
+        x = prod.object_index(c)
+        rep = representable_copresheaf(prod.category, x)
+        results = (
+            check_star(rep),
+            space_movability(rep),
+            check_strongly_movable(elements_category(rep).category),
+            check_strongly_movable(coslice_category(prod.category, x).category),
+        )
+        for r in results:
+            h.update(repr(r).encode())
+    assert h.hexdigest() == (
+        "03341be7e79548d7872eac81674c3fe3e78b54de292440492ce856c966630536"
+    )
 
 
 def _written_categories():

@@ -215,3 +215,27 @@ def test_wrong_entity_kind_is_a_recorded_failure(theorem, text, message):
         res = runner.invoke(main, ["campaign", theorem, "--replay", "doc.cat"])
     assert isinstance(res.exception, SystemExit) and res.exit_code == 1
     assert res.output == f"fail: {detail}\n"
+
+
+# The C11 regression oracle: sha256 of run_campaign(law, range(0, 300))
+# .to_json() at default params, for every law.
+CAMPAIGN_DIGESTS = {
+    "product": "3bf99985baf5e048d5d7890b1d5bfa8d758dc9220945a4f94d62f513e459abe0",
+    "transfer": "db7985a2132a4369b5dedfd9ab866fbfce3a3fa480aa9849a9e91836753d5a85",
+    "coslice": "595addf1dea006d0cd818582391515b938678863073d444aa435d3d9626349af",
+    "initial": "0a6d27f040f7023705ec96516da0ef19101c6f825ba0c4c2e5d6556fdba97278",
+    "poset-oracle": "76fccb38ca7fa95c61afcc56f2f8abfb777fd5a32c1d692a64147c55001535bc",
+    "sm-bridge": "c378ef9c84a087a838016fa3ec41c1c8e48e2812edc134aa189544fb8ebe3962",
+    "star-bridge": "bfb0babe901e3bf1fb86e0024f2ffb4ca24f922927e385fe8068dcfe88d7d3bd",
+    "coproduct-coslice": "e163f9090e176c84277896a852345910f028b42b59296374073704f3bac7ae9b",
+}
+
+
+def test_campaign_reports_pinned():
+    got = {
+        law: hashlib.sha256(
+            run_campaign(law, range(0, 300)).to_json().encode()
+        ).hexdigest()
+        for law in THEOREMS
+    }
+    assert got == CAMPAIGN_DIGESTS
