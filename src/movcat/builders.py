@@ -19,8 +19,7 @@ and later calls on the same value return it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import (
@@ -186,26 +185,62 @@ def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
     return ProductResult(cat, projections, tuple(factors))
 
 
+@dataclass(frozen=True)
+class CommaResult:
+    """A comma category over a base, with its projection to the base.
+
+    Object i is ``objects[i]``: a morphism f out of X for the coslice under
+    X, a pair (Q, x in H(Q)) for the category of elements of H.  Morphism r
+    is ``morphism_triples[r]`` = (src_obj, tgt_obj, eta).
+    """
+
+    category: FiniteCategory
+    forgetful: Functor
+    objects: tuple
+    morphism_triples: tuple[tuple[int, int, int], ...]
+    _object_refs: dict = field(repr=False, compare=False)
+    _morphism_refs: dict = field(repr=False, compare=False)
+
+    def object_index(self, obj) -> int:
+        return _index(self._object_refs, obj)
+
+    def morphism_index(self, src: int, tgt: int, eta: int) -> int:
+        return _index(self._morphism_refs, (src, tgt, eta))
+
+
+def _index(refs: dict, key) -> int:
+    """``refs[key]``, raising ValueError (as ``tuple.index`` does) when
+    ``key`` is missing."""
+    try:
+        return refs[key]
+    except KeyError:
+        raise ValueError(f"{key!r} is not in the result") from None
+
+
 def _comma(
     base: FiniteCategory,
+    objects: Sequence,
     over: Sequence[int],
-    act: Callable[[int, int], int],
+    act: Callable[[int, object], object],
     obj_names: Sequence[str],
     tag: str,
-) -> tuple[FiniteCategory, Functor, tuple[tuple[int, int, int], ...]]:
+) -> CommaResult:
     """Comma category over ``base`` and its projection to ``base``.
 
-    Object i lies over base object ``over[i]``; ``act(eta, i)`` is the object
-    that eta (with dom(eta) = over[i]) sends i to.  The morphisms are the
-    triples (i, act(eta, i), eta) in lexicographic order, named
-    ``{tag}{i}_{j}_`` plus the name of eta.  Composites are filled per
-    composable pair, first arrow outer and second arrow ascending; searches
-    iterate ``comp`` in insertion order, so this order is part of the result.
+    ``objects[i]`` lies over base object ``over[i]``; ``act(eta, o)`` is the
+    object that eta (with dom(eta) over o) sends o to.  The morphisms are
+    the triples (i, j, eta) with j the index of ``act(eta, objects[i])``, in
+    lexicographic order, named ``{tag}{i}_{j}_`` plus the name of eta.
+    Composites are filled per composable pair, first arrow outer and second
+    arrow ascending; searches iterate ``comp`` in insertion order, so this
+    order is part of the result.
     """
-    base_out = group_by(base.mor_dom, base.n_objects)
+    index = {o: i for i, o in enumerate(objects)}
     triples = tuple(
         sorted(
-            (i, act(eta, i), eta) for i, b in enumerate(over) for eta in base_out[b]
+            (i, index[act(eta, o)], eta)
+            for i, (o, b) in enumerate(zip(objects, over))
+            for eta in base.mors_out_of(b)
         )
     )
     ref = {t: r for r, t in enumerate(triples)}
@@ -221,101 +256,44 @@ def _comma(
     mor_names = tuple(f"{tag}{i}_{j}_{base.mor_names[e]}" for i, j, e in triples)
     cat = FiniteCategory(tuple(obj_names), mor_names, dom, cod, identity, comp)
     forgetful = Functor(cat, base, tuple(over), tuple(e for _, _, e in triples))
-    return cat, forgetful, triples
+    return CommaResult(cat, forgetful, tuple(objects), triples, index, ref)
 
 
-def _index(refs: dict, key) -> int:
-    """``refs[key]``, raising ValueError (as ``tuple.index`` does) when
-    ``key`` is missing."""
-    try:
-        return refs[key]
-    except KeyError:
-        raise ValueError(f"{key!r} is not in the result") from None
-
-
-@dataclass(frozen=True)
-class CosliceResult:
-    """Coslice category under an object, with the forgetful functor.
-
-    Objects are the morphisms f with dom(f) = X, in ascending ref order; a
-    morphism from object f'' to object f' is each eta with eta . f'' = f'.
-    """
-
-    category: FiniteCategory
-    forgetful: Functor
-    object_mors: tuple[int, ...]
-    morphism_triples: tuple[tuple[int, int, int], ...]  # (src_obj, tgt_obj, eta)
-
-    def object_index(self, f: int) -> int:
-        return _index(self._object_refs, f)
-
-    def morphism_index(self, src: int, tgt: int, eta: int) -> int:
-        return _index(self._morphism_refs, (src, tgt, eta))
-
-    @cached_property
-    def _object_refs(self) -> dict[int, int]:
-        return {f: i for i, f in enumerate(self.object_mors)}
-
-    @cached_property
-    def _morphism_refs(self) -> dict[tuple[int, int, int], int]:
-        return {t: r for r, t in enumerate(self.morphism_triples)}
-
-
-def coslice_category(cat: FiniteCategory, x: int) -> CosliceResult:
-    """Coslice of ``cat`` under object ``x`` and its forgetful functor."""
-    obj_mors = tuple(m for m in range(cat.n_mors) if cat.mor_dom[m] == x)
-    index = {f: i for i, f in enumerate(obj_mors)}
-    coslice, forgetful, triples = _comma(
+def coslice_category(cat: FiniteCategory, x: int) -> CommaResult:
+    """Coslice of ``cat`` under object ``x`` and its forgetful functor: the
+    objects are the morphisms f out of x, ascending, and a morphism from f''
+    to f' is each eta with eta . f'' = f'."""
+    fs = cat.mors_out_of(x)
+    return _comma(
         cat,
-        [cat.mor_cod[f] for f in obj_mors],
-        lambda eta, i: index[cat.comp[(eta, obj_mors[i])]],
-        [f"o_{cat.mor_names[f]}" for f in obj_mors],
+        fs,
+        [cat.mor_cod[f] for f in fs],
+        lambda eta, f: cat.comp[(eta, f)],
+        [f"o_{cat.mor_names[f]}" for f in fs],
         "t",
     )
-    return CosliceResult(coslice, forgetful, obj_mors, triples)
 
 
-@dataclass(frozen=True)
-class ElementsResult:
-    """Category of elements of a copresheaf, with its projection functor.
-
-    Objects are pairs (Q, x in H(Q)); a morphism (Q'', x'') -> (Q', x') is
-    each eta: Q'' -> Q' with action(eta)(x'') = x'.
-    """
-
-    category: FiniteCategory
-    forgetful: Functor
-    objects: tuple[tuple[int, int], ...]
-    morphism_triples: tuple[tuple[int, int, int], ...]
-
-    def object_index(self, q: int, x: int) -> int:
-        return _index(self._object_refs, (q, x))
-
-    @cached_property
-    def _object_refs(self) -> dict[tuple[int, int], int]:
-        return {o: i for i, o in enumerate(self.objects)}
-
-
-def elements_category(h: Copresheaf) -> ElementsResult:
+def elements_category(h: Copresheaf) -> CommaResult:
     """Category of elements of ``h`` (finite model of the comma category),
-    built on the first call for ``h`` and stored on it."""
-    if h._elements is not None:
-        return h._elements
-    base = h.base
-    objects = tuple(
-        (q, x) for q in range(base.n_objects) for x in range(len(h.fibers[q]))
-    )
-    index = {o: i for i, o in enumerate(objects)}
-    cat, forgetful, triples = _comma(
-        base,
-        [q for q, _ in objects],
-        lambda eta, i: index[(base.mor_cod[eta], h.action[eta][objects[i][1]])],
-        [f"x{q}_{h.fibers[q][x]}" for q, x in objects],
-        "e",
-    )
-    result = ElementsResult(cat, forgetful, objects, triples)
-    object.__setattr__(h, "_elements", result)
-    return result
+    built on the first call for ``h`` and stored on it: the objects are the
+    pairs (Q, x in H(Q)), and a morphism (Q'', x'') -> (Q', x') is each
+    eta: Q'' -> Q' with action(eta)(x'') = x'."""
+    if h._elements is None:
+        base = h.base
+        objects = [
+            (q, x) for q in range(base.n_objects) for x in range(h.fiber_size(q))
+        ]
+        result = _comma(
+            base,
+            objects,
+            [q for q, _ in objects],
+            lambda eta, o: (base.mor_cod[eta], h.action[eta][o[1]]),
+            [f"x{q}_{h.fibers[q][x]}" for q, x in objects],
+            "e",
+        )
+        object.__setattr__(h, "_elements", result)
+    return h._elements
 
 
 def representable_copresheaf(cat: FiniteCategory, p: int) -> Copresheaf:

@@ -61,8 +61,9 @@ class FiniteCategory:
         for m in range(len(self.mor_names)):
             homs.setdefault((self.mor_dom[m], self.mor_cod[m]), []).append(m)
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in homs.items()})
-        into = group_by(self.mor_cod, len(self.object_names))
-        object.__setattr__(self, "_into", tuple(map(tuple, into)))
+        n = len(self.object_names)
+        object.__setattr__(self, "_into", tuple(map(tuple, group_by(self.mor_cod, n))))
+        object.__setattr__(self, "_out", tuple(map(tuple, group_by(self.mor_dom, n))))
         object.__setattr__(self, "_ids", frozenset(self.identity))
 
     @property
@@ -91,6 +92,10 @@ class FiniteCategory:
     def mors_into(self, x: int) -> tuple[int, ...]:
         """All morphisms with codomain x, ascending."""
         return self._into[x]
+
+    def mors_out_of(self, x: int) -> tuple[int, ...]:
+        """All morphisms with domain x, ascending."""
+        return self._out[x]
 
 
 def validate_category(
@@ -128,8 +133,11 @@ def validate_category(
         raise ValidationFailed("category", bad)
 
     # Each pass visits only what can compose: f into dom(g), h out of cod(g).
-    out_of, into = group_by(dom, n_obj), group_by(cod, n_obj)
-    composable = [(g, f) for g in range(n_mor) for f in into[dom[g]]]
+    cat = FiniteCategory(
+        tuple(object_names), tuple(names), tuple(dom), tuple(cod),
+        tuple(identity), dict(comp),
+    )
+    composable = [(g, f) for g in range(n_mor) for f in cat.mors_into(dom[g])]
     for g, f in composable:
         if (g, f) not in comp:
             bad.append(Violation("MissingComposite", f"(g, f)=({names[g]}, {names[f]})"))
@@ -148,7 +156,7 @@ def validate_category(
             bad.append(Violation("IdentityLawBroken", f"f={names[f]}"))
     for g, f in composable:
         gf = comp[(g, f)]
-        for h in out_of[cod[g]]:
+        for h in cat.mors_out_of(cod[g]):
             if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
                 bad.append(
                     Violation(
@@ -158,15 +166,7 @@ def validate_category(
                 )
     if bad:
         raise ValidationFailed("category", bad)
-
-    return FiniteCategory(
-        object_names=tuple(object_names),
-        mor_names=tuple(names),
-        mor_dom=tuple(dom),
-        mor_cod=tuple(cod),
-        identity=tuple(identity),
-        comp=dict(comp),
-    )
+    return cat
 
 
 @dataclass(frozen=True, eq=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .builders import (
-    CosliceResult,
+    CommaResult,
     ProductResult,
     coslice_category,
     product_category,
@@ -475,9 +475,9 @@ class CosliceDominationResult:
     f: Functor
     g: Functor
     phi: NaturalTransformation
-    coslice_sum: CosliceResult
+    coslice_sum: CommaResult
     product: ProductResult
-    coslice_factors: tuple[CosliceResult, CosliceResult]
+    coslice_factors: tuple[CommaResult, CommaResult]
 
     def __iter__(self):
         return iter((self.f, self.g, self.phi))
@@ -507,8 +507,8 @@ def coproduct_coslice_domination(
 
     # F pairs the restrictions of a map out of the coproduct along the two
     # injections; each restriction's morphism map reads its object map.
-    def restrict(l: CosliceResult, inj: int) -> tuple[list[int], list[int]]:
-        obj = [l.object_index(c.comp[(fm, inj)]) for fm in k_res.object_mors]
+    def restrict(l: CommaResult, inj: int) -> tuple[list[int], list[int]]:
+        obj = [l.object_index(c.comp[(fm, inj)]) for fm in k_res.objects]
         mor = [
             l.morphism_index(obj[s], obj[t], eta)
             for s, t, eta in k_res.morphism_triples
@@ -528,8 +528,8 @@ def coproduct_coslice_domination(
 
     def g_object(o: int) -> int:
         o1, o2 = prod.object_components(o)
-        f1 = l1.object_mors[o1]
-        f2 = l2.object_mors[o2]
+        f1 = l1.objects[o1]
+        f2 = l2.objects[o2]
         _, j1, j2 = designation.pair(q1s[o1], q2s[o2])
         glued = designation.fold(x1, x2, c.comp[(j1, f1)], c.comp[(j2, f2)])
         return k_res.object_index(glued)
@@ -552,7 +552,7 @@ def coproduct_coslice_domination(
     # phi: G.F => 1_K via the fold maps Q + Q -> Q.
     gf = compose_functors(g, f)
     comps = []
-    for o, fm in enumerate(k_res.object_mors):
+    for o, fm in enumerate(k_res.objects):
         q = c.mor_cod[fm]
         fold = designation.fold(q, q, c.identity[q], c.identity[q])
         comps.append(k_res.morphism_index(gf.obj_map[o], o, fold))

@@ -47,7 +47,8 @@ def validate_system(
     """Validate typing and bond functoriality.
 
     Reflexive bonds may be omitted (they are filled with identities).
-    Violation codes: BondTypeError, BondMissing, BondFunctorialityBroken.
+    Violation codes: BadRef (an object or bond key out of range),
+    BondTypeError, BondMissing, BondFunctorialityBroken.
     """
     bad: list[Violation] = []
     if len(at) != index.n:
@@ -55,6 +56,9 @@ def validate_system(
     for a, x in enumerate(at):
         if not 0 <= x < ambient.n_objects:
             bad.append(Violation("BadRef", f"object at index {index.elements[a]}"))
+    for key in bond:
+        if not all(0 <= a < index.n for a in key):
+            bad.append(Violation("BadRef", f"bond key {key} out of range"))
     if bad:
         raise ValidationFailed("system", bad)
     full = dict(bond)
@@ -338,15 +342,11 @@ def check_star(h: Copresheaf) -> StarResult:
     """
     base = h.base
     points = [(q, x) for q in range(base.n_objects) for x in range(h.fiber_size(q))]
-
-    def over(pt: tuple[int, int]) -> list[tuple[int, int, int]]:
-        q, x = pt
-        return [
-            (q2, x2, eta2)
-            for q2, x2 in points
-            for eta2 in base.hom(q2, q)
-            if h.apply(eta2, x2) == x
-        ]
+    # over[(q, x)]: every (q2, x2, eta2: q2 -> q) with action(eta2)(x2) = x.
+    over = {pt: [] for pt in points}
+    for q2, x2 in points:
+        for eta2 in base.mors_out_of(q2):
+            over[(base.mor_cod[eta2], h.apply(eta2, x2))].append((q2, x2, eta2))
 
     def respond(pt, cand, ch):
         (q1, x1, eta), (q2, x2, eta2) = cand, ch
@@ -359,7 +359,7 @@ def check_star(h: Copresheaf) -> StarResult:
             None,
         )
 
-    won, stuck = _first_winners(points, over, over, respond)
+    won, stuck = _first_winners(points, over.get, over.get, respond)
     if stuck:
         return StarCounterexample(*stuck)
     return StarWitness(

@@ -340,6 +340,9 @@ def test_mors_into_matches_scan():
             assert cat.mors_into(x) == tuple(
                 m for m in range(cat.n_mors) if cat.mor_cod[m] == x
             )
+            assert cat.mors_out_of(x) == tuple(
+                m for m in range(cat.n_mors) if cat.mor_dom[m] == x
+            )
 
 
 def test_elements_built_once_per_copresheaf(monkeypatch):
@@ -371,17 +374,17 @@ def test_result_indices_match_their_tables():
     prod = product_category([chain(3), chain(3)])
     x = prod.object_index([0, 1])
     cos = coslice_category(prod.category, x)
-    for i, f in enumerate(cos.object_mors):
+    for i, f in enumerate(cos.objects):
         assert cos.object_index(f) == i
     for r, t in enumerate(cos.morphism_triples):
         assert cos.morphism_index(*t) == r
     el = elements_category(representable_copresheaf(prod.category, x))
     for i, (q, e) in enumerate(el.objects):
-        assert el.object_index(q, e) == i
+        assert el.object_index((q, e)) == i
     # A missing key raises ValueError, as tuple.index does.
     with pytest.raises(ValueError):
         cos.object_index(prod.category.identity[0])
     with pytest.raises(ValueError):
         cos.morphism_index(0, 0, prod.category.n_mors)
     with pytest.raises(ValueError):
-        el.object_index(0, 0)
+        el.object_index((0, 0))

@@ -8,6 +8,7 @@ the campaign verdicts stay the same.
 
 import dataclasses
 import itertools
+import random
 
 from movcat.builders import elements_category
 from movcat.campaign import generate_campaign_instance
@@ -20,6 +21,7 @@ from movcat.search import (
     find_weak_domination,
 )
 from movcat.systems import (
+    SM1Witness,
     check_sm1,
     check_sm2,
     check_star,
@@ -39,6 +41,8 @@ from util import (
     naive_sm2,
     naive_star,
     pointed_sets_2,
+    random_retract_system,
+    sm1_answers,
     v_poset_category,
 )
 
@@ -109,6 +113,27 @@ def test_deciders_match_quantifier_reference():
         h = generate_instance("copresheaf", seed)["H"].copresheaf
         _same(check_star(h), naive_star(h), f"copresheaf seed {seed}")
         _same(space_movability(h), _naive_space(h), f"copresheaf seed {seed}")
+
+
+def _unforced_choice(system, res):
+    """Whether an SM1 witness picks some r where its least a* has two."""
+    return isinstance(res, SM1Witness) and any(
+        len(answers) > 1 and answers[1][0] == answers[0][0]
+        for a, a2 in res.choices
+        for answers in [sm1_answers(system, a, res.alpha_prime[a], a2)]
+    )
+
+
+def test_sm1_matches_reference_over_retract_ambients():
+    # Most of these witnesses pick an unforced r, so a decider that keeps
+    # any r but the least at the least a* fails here.
+    unforced = 0
+    for seed in range(100):
+        system = random_retract_system(random.Random(seed))
+        res = check_sm1(system)
+        _same(res, naive_sm1(system), f"retract seed {seed}")
+        unforced += _unforced_choice(system, res)
+    assert unforced >= 50
 
 
 def test_domination_search_matches_reference():

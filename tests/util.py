@@ -4,6 +4,7 @@ implementations), and a backtracking table-isomorphism checker."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -14,17 +15,20 @@ from movcat.core import (
     compose_functors,
     identity_functor,
     make_poset,
+    validate_category,
     validate_functor,
     validate_nat_trans,
 )
 from movcat.errors import ConeIncompatible, ValidationFailed
 from movcat.movability import CandidateDefeat, Counterexample, MovabilityWitness
 from movcat.systems import (
+    InverseSystem,
     SM1Witness,
     SM2Witness,
     SMCounterexample,
     StarCounterexample,
     StarWitness,
+    validate_system,
 )
 
 
@@ -62,8 +66,6 @@ def pointed_sets_2() -> FiniteCategory:
         ("crush", 1, 0),
         ("coll", 1, 1),  # collapse to the base point
     ]
-    from movcat.core import validate_category
-
     comp = {
         (2, 3): 4,  # incl . crush = coll
         (3, 2): 0,  # crush . incl = id_P1
@@ -80,6 +82,69 @@ def pointed_sets_2() -> FiniteCategory:
         (1, 4): 4,
     }
     return validate_category(objects, mors, [0, 1], comp)
+
+
+@functools.lru_cache(maxsize=None)
+def finset_retract(n: int, m: int) -> FiniteCategory:
+    """Every function between X = {0..n-1} and Y = {0..m-1}, 0 < m < n, with
+    objects X, Y.  Each injection s: Y -> X is a split mono (Y is not empty)
+    that is not epi (it misses a point of X, and X has two maps to itself
+    that agree on the image of s)."""
+    sizes = (n, m)
+    mors = [
+        (d, c, f)
+        for d in range(2)
+        for c in range(2)
+        for f in itertools.product(range(sizes[c]), repeat=sizes[d])
+    ]
+    ref = {t: r for r, t in enumerate(mors)}
+    comp = {
+        (g, f): ref[(d, c2, tuple(fg[y] for y in ff))]
+        for g, (d2, c2, fg) in enumerate(mors)
+        for f, (d, c, ff) in enumerate(mors)
+        if c == d2
+    }
+    return validate_category(
+        ["X", "Y"],
+        [(f"{'XY'[d]}{'XY'[c]}_{''.join(map(str, f))}", d, c) for d, c, f in mors],
+        [ref[(o, o, tuple(range(sizes[o])))] for o in range(2)],
+        comp,
+    )
+
+
+def random_retract_system(rng) -> InverseSystem:
+    """A system over a ``finset_retract`` ambient.  The index is 6 or 7
+    subsets of {0, 1, 2} under inclusion, so it often holds a diamond
+    a < a', a'' < a*.  Maximal indices sit at Y and the others at X.  Each
+    index a gets t_a: Y -> X_a and u_a: X_a -> Y with u_a . t_a = 1_Y, and
+    bond(a, a') = t_a . u_a' for a < a' (functorial as u . t = 1).  In a
+    diamond, SM1's r: X_a' -> X_a'' need only send the image of t_a' to
+    that of t_a'' and keep u's fibers, so it is seldom unique at the least
+    a*; the campaign generators never build such a system."""
+    amb = finset_retract(*rng.choice([(2, 1), (3, 1), (3, 2)]))
+    sets = rng.sample(range(8), rng.randint(6, 7))
+    pairs = [
+        (i, j)
+        for i, si in enumerate(sets)
+        for j, sj in enumerate(sets)
+        if i != j and si & sj == si
+    ]
+    index = make_poset([f"i{i}" for i in range(len(sets))], pairs)
+    at = [int(len(index.up_set(a)) == 1) for a in range(index.n)]
+    splits = [
+        rng.choice([
+            (t, u)
+            for t in amb.hom(1, o)
+            for u in amb.hom(o, 1)
+            if amb.comp[(u, t)] == amb.identity[1]
+        ])
+        for o in at
+    ]
+    bond = {
+        (a, a2): amb.comp[(splits[a][0], splits[a2][1])]
+        for a, a2 in index.strict_pairs()
+    }
+    return validate_system(amb, index, at, bond)
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +334,26 @@ def _naive_sm(system, answers, witness):
     return witness(tuple(alpha_prime), choices)
 
 
-def naive_sm1(system):
-    """... exist a* >= a', a'' and r: X_a' -> X_a'' with bond(a, a') =
-    bond(a, a'') . r and r . bond(a', a*) = bond(a'', a*)."""
+def sm1_answers(system, a, a1, a2):
+    """Every (a*, r) with a* >= a', a'' and r: X_a' -> X_a'' such that
+    bond(a, a') = bond(a, a'') . r and r . bond(a', a*) = bond(a'', a*),
+    ascending."""
     amb, idx, at, bond = system.ambient, system.index, system.at, system.bond
+    return [
+        (astar, r)
+        for astar in range(idx.n)
+        if idx.leq(a1, astar) and idx.leq(a2, astar)
+        for r in _scan_hom(amb, at[a1], at[a2])
+        if amb.comp[(bond[(a, a2)], r)] == bond[(a, a1)]
+        and amb.comp[(r, bond[(a1, astar)])] == bond[(a2, astar)]
+    ]
 
-    def answers(a, a1, a2):
-        return [
-            (astar, r)
-            for astar in range(idx.n)
-            if idx.leq(a1, astar) and idx.leq(a2, astar)
-            for r in _scan_hom(amb, at[a1], at[a2])
-            if amb.comp[(bond[(a, a2)], r)] == bond[(a, a1)]
-            and amb.comp[(r, bond[(a1, astar)])] == bond[(a2, astar)]
-        ]
 
-    return _naive_sm(system, answers, SM1Witness)
+def naive_sm1(system):
+    """... exist a* >= a', a'' and r as in ``sm1_answers``."""
+    return _naive_sm(
+        system, lambda a, a1, a2: sm1_answers(system, a, a1, a2), SM1Witness
+    )
 
 
 def naive_sm2(system, cone):
