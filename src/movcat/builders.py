@@ -8,8 +8,11 @@ what makes witnesses reproducible.
 
 Coslices and categories of elements share one comma construction (the
 coslice under X is the category of elements of hom(X, -)), with morphisms
-(i, j, eta) in lexicographic order.  Every builder fills its composition
-table per composable pair, never by scanning all pairs of morphisms.
+(i, j, eta) in lexicographic order, and one result type, ``CommaResult``,
+which keeps the object and morphism indices that the construction builds.
+It reads the arrows out of each base object from
+``FiniteCategory.mors_out_of``.  Every builder fills its composition table
+per composable pair, never by scanning all pairs of morphisms.
 
 A copresheaf is checked when it is built, so elements_category trusts its
 input; the copresheaf carries its category of elements once that is built,

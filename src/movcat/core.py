@@ -5,7 +5,10 @@ composable pairs, so every quantifier used elsewhere is finitely enumerable.
 Objects and morphisms are referenced by integer index into the owning
 category's tables; refs are only meaningful relative to that one category
 value.  Canonical ordering is construction order, and all searches iterate
-in ascending ref order, so reported witnesses are reproducible.
+in ascending ref order, so reported witnesses are reproducible.  A category
+groups its morphisms by codomain and by domain once, when it is built
+(``mors_into``, ``mors_out_of``); callers read these lists rather than
+rescan its morphisms.
 
 All values are immutable after validation and safe to share across
 concurrent readers.  The one field stored later is a copresheaf's

@@ -10,7 +10,10 @@ the checkers interesting.  Directedness is reported on validation because
 the classical definitions presuppose it.
 
 SM1, SM2 and the copresheaf condition are decided by the same first-winner
-search as movability (``movability._first_winners``).
+search as movability (``movability._first_winners``).  The copresheaf
+condition is strong movability of the category of elements (a
+``CommaResult``), decided without building it: one pass over the points
+and their ``mors_out_of`` lists the elements over every point.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def validate_system(
         if not 0 <= x < ambient.n_objects:
             bad.append(Violation("BadRef", f"object at index {index.elements[a]}"))
     for key in bond:
-        if not all(0 <= a < index.n for a in key):
+        if len(key) != 2 or not all(0 <= a < index.n for a in key):
             bad.append(Violation("BadRef", f"bond key {key} out of range"))
     if bad:
         raise ValidationFailed("system", bad)

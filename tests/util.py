@@ -115,12 +115,13 @@ def finset_retract(n: int, m: int) -> FiniteCategory:
 def random_retract_system(rng) -> InverseSystem:
     """A system over a ``finset_retract`` ambient.  The index is 6 or 7
     subsets of {0, 1, 2} under inclusion, so it often holds a diamond
-    a < a', a'' < a*.  Maximal indices sit at Y and the others at X.  Each
-    index a gets t_a: Y -> X_a and u_a: X_a -> Y with u_a . t_a = 1_Y, and
-    bond(a, a') = t_a . u_a' for a < a' (functorial as u . t = 1).  In a
-    diamond, SM1's r: X_a' -> X_a'' need only send the image of t_a' to
-    that of t_a'' and keep u's fibers, so it is seldom unique at the least
-    a*; the campaign generators never build such a system."""
+    a < a', a'' < a*.  Each index a gets t_a: Y -> X_a and u_a: X_a -> Y
+    with u_a . t_a = 1_Y, and bond(a, a') = t_a . u_a' for a < a'
+    (functorial as u . t = 1).  Maximal indices sit at Y, so the bonds into
+    them are split monos and SM1 often holds; the others sit at X.  In a
+    diamond, SM1's r: X -> X at a* need only satisfy r . t_a' = t_a'' and
+    u_a'' . r = u_a', so it is seldom unique; the campaign generators never
+    build such a system."""
     amb = finset_retract(*rng.choice([(2, 1), (3, 1), (3, 2)]))
     sets = rng.sample(range(8), rng.randint(6, 7))
     pairs = [
