@@ -73,11 +73,18 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="commit to compare HEAD with")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_positive_int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     args = ap.parse_args(argv)

@@ -6,13 +6,17 @@ valid by construction; validate_category is only needed for foreign input.
 Object and morphism order is the documented construction sequence, which is
 what makes witnesses reproducible.
 
-Coslices and categories of elements share one comma construction (the
-coslice under X is the category of elements of hom(X, -)), with morphisms
-(i, j, eta) in lexicographic order, and one result type, ``CommaResult``,
-which keeps the object and morphism indices that the construction builds.
-It reads the arrows out of each base object from
-``FiniteCategory.mors_out_of``.  Every builder fills its composition table
-per composable pair, never by scanning all pairs of morphisms.
+A product, ``ProductResult``, keeps its objects and morphisms as tuples of
+factor refs in lexicographic order, with one ref dict for each.  Coslices
+and categories of elements share one comma construction (the coslice under
+X is the category of elements of hom(X, -)), with morphisms (i, j, eta) in
+lexicographic order, and one result type, ``CommaResult``, which keeps the
+object and morphism indices that the construction builds.  Both result
+types answer ``object_index`` and ``morphism_index`` by dict lookup and
+raise ValueError on a key that names nothing.  The comma construction reads
+the arrows out of each base object from ``FiniteCategory.mors_out_of``.
+Every builder fills its composition table per composable pair, never by
+scanning all pairs of morphisms.
 
 A copresheaf is checked when it is built, so elements_category trusts its
 input; the copresheaf carries its category of elements once that is built,
@@ -96,40 +100,27 @@ def build_monoid_category(
     )
 
 
-def _mixed_radix_encode(idx: Sequence[int], sizes: Sequence[int]) -> int:
-    v = 0
-    for i, s in zip(idx, sizes):
-        v = v * s + i
-    return v
-
-
-def _mixed_radix_decode(v: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(v % s)
-        v //= s
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True)
 class ProductResult:
-    """Product category plus the projection functors and index codecs."""
+    """Product category plus its projection functors.
+
+    Object o is ``objects[o]`` and morphism m is ``morphisms[m]``: the tuple
+    of factor refs, in lexicographic order.
+    """
 
     category: FiniteCategory
     projections: tuple[Functor, ...]
     factors: tuple[FiniteCategory, ...]
+    objects: tuple[tuple[int, ...], ...]
+    morphisms: tuple[tuple[int, ...], ...]
+    _object_refs: dict = field(repr=False, compare=False)
+    _morphism_refs: dict = field(repr=False, compare=False)
 
     def object_index(self, components: Sequence[int]) -> int:
-        return _mixed_radix_encode(components, [c.n_objects for c in self.factors])
-
-    def object_components(self, o: int) -> tuple[int, ...]:
-        return _mixed_radix_decode(o, [c.n_objects for c in self.factors])
+        return _index(self._object_refs, tuple(components))
 
     def morphism_index(self, components: Sequence[int]) -> int:
-        return _mixed_radix_encode(components, [c.n_mors for c in self.factors])
-
-    def morphism_components(self, m: int) -> tuple[int, ...]:
-        return _mixed_radix_decode(m, [c.n_mors for c in self.factors])
+        return _index(self._morphism_refs, tuple(components))
 
 
 def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
@@ -149,43 +140,42 @@ def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
         raise SizeBoundExceeded(
             f"product would have {n_obj} objects / {n_mor} morphisms"
         )
-    obj_tuples = list(itertools.product(*(range(c.n_objects) for c in factors)))
-    mor_tuples = list(itertools.product(*(range(c.n_mors) for c in factors)))
-    obj_names = tuple("o" + "_".join(map(str, t)) for t in obj_tuples)
-    mor_names = tuple("m" + "_".join(map(str, t)) for t in mor_tuples)
-    obj_sizes = [c.n_objects for c in factors]
-    dom = tuple(
-        _mixed_radix_encode([c.mor_dom[m] for c, m in zip(factors, t)], obj_sizes)
-        for t in mor_tuples
-    )
-    cod = tuple(
-        _mixed_radix_encode([c.mor_cod[m] for c, m in zip(factors, t)], obj_sizes)
-        for t in mor_tuples
-    )
-    mor_sizes = [c.n_mors for c in factors]
-    identity = tuple(
-        _mixed_radix_encode([c.identity[o] for c, o in zip(factors, t)], mor_sizes)
-        for t in obj_tuples
-    )
+    objects = tuple(itertools.product(*(range(c.n_objects) for c in factors)))
+    morphisms = tuple(itertools.product(*(range(c.n_mors) for c in factors)))
+    obj_ref = {t: o for o, t in enumerate(objects)}
+    mor_ref = {t: m for m, t in enumerate(morphisms)}
+    obj_names = tuple("o" + "_".join(map(str, t)) for t in objects)
+    mor_names = tuple("m" + "_".join(map(str, t)) for t in morphisms)
+
+    # The product of the factors' tables lists the componentwise entries in
+    # the order of the tuples they belong to.
+    def refs(ref: dict, tables) -> tuple[int, ...]:
+        return tuple(map(ref.__getitem__, itertools.product(*tables)))
+
+    dom = refs(obj_ref, [c.mor_dom for c in factors])
+    cod = refs(obj_ref, [c.mor_cod for c in factors])
+    identity = refs(mor_ref, [c.identity for c in factors])
+    comps = [c.comp for c in factors]
     by_cod = group_by(cod, n_obj)
     comp = {}
-    for gi, gt in enumerate(mor_tuples):
-        for fi in by_cod[dom[gi]]:
-            comp[(gi, fi)] = _mixed_radix_encode(
-                [c.comp[(g, f)] for c, g, f in zip(factors, gt, mor_tuples[fi])],
-                mor_sizes,
-            )
+    for g, gt in enumerate(morphisms):
+        for f in by_cod[dom[g]]:
+            comp[(g, f)] = mor_ref[
+                tuple(cp[gf] for cp, gf in zip(comps, zip(gt, morphisms[f])))
+            ]
     cat = FiniteCategory(obj_names, mor_names, dom, cod, identity, comp)
     projections = tuple(
         Functor(
             cat,
             c,
-            tuple(t[i] for t in obj_tuples),
-            tuple(t[i] for t in mor_tuples),
+            tuple(t[i] for t in objects),
+            tuple(t[i] for t in morphisms),
         )
         for i, c in enumerate(factors)
     )
-    return ProductResult(cat, projections, tuple(factors))
+    return ProductResult(
+        cat, projections, tuple(factors), objects, morphisms, obj_ref, mor_ref
+    )
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,10 @@ def _load(path: str) -> Document:
             return parse_document(fh.read())
     except FileNotFoundError:
         _fail_input(f"no such file: {path}")
+    except OSError as exc:
+        _fail_input(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail_input(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except DslSyntaxError as exc:
         _fail_input(str(exc))
 
@@ -120,7 +124,9 @@ def search() -> None:
 @click.argument("k_name")
 @click.argument("l_name")
 @click.option("--weak", is_flag=True, help="Allow G.F naturally transformed to 1.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
+@click.option(
+    "--budget", type=click.IntRange(min=0), default=DEFAULT_BUDGET, show_default=True
+)
 def domination(file: str, k_name: str, l_name: str, weak: bool, budget: int) -> None:
     """Search for a (weak) functorial domination of K by L."""
     doc = _load(file)

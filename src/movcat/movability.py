@@ -245,25 +245,19 @@ def product_transport(
         if not witness_valid(c, w):
             raise VerificationFailed("factor witness does not verify")
     cat = product.category
-    movers = []
-    mover_mors = []
-    for o in range(cat.n_objects):
-        comps = product.object_components(o)
-        movers.append(
-            product.object_index([w.movers[c] for w, c in zip(witnesses, comps)])
-        )
-        mover_mors.append(
-            product.morphism_index(
-                [w.mover_mors[c] for w, c in zip(witnesses, comps)]
-            )
-        )
-    lifts = []
-    for p in range(cat.n_mors):
-        comps = product.morphism_components(p)
-        lifts.append(
-            product.morphism_index([w.lifts[c] for w, c in zip(witnesses, comps)])
-        )
-    out = MovabilityWitness(tuple(movers), tuple(mover_mors), tuple(lifts))
+    movers = tuple(
+        product.object_index([w.movers[c] for w, c in zip(witnesses, comps)])
+        for comps in product.objects
+    )
+    mover_mors = tuple(
+        product.morphism_index([w.mover_mors[c] for w, c in zip(witnesses, comps)])
+        for comps in product.objects
+    )
+    lifts = tuple(
+        product.morphism_index([w.lifts[c] for w, c in zip(witnesses, comps)])
+        for comps in product.morphisms
+    )
+    out = MovabilityWitness(movers, mover_mors, lifts)
     if not witness_valid(cat, out):
         raise VerificationFailed("product witness does not verify")
     return out

@@ -526,18 +526,16 @@ def coproduct_coslice_domination(
     # G: copair a pair of maps into the designated coproduct of the targets.
     q1s, q2s = l1.forgetful.obj_map, l2.forgetful.obj_map
 
-    def g_object(o: int) -> int:
-        o1, o2 = prod.object_components(o)
+    def g_object(o1: int, o2: int) -> int:
         f1 = l1.objects[o1]
         f2 = l2.objects[o2]
         _, j1, j2 = designation.pair(q1s[o1], q2s[o2])
         glued = designation.fold(x1, x2, c.comp[(j1, f1)], c.comp[(j2, f2)])
         return k_res.object_index(glued)
 
-    g_obj = [g_object(o) for o in range(p.n_objects)]
+    g_obj = [g_object(o1, o2) for o1, o2 in prod.objects]
     g_mor = []
-    for m in range(p.n_mors):
-        m1, m2 = prod.morphism_components(m)
+    for m, (m1, m2) in enumerate(prod.morphisms):
         s1, t1, eta1 = l1.morphism_triples[m1]
         s2, t2, eta2 = l2.morphism_triples[m2]
         _, jr1, jr2 = designation.pair(q1s[t1], q2s[t2])

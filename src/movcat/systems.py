@@ -50,8 +50,9 @@ def validate_system(
     """Validate typing and bond functoriality.
 
     Reflexive bonds may be omitted (they are filled with identities).
-    Violation codes: BadRef (an object or bond key out of range),
-    BondTypeError, BondMissing, BondFunctorialityBroken.
+    Violation codes: BadRef (an object out of range, or a bond key that is
+    not a pair of index refs), BondTypeError, BondMissing,
+    BondFunctorialityBroken.
     """
     bad: list[Violation] = []
     if len(at) != index.n:
@@ -60,7 +61,8 @@ def validate_system(
         if not 0 <= x < ambient.n_objects:
             bad.append(Violation("BadRef", f"object at index {index.elements[a]}"))
     for key in bond:
-        if len(key) != 2 or not all(0 <= a < index.n for a in key):
+        pair = isinstance(key, tuple) and len(key) == 2
+        if not pair or not all(isinstance(a, int) and 0 <= a < index.n for a in key):
             bad.append(Violation("BadRef", f"bond key {key} out of range"))
     if bad:
         raise ValidationFailed("system", bad)

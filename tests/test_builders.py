@@ -87,7 +87,7 @@ def test_product_counts_and_projections():
     # hom sizes multiply
     for a in range(4):
         for b in range(4):
-            ac, bc = prod.object_components(a), prod.object_components(b)
+            ac, bc = prod.objects[a], prod.objects[b]
             expected = len(c2.hom(ac[0], bc[0])) * len(c2.hom(ac[1], bc[1]))
             assert len(prod.category.hom(a, b)) == expected
 
@@ -108,9 +108,19 @@ def test_product_size_bound():
 def test_product_codecs_roundtrip():
     prod = product_category([chain(2), chain(3)])
     for m in range(prod.category.n_mors):
-        assert prod.morphism_index(prod.morphism_components(m)) == m
+        assert prod.morphism_index(prod.morphisms[m]) == m
     for o in range(prod.category.n_objects):
-        assert prod.object_index(prod.object_components(o)) == o
+        assert prod.object_index(prod.objects[o]) == o
+
+
+def test_product_indices_reject_tuples_that_name_nothing():
+    prod = product_category([chain(2), chain(2)])
+    for bad in ([5, 0], [0, -1], [0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            prod.object_index(bad)
+    for bad in ([3, 0], [0, 3], [0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            prod.morphism_index(bad)
 
 
 def test_coslice_chain2_under_bottom():

@@ -1,4 +1,5 @@
 import json
+import os
 
 from click.testing import CliRunner
 
@@ -74,6 +75,22 @@ def test_check_bad_input_exit_2():
     assert res.exit_code == 2
 
 
+def test_check_unreadable_input_exit_2():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        os.mkdir("dir.cat")
+        with open("latin1.cat", "wb") as fh:
+            fh.write("poset P { elements caf\xe9 }".encode("latin-1"))
+        for path, message in (
+            ("dir.cat", "error: cannot read dir.cat: Is a directory"),
+            ("latin1.cat", "error: latin1.cat is not UTF-8 text"),
+        ):
+            res = runner.invoke(main, ["check", path, "--entity", "P"])
+            assert res.exit_code == 2, path
+            assert message in res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_check_unchecked_keyword_and_oversize_input_exit_2():
     bogus = "poset P { bogus a b ; leq a b }"
     big = "poset P { elements " + " ".join(f"e{i}" for i in range(65)) + " }"
@@ -103,6 +120,8 @@ def test_search_domination_found_and_none():
     ):
         res, _ = invoke(weak + extra, {"doc.cat": BOTH})
         assert res.exit_code == 1 and verdict in res.output, extra
+    res, _ = invoke(weak + ["--budget", "-1"], {"doc.cat": BOTH})
+    assert res.exit_code == 2 and "budget" in res.output
 
 
 def test_build_product_output_parses():

@@ -69,7 +69,7 @@ def test_validate_system_rejects_missing_bond():
 def test_validate_system_rejects_out_of_range_bond_key():
     amb = chain(2)
     idx = make_poset(["i0", "i1"], [(0, 1)])
-    for key in ((0, 5), (-1, 0), (0,)):
+    for key in ((0, 5), (-1, 0), (0,), 5, (0, "a"), "ab", (0, 1, 1)):
         with pytest.raises(ValidationFailed) as e:
             validate_system(amb, idx, [1, 0], {(0, 1): 2, key: 2})
         assert e.value.codes == {"BadRef"}
