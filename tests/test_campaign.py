@@ -18,6 +18,8 @@ from movcat.movability import (
     MovabilityWitness,
     check_strongly_movable,
     factor_transport,
+    product_transport,
+    weak_domination_transfer,
 )
 from movcat.search import coproduct_coslice_domination
 from util import fail_every_verdict
@@ -154,6 +156,31 @@ def test_transport_certificates_pinned():
     assert h.hexdigest() == (
         "9c2ecefa66c3f333bb4428c6e825d0fea5a5e872ddaab4c368ea23693a039eb0"
     )
+
+
+COSLICE_PATH_DIGEST = (
+    "848a7e9eff1450080595524aa1f342923d45af33968e2efe197f1ceaf11b5423"
+)
+
+
+def test_coproduct_coslice_private_path_matches_public():
+    # sha256 over seeds 0..99 at default params: for every pair (x1, x2),
+    # (F, G, phi) of the domination, the product witness of the two coslice
+    # factors and the witness transferred to the coslice over x1 + x2, all
+    # through the public constructions.
+    h = hashlib.sha256()
+    for s in range(100):
+        doc = generate_campaign_instance("coproduct-coslice", s)
+        cat = doc.category_of("P")
+        designation = doc["coproducts_P"].designation
+        for x1 in range(cat.n_objects):
+            for x2 in range(cat.n_objects):
+                r = coproduct_coslice_domination(cat, designation, x1, x2)
+                ws = [check_strongly_movable(l.category) for l in r.coslice_factors]
+                wl = product_transport(r.product, ws)
+                wk = weak_domination_transfer(r.f, r.g, r.phi, wl)
+                h.update(repr((r.f, r.g, r.phi, wl, wk)).encode())
+    assert h.hexdigest() == COSLICE_PATH_DIGEST
 
 
 def test_unknown_theorem_rejected():
