@@ -10,9 +10,11 @@ the command of BENCHMARK.json with ``--workload W --seed N --seconds S
 --trace 0`` once per side, S being BENCHMARK.json's ``run_seconds``, with
 the same seed; even pairs run the parent first, odd pairs the change.  Runs
 go one at a time.  The result goes to ``BENCH_<name>.json``: every run's
-end-to-end metrics, and per metric each side's ``bench/collect.py``
-summary and the number of pairs the change won (ties count for neither
-side).
+end-to-end metrics with its ``attempted`` and ``failed`` operation counts,
+and per metric each side's ``bench/collect.py`` summary and the number of
+pairs the change won (ties count for neither side).  A run with failed
+operations is recorded, not dropped, and makes the script exit 1 once the
+record is written; a run that is incorrect for any other reason stops it.
 """
 
 from __future__ import annotations
@@ -47,14 +49,17 @@ def _unpack(commit: str, into: Path) -> None:
 
 
 def _run(where: Path, command: list[str]) -> dict:
-    """One benchmark run; its last output line is the result object."""
+    """One benchmark run; its last output line is the result object.
+    Returns the run's metrics and its operation counts in one dict."""
     proc = subprocess.run(command, cwd=where, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{command} in {where} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not result["correct"]:
+    if not result["correct"] and not result["failed"]:
         sys.exit(f"{command} in {where} reported incorrect outcomes")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    run = {name: m["value"] for name, m in result["metrics"].items()}
+    run.update(attempted=result["attempted"], failed=result["failed"])
+    return run
 
 
 def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -107,8 +112,10 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = _run(sides[side], command)
+                run = pair[side]
                 print(f"pair {i} seed {seed} {side}: "
-                      f"items_per_s {pair[side]['items_per_s']:.2f}", flush=True)
+                      f"items_per_s {run['items_per_s']:.2f}, "
+                      f"failed {run['failed']}/{run['attempted']}", flush=True)
             pairs.append(pair)
 
     report = {
@@ -126,8 +133,12 @@ def main(argv=None) -> int:
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
               f"{s['change']['q3']:.4g}], change wins {s['change_wins']}/{s['pairs']}")
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in commits}
+    for side in commits:
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        print(f"{side}: failed {failed[side]}/{attempted} operations")
     print(f"wrote {out}")
-    return 0
+    return 1 if any(failed.values()) else 0
 
 
 if __name__ == "__main__":

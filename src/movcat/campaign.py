@@ -19,13 +19,20 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .builders import (
+    CommaResult,
     add_initial_object,
     coslice_category,
     elements_category,
     product_category,
 )
 from .core import FiniteCategory
-from .errors import MovcatError, UnknownTheorem, UnresolvedReference
+from .errors import (
+    MovcatError,
+    SourceTargetMismatch,
+    UnknownTheorem,
+    UnresolvedReference,
+    VerificationFailed,
+)
 from .dsl import (
     CoproductsEntity,
     Document,
@@ -53,8 +60,11 @@ from .movability import (
     factor_transport,
     product_transport,
     weak_domination_transfer,
+    witness_valid,
+    _product_transport,
+    _weak_domination_transfer,
 )
-from .search import coproduct_coslice_domination, find_weak_domination
+from .search import _coproduct_coslice_domination, find_weak_domination
 from .systems import (
     InverseSystem,
     SM1Witness,
@@ -104,6 +114,10 @@ def _semilattice_doc(rng: random.Random, params: GenParams) -> Document:
 # output and raise VerificationFailed when it does not verify, which
 # evaluate_instance records as a failure; so the laws call them for that
 # check alone and do not re-check the witnesses they return.
+# coproduct-coslice builds each object's coslice and witness once per
+# document and verifies each witness once, when it is built; it then calls
+# the transports' private bodies, which trust their inputs and verify only
+# their output.
 
 
 def _movable(cat: FiniteCategory) -> Optional[MovabilityWitness]:
@@ -215,17 +229,38 @@ def _law_star_bridge(doc: Document) -> tuple[bool, str]:
 def _law_coproduct_coslice(doc: Document) -> tuple[bool, str]:
     cat = doc.category_of("P")
     designation = doc.get("coproducts_P", CoproductsEntity).designation
+    if designation.base != cat:
+        raise SourceTargetMismatch("designation is for a different category")
+    # Per object, filled in first-use order, so the first failure is the
+    # one a pair-by-pair rebuild would meet.
+    coslices: dict[int, CommaResult] = {}
+    witnesses: dict[int, Optional[MovabilityWitness]] = {}
+
+    def coslice(c: FiniteCategory, x: int) -> CommaResult:
+        if x not in coslices:
+            coslices[x] = coslice_category(c, x)
+        return coslices[x]
+
+    def witness(x: int) -> Optional[MovabilityWitness]:
+        if x not in witnesses:
+            part = coslice(cat, x).category
+            w = _movable(part)
+            if w is not None and not witness_valid(part, w):
+                raise VerificationFailed("factor witness does not verify")
+            witnesses[x] = w
+        return witnesses[x]
+
     for x1 in range(cat.n_objects):
         for x2 in range(cat.n_objects):
-            res = coproduct_coslice_domination(cat, designation, x1, x2)
+            res = _coproduct_coslice_domination(cat, designation, x1, x2, coslice)
             ws = []
-            for part in res.coslice_factors:
-                w = _movable(part.category)
+            for x in (x1, x2):
+                w = witness(x)
                 if w is None:
                     return False, "coslice factor unexpectedly not movable"
                 ws.append(w)
-            wl = product_transport(res.product, ws)
-            weak_domination_transfer(res.f, res.g, res.phi, wl)
+            wl = _product_transport(res.product, ws)
+            _weak_domination_transfer(res.f, res.g, res.phi, wl)
     return True, "all pairs compose to verified witnesses"
 
 

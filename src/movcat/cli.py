@@ -177,8 +177,11 @@ def build() -> None:
 
 
 def _write_doc(doc: Document, out: str) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_document(doc))
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(serialize_document(doc))
+    except OSError as exc:
+        _fail_input(f"cannot write {out}: {exc.strerror or exc}")
     _echo(f"wrote {out}")
 
 

@@ -10,7 +10,10 @@ Searches iterate candidates in ascending ref order, so reported witnesses
 are the lexicographically least ones.  These deciders and those in
 ``systems`` all run one first-winner search, ``_first_winners``.  Transport
 operations re-verify the transported witness rather than trusting the
-proof; a verification failure is a hard internal error.
+proof; a verification failure is a hard internal error.  The public
+transports also verify the witnesses they are given; their private bodies
+``_product_transport`` and ``_weak_domination_transfer`` verify only what
+they return, for a caller that has checked each input witness once.
 """
 
 from __future__ import annotations
@@ -217,6 +220,19 @@ def weak_domination_transfer(
         raise SourceTargetMismatch("phi must be a transformation G.F => 1_K")
     if not witness_valid(l, w_l):
         raise VerificationFailed("witness of L does not verify")
+    return _weak_domination_transfer(f, g, phi, w_l)
+
+
+def _weak_domination_transfer(
+    f: Functor,
+    g: Functor,
+    phi: NaturalTransformation,
+    w_l: MovabilityWitness,
+) -> MovabilityWitness:
+    """``weak_domination_transfer`` with its inputs trusted: the caller
+    vouches for the types of F, G and phi and has verified ``w_l``.  The
+    output is still verified."""
+    k = f.source
     movers = []
     mover_mors = []
     lifts = [0] * k.n_mors
@@ -244,7 +260,14 @@ def product_transport(
     for c, w in zip(factors, witnesses):
         if not witness_valid(c, w):
             raise VerificationFailed("factor witness does not verify")
-    cat = product.category
+    return _product_transport(product, witnesses)
+
+
+def _product_transport(
+    product: ProductResult, witnesses: Sequence[MovabilityWitness]
+) -> MovabilityWitness:
+    """``product_transport`` with its inputs trusted: the caller has
+    verified one witness per factor.  The output is still verified."""
     movers = tuple(
         product.object_index([w.movers[c] for w, c in zip(witnesses, comps)])
         for comps in product.objects
@@ -258,7 +281,7 @@ def product_transport(
         for comps in product.morphisms
     )
     out = MovabilityWitness(movers, mover_mors, lifts)
-    if not witness_valid(cat, out):
+    if not witness_valid(product.category, out):
         raise VerificationFailed("product witness does not verify")
     return out
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .builders import (
     CommaResult,
@@ -494,14 +494,28 @@ def coproduct_coslice_domination(
 
     F restricts along the injections; G copairs into the designated
     coproduct; phi's components are the fold maps Q + Q -> Q.  Everything
-    is validated before returning.
+    is validated before returning.  The ``coproduct-coslice`` campaign law
+    runs the same construction on coslices it builds once per object.
     """
     if designation.base != c:
         raise SourceTargetMismatch("designation is for a different category")
+    return _coproduct_coslice_domination(c, designation, x1, x2, coslice_category)
+
+
+def _coproduct_coslice_domination(
+    c: FiniteCategory,
+    designation: CoproductDesignation,
+    x1: int,
+    x2: int,
+    coslice: Callable[[FiniteCategory, int], CommaResult],
+) -> CosliceDominationResult:
+    """``coproduct_coslice_domination`` on a designation over C, with
+    ``coslice(c, x)`` standing in for ``coslice_category``; it is called
+    for the coproduct object, then X1, then X2."""
     j, i1, i2 = designation.pair(x1, x2)
-    k_res = coslice_category(c, j)
-    l1 = coslice_category(c, x1)
-    l2 = coslice_category(c, x2)
+    k_res = coslice(c, j)
+    l1 = coslice(c, x1)
+    l2 = coslice(c, x2)
     prod = product_category([l1.category, l2.category])
     k, p = k_res.category, prod.category
 

@@ -3,7 +3,8 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
-from movcat.builders import product_category
+from movcat import campaign, movability, search
+from movcat.builders import coslice_category, product_category
 from movcat.campaign import (
     THEOREMS,
     evaluate_instance,
@@ -16,12 +17,14 @@ from movcat.errors import ParamsOutOfRange, UnknownTheorem
 from movcat.generators import KINDS, GenParams, generate_instance
 from movcat.movability import (
     MovabilityWitness,
+    _product_transport,
+    _weak_domination_transfer,
     check_strongly_movable,
     factor_transport,
     product_transport,
     weak_domination_transfer,
 )
-from movcat.search import coproduct_coslice_domination
+from movcat.search import _coproduct_coslice_domination, coproduct_coslice_domination
 from util import fail_every_verdict
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
@@ -167,12 +170,14 @@ def test_coproduct_coslice_private_path_matches_public():
     # sha256 over seeds 0..99 at default params: for every pair (x1, x2),
     # (F, G, phi) of the domination, the product witness of the two coslice
     # factors and the witness transferred to the coslice over x1 + x2, all
-    # through the public constructions.
+    # through the public constructions.  The law's private path, on one
+    # coslice per object, must give the same values pair by pair.
     h = hashlib.sha256()
     for s in range(100):
         doc = generate_campaign_instance("coproduct-coslice", s)
         cat = doc.category_of("P")
         designation = doc["coproducts_P"].designation
+        coslices = [coslice_category(cat, x) for x in range(cat.n_objects)]
         for x1 in range(cat.n_objects):
             for x2 in range(cat.n_objects):
                 r = coproduct_coslice_domination(cat, designation, x1, x2)
@@ -180,7 +185,43 @@ def test_coproduct_coslice_private_path_matches_public():
                 wl = product_transport(r.product, ws)
                 wk = weak_domination_transfer(r.f, r.g, r.phi, wl)
                 h.update(repr((r.f, r.g, r.phi, wl, wk)).encode())
+                p = _coproduct_coslice_domination(
+                    cat, designation, x1, x2, lambda c, x: coslices[x]
+                )
+                assert (p.f, p.g, p.phi) == (r.f, r.g, r.phi)
+                assert _product_transport(p.product, ws) == wl
+                assert _weak_domination_transfer(p.f, p.g, p.phi, wl) == wk
     assert h.hexdigest() == COSLICE_PATH_DIGEST
+
+
+def test_coproduct_coslice_law_builds_and_checks_once(monkeypatch):
+    # Per document of n objects: one coslice per object, one check per
+    # factor witness, and one output check in each of the two transports
+    # per pair.  Rebuilding per pair costs 3n^2 coslices and 5n^2 checks.
+    calls = {"coslice": 0, "valid": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    coslice = counted("coslice", coslice_category)
+    valid = counted("valid", movability.witness_valid)
+    for module in (campaign, search):
+        monkeypatch.setattr(module, "coslice_category", coslice)
+    for module in (campaign, movability):
+        monkeypatch.setattr(module, "witness_valid", valid)
+    sizes = set()
+    for s in range(12):
+        doc = generate_campaign_instance("coproduct-coslice", s)
+        n = doc.category_of("P").n_objects
+        sizes.add(n)
+        calls.update(coslice=0, valid=0)
+        assert evaluate_instance("coproduct-coslice", doc)[0]
+        assert calls == {"coslice": n, "valid": n + 2 * n * n}, (s, n)
+    assert len(sizes) > 1
 
 
 def test_unknown_theorem_rejected():

@@ -134,6 +134,24 @@ def test_build_product_output_parses():
     assert doc["product_C3_V"].category.n_objects == 9
 
 
+def test_build_unwritable_output_exit_2():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.cat", "w", encoding="utf-8") as fh:
+            fh.write(CHAIN3)
+        os.mkdir("out")
+        for path, reason in (
+            ("out", "Is a directory"),
+            (os.path.join("missing", "p.cat"), "No such file or directory"),
+        ):
+            res = runner.invoke(
+                main, ["build", "product", "doc.cat", "C3", "C3", "-o", path]
+            )
+            assert res.exit_code == 2, path
+            assert f"error: cannot write {path}: {reason}" in res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_build_coslice_output_parses():
     res, outs = invoke(
         ["build", "coslice", "doc.cat", "C3", "a", "-o", "cos.out.cat"],
