@@ -111,8 +111,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = _run(sides[side], command)
-                run = pair[side]
+                run = pair[side] = _run(sides[side], command)
                 print(f"pair {i} seed {seed} {side}: "
                       f"items_per_s {run['items_per_s']:.2f}, "
                       f"failed {run['failed']}/{run['attempted']}", flush=True)
