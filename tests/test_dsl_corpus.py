@@ -8,10 +8,18 @@ import hashlib
 import random
 import re
 
+from movcat.builders import product_category
 from movcat.campaign import THEOREMS, generate_campaign_instance
-from movcat.dsl import _tokenize, parse_document, serialize_document
+from movcat.dsl import (
+    Document,
+    _tokenize,
+    make_category_entity,
+    parse_document,
+    serialize_document,
+)
 from movcat.errors import DslSyntaxError, MovcatError, ValidationFailed
 from movcat.generators import KINDS, GenParams, generate_instance
+from util import chain
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
 
@@ -144,5 +152,49 @@ def test_mutated_documents_fail_only_with_movcat_errors():
     assert _sha(results) == OUTCOMES_SHA
 
 
+# One entity of every kind, the system with a copresheaf and a cone.
+EVERY_KIND_DOC = """\
+poset P { elements a b ; leq a b }
+monoid M { elements e t ; unit e ; mul e e = e ; mul e t = t ; mul t e = t ; mul t t = t }
+category C { objects A B ; arrows f : A -> B ; arrows g : B -> B ;
+  compose g g = g ; compose g f = f }
+functor F : C -> C { object A => A ; object B => B ; arrow f => f ; arrow g => g }
+functor K : C -> M { object A => pt ; object B => pt ; arrow f => t ; arrow g => t }
+nattrans phi : F => F { at A = id_A ; at B = id_B }
+copresheaf H on P { at a = { x } ; at b = { y z } ; act le0_1 { x => y } }
+system S in P over P using copresheaf H { object a => b ; object b => a ;
+  bond a b => le0_1 ; cone a => y ; cone b => x }
+coproducts on P { pair a b => b with inj1 le0_1 inj2 id_b }
+"""
+
+
+def roundtrip_texts() -> list[str]:
+    """200 generated documents of every kind, 50 of every campaign law, the
+    cap-size `chain(8)` squared grid, a 48-element divisibility poset and
+    the document with every entity kind."""
+    docs = [generate_instance(k, s) for k in KINDS for s in range(200)]
+    docs += [generate_campaign_instance(t, s) for t in THEOREMS for s in range(50)]
+    grid = Document()
+    grid.add(make_category_entity("G", product_category([chain(8), chain(8)]).category))
+    docs.append(grid)
+    texts = [serialize_document(d) for d in docs]
+    texts.append(
+        "poset D { elements " + " ".join(f"d{i}" for i in range(1, 49)) + " ; "
+        + " ".join(
+            f"leq d{i} d{j} ;" for i in range(1, 49) for j in range(2 * i, 49, i)
+        )
+        + " }"
+    )
+    texts.append(EVERY_KIND_DOC)
+    return texts
+
+
+def test_roundtrip_digest_pinned():
+    texts = roundtrip_texts()
+    assert len(texts) == 1603
+    assert _sha(serialize_document(parse_document(t)) for t in texts) == ROUNDTRIP_SHA
+
+
 TOKENS_SHA = "71e7fddab100ee09a4bd6a8f76bfa37a0c2f5fc5b898a37df671a4d22debad36"
 OUTCOMES_SHA = "12498b67f4791c743a46492ae21fbe2566f74b7083a607c1dba01f2fa14a9429"
+ROUNDTRIP_SHA = "183f8ac0c8b7dacb6e5c241db064c815626d59040813854b616bf98912b11c84"
