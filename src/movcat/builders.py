@@ -3,6 +3,9 @@ categories of elements.
 
 Builders produce closed composition tables directly, so the results are
 valid by construction; validate_category is only needed for foreign input.
+Every derived construction (product, coslice, category of elements, added
+initial object) checks the exact size of its result with ``core.check_size``
+before it builds anything, so none returns a category the reader refuses.
 Object and morphism order is the documented construction sequence, which is
 what makes witnesses reproducible.
 
@@ -26,6 +29,7 @@ and later calls on the same value return it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,11 +38,10 @@ from .core import (
     FiniteCategory,
     FinitePoset,
     Functor,
+    check_size,
     group_by,
-    MAX_MORPHISMS,
-    MAX_OBJECTS,
 )
-from .errors import NotAMonoid, SizeBoundExceeded
+from .errors import NotAMonoid
 
 
 def build_poset_category(poset: FinitePoset) -> FiniteCategory:
@@ -131,15 +134,11 @@ def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
     """
     if not factors:
         raise ValueError("need at least one factor")
-    n_obj = 1
-    n_mor = 1
-    for c in factors:
-        n_obj *= c.n_objects
-        n_mor *= c.n_mors
-    if n_obj > MAX_OBJECTS or n_mor > MAX_MORPHISMS:
-        raise SizeBoundExceeded(
-            f"product would have {n_obj} objects / {n_mor} morphisms"
-        )
+    check_size(
+        "product",
+        math.prod(c.n_objects for c in factors),
+        math.prod(c.n_mors for c in factors),
+    )
     objects = tuple(itertools.product(*(range(c.n_objects) for c in factors)))
     morphisms = tuple(itertools.product(*(range(c.n_mors) for c in factors)))
     obj_ref = {t: o for o, t in enumerate(objects)}
@@ -156,7 +155,7 @@ def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
     cod = refs(obj_ref, [c.mor_cod for c in factors])
     identity = refs(mor_ref, [c.identity for c in factors])
     comps = [c.comp for c in factors]
-    by_cod = group_by(cod, n_obj)
+    by_cod = group_by(cod, len(objects))
     comp = {}
     for g, gt in enumerate(morphisms):
         for f in by_cod[dom[g]]:
@@ -217,6 +216,7 @@ def _comma(
     act: Callable[[int, object], object],
     obj_names: Sequence[str],
     tag: str,
+    what: str,
 ) -> CommaResult:
     """Comma category over ``base`` and its projection to ``base``.
 
@@ -228,6 +228,7 @@ def _comma(
     arrow ascending; searches iterate ``comp`` in insertion order, so this
     order is part of the result.
     """
+    check_size(what, len(objects), sum(len(base.mors_out_of(b)) for b in over))
     index = {o: i for i, o in enumerate(objects)}
     triples = tuple(
         sorted(
@@ -264,6 +265,7 @@ def coslice_category(cat: FiniteCategory, x: int) -> CommaResult:
         lambda eta, f: cat.comp[(eta, f)],
         [f"o_{cat.mor_names[f]}" for f in fs],
         "t",
+        f"coslice under {cat.object_names[x]}",
     )
 
 
@@ -284,6 +286,7 @@ def elements_category(h: Copresheaf) -> CommaResult:
             lambda eta, o: (base.mor_cod[eta], h.action[eta][o[1]]),
             [f"x{q}_{h.fibers[q][x]}" for q, x in objects],
             "e",
+            "category of elements",
         )
         object.__setattr__(h, "_elements", result)
     return h._elements
@@ -313,6 +316,7 @@ def add_initial_object(cat: FiniteCategory) -> FiniteCategory:
     """
     n_obj = cat.n_objects
     n_mor = cat.n_mors
+    check_size("category with an initial object", n_obj + 1, n_mor + 1 + n_obj)
     name = "bot_" if "bot" in cat.object_names else "bot"
     obj_names = cat.object_names + (name,)
     bot = n_obj

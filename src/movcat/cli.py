@@ -17,6 +17,7 @@ from .builders import (
     product_category,
 )
 from .campaign import THEOREMS, evaluate_instance, run_campaign
+from .core import FiniteCategory
 from .dsl import (
     CopresheafEntity,
     Document,
@@ -146,28 +147,14 @@ def domination(file: str, k_name: str, l_name: str, weak: bool, budget: int) -> 
         f, g = res.found
         phi = None
     _echo("found")
-    _echo(
-        "  F objects: "
-        + " ".join(
-            f"{k.object_names[a]}=>{l.object_names[f.obj_map[a]]}"
-            for a in range(k.n_objects)
-        )
-    )
-    _echo(
-        "  G objects: "
-        + " ".join(
-            f"{l.object_names[a]}=>{k.object_names[g.obj_map[a]]}"
-            for a in range(l.n_objects)
-        )
-    )
+    for label, fn in (("F", f), ("G", g)):
+        names, images = fn.source.object_names, fn.target.object_names
+        pairs = (f"{names[a]}=>{images[b]}" for a, b in enumerate(fn.obj_map))
+        _echo(f"  {label} objects: " + " ".join(pairs))
     if phi is not None:
-        _echo(
-            "  phi: "
-            + " ".join(
-                f"{k.object_names[a]}:{k.mor_names[phi.components[a]]}"
-                for a in range(k.n_objects)
-            )
-        )
+        comps = enumerate(phi.components)
+        pairs = (f"{k.object_names[a]}:{k.mor_names[c]}" for a, c in comps)
+        _echo("  phi: " + " ".join(pairs))
     sys.exit(0)
 
 
@@ -176,7 +163,8 @@ def build() -> None:
     """Construct derived categories and write them as documents."""
 
 
-def _write_doc(doc: Document, out: str) -> None:
+def _write_category(name: str, category: FiniteCategory, out: str) -> None:
+    doc = Document([make_category_entity(name, category)])
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(serialize_document(doc))
@@ -196,9 +184,7 @@ def product(file: str, a_name: str, b_name: str, output: str) -> None:
     a = doc.category_of(a_name)
     b = doc.category_of(b_name)
     prod = product_category([a, b]).category
-    out = Document()
-    out.add(make_category_entity(f"product_{a_name}_{b_name}", prod))
-    _write_doc(out, output)
+    _write_category(f"product_{a_name}_{b_name}", prod, output)
 
 
 @build.command()
@@ -214,9 +200,7 @@ def coslice(file: str, c_name: str, obj_name: str, output: str) -> None:
         _fail_input(f"no object {obj_name!r} in {c_name}")
     x = c.object_names.index(obj_name)
     cos = coslice_category(c, x).category
-    out = Document()
-    out.add(make_category_entity(f"coslice_{c_name}_{obj_name}", cos))
-    _write_doc(out, output)
+    _write_category(f"coslice_{c_name}_{obj_name}", cos, output)
 
 
 @build.command()
@@ -227,10 +211,7 @@ def elements(file: str, h_name: str, output: str) -> None:
     """Category of elements of a copresheaf entity."""
     doc = _load(file)
     h = doc.get(h_name, CopresheafEntity).copresheaf
-    cat = elements_category(h).category
-    out = Document()
-    out.add(make_category_entity(f"elements_{h_name}", cat))
-    _write_doc(out, output)
+    _write_category(f"elements_{h_name}", elements_category(h).category, output)
 
 
 @main.group()

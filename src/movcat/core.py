@@ -10,6 +10,9 @@ groups its morphisms by codomain and by domain once, when it is built
 (``mors_into``, ``mors_out_of``); callers read these lists rather than
 rescan its morphisms.
 
+``check_size`` is the one comparison against the size caps; the reader and
+every derived construction in ``builders`` call it before they build.
+
 All values are immutable after validation and safe to share across
 concurrent readers.  The one field stored later is a copresheaf's
 ``_elements``, its category of elements, which the first
@@ -25,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     NotComposable,
     InvalidCopresheaf,
+    SizeBoundExceeded,
     SourceTargetMismatch,
     ValidationFailed,
     Violation,
@@ -33,6 +37,16 @@ from .errors import (
 #: Global size caps guarding the exponential constructions.
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 4096
+
+
+def check_size(what: str, n_objects: int, n_mors: int) -> None:
+    """Raise SizeBoundExceeded when ``what``, with ``n_objects`` objects and
+    ``n_mors`` morphisms, is over MAX_OBJECTS or MAX_MORPHISMS."""
+    if n_objects > MAX_OBJECTS or n_mors > MAX_MORPHISMS:
+        raise SizeBoundExceeded(
+            f"{what} has {n_objects} objects / {n_mors} morphisms, over the "
+            f"caps of {MAX_OBJECTS} / {MAX_MORPHISMS}"
+        )
 
 
 def group_by(ends: Sequence[int], n: int) -> list[list[int]]:

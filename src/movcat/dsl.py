@@ -29,13 +29,12 @@ from .builders import (
     canonical_category,
 )
 from .core import (
-    MAX_MORPHISMS,
-    MAX_OBJECTS,
     Copresheaf,
     FiniteCategory,
     FinitePoset,
     Functor,
     NaturalTransformation,
+    check_size,
     make_poset,
     validate_category,
     validate_copresheaf,
@@ -44,7 +43,6 @@ from .core import (
 )
 from .errors import (
     DslSyntaxError,
-    SizeBoundExceeded,
     UnresolvedReference,
     ValidationFailed,
     Violation,
@@ -373,18 +371,13 @@ def _total(
     return values
 
 
-def _check_cap(entity: str, n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise SizeBoundExceeded(f"{n} {what} in {entity}, over the cap of {cap}")
-
-
 # ---------------------------------------------------------------------------
 # Entity parsers
 
 
 def _parse_poset(p: _Parser, doc: Document) -> PosetEntity:
     name, elems = p.read("_", "{", "elements", "*")
-    _check_cap(name, len(elems), MAX_OBJECTS, "poset elements")
+    check_size(f"poset {name}", len(elems), len(elems))
     p.end_stmt()
     element = _Ref("element", elems)
     pairs = list(p.clauses("leq", element, element, ";"))
@@ -394,7 +387,7 @@ def _parse_poset(p: _Parser, doc: Document) -> PosetEntity:
 
 def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
     name, elems = p.read("_", "{", "elements", "*")
-    _check_cap(name, len(elems), MAX_MORPHISMS, "monoid elements")
+    check_size(f"monoid {name}", 1, len(elems))
     p.end_stmt()
     if len(set(elems)) != len(elems):
         raise ValidationFailed(
@@ -416,7 +409,8 @@ def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
 
 def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:
     name, objs = p.read("_", "{", "objects", "*")
-    _check_cap(name, len(objs), MAX_OBJECTS, "objects")
+    what = f"category {name}"
+    check_size(what, len(objs), len(objs))
     p.end_stmt()
     obj = _Ref("object", objs)
     mors = [(f"id_{o}", i, i) for i, o in enumerate(objs)]
@@ -430,7 +424,7 @@ def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:
             raise ValidationFailed("category", [Violation("DuplicateName", arrow)])
         taken.add(arrow)
         mors.append((arrow, a, b))
-        _check_cap(name, len(mors), MAX_MORPHISMS, "morphisms")
+        check_size(what, len(objs), len(mors))
     mor = _Ref("arrow", (m[0] for m in mors))
     comp = p.table("category", 2, "compose", mor, mor, "=", mor, ";")
     p.read("}")

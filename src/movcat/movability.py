@@ -153,6 +153,17 @@ def witness_valid_wrt(
 ) -> bool:
     """Exhaustively re-check every witness equation."""
     _check_phi(k, l, phi)
+    return _witness_valid(k, l, phi.obj_map, phi.mor_map, w)
+
+
+def witness_valid(k: FiniteCategory, w: MovabilityWitness) -> bool:
+    """Re-check a strong-movability witness."""
+    return _witness_valid(k, k, range(k.n_objects), range(k.n_mors), w)
+
+
+def _witness_valid(k, l, obj_map, mor_map, w: MovabilityWitness) -> bool:
+    """``witness_valid_wrt`` along the functor with these object and
+    morphism maps, which the caller has checked."""
     if (
         len(w.movers) != k.n_objects
         or len(w.mover_mors) != k.n_objects
@@ -163,19 +174,14 @@ def witness_valid_wrt(
         mobj, m = w.movers[x], w.mover_mors[x]
         if k.mor_dom[m] != mobj or k.mor_cod[m] != x:
             return False
-        tm = phi.mor_map[m]
+        tm = mor_map[m]
         for p in k.mors_into(x):
             u = w.lifts[p]
-            if u not in l.hom(phi.obj_map[mobj], phi.obj_map[k.mor_dom[p]]):
+            if u not in l.hom(obj_map[mobj], obj_map[k.mor_dom[p]]):
                 return False
-            if l.comp[(phi.mor_map[p], u)] != tm:
+            if l.comp[(mor_map[p], u)] != tm:
                 return False
     return True
-
-
-def witness_valid(k: FiniteCategory, w: MovabilityWitness) -> bool:
-    """Re-check a strong-movability witness."""
-    return witness_valid_wrt(k, k, identity_functor(k), w)
 
 
 def postcompose_transfer(

@@ -18,6 +18,7 @@ and their ``mors_out_of`` lists the elements over every point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -282,34 +283,28 @@ def check_associated(system: InverseSystem, cone: SystemCone) -> AssociatedRepor
     h = cone.copresheaf
     c1 = cone_compatible(system, cone)
 
-    c2: list[tuple[int, int]] = []
-    for q in range(amb.n_objects):
-        for x in range(h.fiber_size(q)):
-            hit = any(
-                h.apply(f, cone.elements[a]) == x
-                for a in range(idx.n)
-                for f in amb.hom(system.at[a], q)
-            )
-            if not hit:
-                c2.append((q, x))
+    reached = {
+        (amb.mor_cod[f], h.apply(f, cone.elements[a]))
+        for a in range(idx.n)
+        for f in amb.mors_out_of(system.at[a])
+    }
+    points = ((q, x) for q in range(amb.n_objects) for x in range(h.fiber_size(q)))
+    c2 = [pt for pt in points if pt not in reached]
 
     c3: list[tuple[int, int, int, int]] = []
     for a in range(idx.n):
         xa = system.at[a]
         for q in range(amb.n_objects):
-            for f in amb.hom(xa, q):
-                for g in amb.hom(xa, q):
-                    if f >= g:
-                        continue
-                    if h.apply(f, cone.elements[a]) != h.apply(g, cone.elements[a]):
-                        continue
-                    equalized = any(
-                        amb.comp[(f, system.bond[(a, a1)])]
-                        == amb.comp[(g, system.bond[(a, a1)])]
-                        for a1 in idx.up_set(a)
-                    )
-                    if not equalized:
-                        c3.append((a, q, f, g))
+            for f, g in itertools.combinations(amb.hom(xa, q), 2):
+                if h.apply(f, cone.elements[a]) != h.apply(g, cone.elements[a]):
+                    continue
+                equalized = any(
+                    amb.comp[(f, system.bond[(a, a1)])]
+                    == amb.comp[(g, system.bond[(a, a1)])]
+                    for a1 in idx.up_set(a)
+                )
+                if not equalized:
+                    c3.append((a, q, f, g))
 
     return AssociatedReport(
         not c1, tuple(c1), not c2, tuple(c2), not c3, tuple(c3)

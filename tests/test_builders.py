@@ -20,7 +20,12 @@ from movcat.core import (
     validate_copresheaf,
     validate_functor,
 )
-from movcat.dsl import Document, make_category_entity, serialize_document
+from movcat.dsl import (
+    Document,
+    make_category_entity,
+    parse_document,
+    serialize_document,
+)
 from movcat.errors import NotAMonoid, SizeBoundExceeded
 from movcat.generators import GenParams, generate_instance, random_copresheaf_doc
 from movcat.movability import (
@@ -100,9 +105,47 @@ def test_product_with_terminal_preserves_counts():
     assert find_isomorphism(k, prod) is not None
 
 
-def test_product_size_bound():
-    with pytest.raises(SizeBoundExceeded):
-        product_category([chain(9), chain(8)])
+def test_product_size_bound(monkeypatch):
+    # 100 parallel arrows A -> B: the coslice under A has 101 objects.
+    n = 100
+    arrows = " ".join(f"arrows f{i} : A -> B ;" for i in range(n))
+    doc = parse_document(f"category C {{ objects A B ; {arrows} }}")
+    parallel = doc.category_of("C")
+    wide = validate_copresheaf(chain(1), [[f"x{i}" for i in range(n)]], [range(n)])
+    c9, c8, flat = chain(9), chain(8), antichain(64)
+    over = [
+        lambda: product_category([c9, c8]),
+        lambda: coslice_category(parallel, 0),
+        lambda: elements_category(wide),
+        lambda: add_initial_object(flat),
+    ]
+
+    def built(*args):
+        raise AssertionError("a category over the caps was built")
+
+    # Each builder refuses before it builds its result.
+    monkeypatch.setattr(builders, "FiniteCategory", built)
+    for build in over:
+        with pytest.raises(SizeBoundExceeded):
+            build()
+    monkeypatch.undo()
+    assert add_initial_object(antichain(63)).n_objects == 64
+
+
+def test_builders_check_the_size_of_their_result(monkeypatch):
+    sizes = []
+    check = builders.check_size
+    monkeypatch.setattr(
+        builders, "check_size", lambda *a: sizes.append(a[1:]) or check(*a)
+    )
+    c3, v = chain(3), v_poset_category()
+    results = [
+        product_category([c3, v]).category,
+        coslice_category(v, 0).category,
+        elements_category(representable_copresheaf(c3, 0)).category,
+        add_initial_object(v),
+    ]
+    assert sizes == [(r.n_objects, r.n_mors) for r in results]
 
 
 def test_product_codecs_roundtrip():

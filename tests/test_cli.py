@@ -4,7 +4,8 @@ import os
 from click.testing import CliRunner
 
 from movcat.cli import main
-from movcat.dsl import parse_document
+from movcat.dsl import parse_document, serialize_document
+from movcat.generators import generate_instance
 from util import fail_every_verdict
 
 CHAIN3 = "poset C3 { elements a b c ; leq a b ; leq b c }"
@@ -64,6 +65,11 @@ def test_check_relative_movability_via_functor():
     )
     assert res2.exit_code == 2
     assert "UnresolvedReference: no entity named 'NOPE'" in res2.output
+    res3, _ = invoke(
+        ["check", "doc.cat", "--entity", "T", "--via", "F"], {"doc.cat": doc}
+    )
+    assert res3.exit_code == 2
+    assert "error: --via F is not a functor out of T" in res3.output
 
 
 def test_check_bad_input_exit_2():
@@ -106,6 +112,7 @@ def test_search_domination_found_and_none():
         ["search", "domination", "doc.cat", "C3", "C3"], {"doc.cat": BOTH}
     )
     assert res.exit_code == 0 and "found" in res.output
+    assert res.output.endswith("\n  G objects: a=>a b=>b c=>c\n")
     res, _ = invoke(
         ["search", "domination", "doc.cat", "V", "C3"], {"doc.cat": BOTH}
     )
@@ -122,6 +129,14 @@ def test_search_domination_found_and_none():
         assert res.exit_code == 1 and verdict in res.output, extra
     res, _ = invoke(weak + ["--budget", "-1"], {"doc.cat": BOTH})
     assert res.exit_code == 2 and "budget" in res.output
+    res, _ = invoke(
+        ["search", "domination", "doc.cat", "C3", "V", "--weak"], {"doc.cat": BOTH}
+    )
+    assert res.exit_code == 0
+    assert res.output == (
+        "found\n  F objects: a=>a b=>a c=>a\n  G objects: a=>a b=>a c=>a\n"
+        "  phi: a:id_a b:le0_1 c:le0_2\n"
+    )
 
 
 def test_build_product_output_parses():
@@ -160,6 +175,36 @@ def test_build_coslice_output_parses():
     assert res.exit_code == 0
     doc = parse_document(outs["cos.out.cat"])
     assert doc["coslice_C3_a"].category.n_objects == 3
+    res, outs = invoke(
+        ["build", "coslice", "doc.cat", "C3", "z", "-o", "cos.out.cat"],
+        {"doc.cat": CHAIN3},
+    )
+    assert res.exit_code == 2 and not outs
+    assert "error: no object 'z' in C3" in res.output
+
+
+# A valid two-object category with 100 parallel arrows, whose coslice under
+# A has 101 objects, and a copresheaf with a 100-element fiber.
+PARALLEL = "category C { objects A B ; %s }" % " ".join(
+    f"arrows f{i} : A -> B ;" for i in range(100)
+)
+WIDE_FIBER = "poset B { elements p }\ncopresheaf H on B { at p = { %s } }" % " ".join(
+    f"x{i}" for i in range(100)
+)
+
+
+def test_build_over_cap_exit_2_writes_nothing():
+    for args, text, count in (
+        (["coslice", "doc.cat", "C", "A"], PARALLEL, "101 objects / 201 morphisms"),
+        (["elements", "doc.cat", "H"], WIDE_FIBER, "100 objects / 100 morphisms"),
+        (["product", "doc.cat", "C", "C"], PARALLEL, "4 objects / 10404 morphisms"),
+    ):
+        parse_document(text)
+        res, outs = invoke(["build"] + args + ["-o", "big.out.cat"], {"doc.cat": text})
+        assert res.exit_code == 2, args
+        assert not outs, args
+        assert "error: SizeBoundExceeded: " in res.output, args
+        assert f"has {count}, over the caps of 64 / 4096" in res.output, args
 
 
 def test_build_elements_output_parses():
@@ -196,6 +241,16 @@ def test_system_check_pass_and_fail():
     )
     assert res.exit_code == 0
     assert "sm1: pass" in res.output
+    # A system with a cone runs every check by default.
+    coned = serialize_document(generate_instance("system", 2))
+    res, _ = invoke(
+        ["system", "check", "doc.cat", "--entity", "S"], {"doc.cat": coned}
+    )
+    assert res.exit_code == 0
+    assert res.output == (
+        "sm1: pass\nsm2: pass\nassociated: pass (1:True 2:True 3:True)\n"
+        "star: pass\n"
+    )
 
     bad = (
         V + "\n"

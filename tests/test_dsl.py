@@ -409,3 +409,9 @@ def test_every_missing_arrow_and_cone_entry_listed():
         ("ConeIncomplete", "j"),
         ("ConeIncomplete", "k"),
     ]
+    with pytest.raises(ValidationFailed) as e:
+        parse_document(
+            "poset P { elements a }\nposet I { elements i }\n"
+            "system S in P over I { object i => a ; cone i => x }"
+        )
+    assert e.value.codes == {"ConeWithoutCopresheaf"}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from movcat.builders import (
+    build_monoid_category,
     build_poset_category,
     product_category,
     representable_copresheaf,
@@ -147,6 +148,18 @@ def test_witness_valid_rejects_corruption():
     bad = MovabilityWitness(w.movers, w.mover_mors, tuple(0 for _ in w.lifts))
     assert not witness_valid(c3, bad)
     assert not witness_valid(c3, MovabilityWitness((), (), ()))
+    # Along the collapse of chain(2) onto a point every lift solves its
+    # equation, so only the typing of m_y = id_x: x -> x rejects this one.
+    c2, pt = chain(2), chain(1)
+    collapse = validate_functor(c2, pt, (0, 0), (0, 0, 0))
+    mistyped = MovabilityWitness((0, 0), (0, 0), (0, 0, 0))
+    assert not witness_valid_wrt(c2, pt, collapse, mistyped)
+    # In the two-element group the lift e of a lies in its hom-set, but
+    # a . e = a is not e, so only the lift equation rejects it.
+    z2 = build_monoid_category(["e", "a"], 0, [[0, 1], [1, 0]])
+    w = check_strongly_movable(z2)
+    assert w == MovabilityWitness((0,), (0,), (0, 1))
+    assert not witness_valid(z2, MovabilityWitness((0,), (0,), (0, 0)))
 
 
 def test_postcompose_transfer_identity_keeps_witness():
