@@ -5,7 +5,7 @@ Builders produce closed composition tables directly, so the results are
 valid by construction; validate_category is only needed for foreign input.
 Every derived construction (product, coslice, category of elements, added
 initial object) checks the exact size of its result with ``core.check_size``
-before it builds anything, so none returns a category the reader refuses.
+before it builds anything, so none returns a category too large to read.
 Object and morphism order is the documented construction sequence, which is
 what makes witnesses reproducible.
 
@@ -226,7 +226,8 @@ def _comma(
     lexicographic order, named ``{tag}{i}_{j}_`` plus the name of eta.
     Composites are filled per composable pair, first arrow outer and second
     arrow ascending; searches iterate ``comp`` in insertion order, so this
-    order is part of the result.
+    order is part of the result.  ``what`` names the result when it is over
+    the caps.
     """
     check_size(what, len(objects), sum(len(base.mors_out_of(b)) for b in over))
     index = {o: i for i, o in enumerate(objects)}

@@ -161,7 +161,7 @@ def witness_valid(k: FiniteCategory, w: MovabilityWitness) -> bool:
     return _witness_valid(k, k, range(k.n_objects), range(k.n_mors), w)
 
 
-def _witness_valid(k, l, obj_map, mor_map, w: MovabilityWitness) -> bool:
+def _witness_valid(k, l, obj_map, mor_map, w) -> bool:
     """``witness_valid_wrt`` along the functor with these object and
     morphism maps, which the caller has checked."""
     if (

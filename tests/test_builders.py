@@ -135,9 +135,12 @@ def test_product_size_bound(monkeypatch):
 def test_builders_check_the_size_of_their_result(monkeypatch):
     sizes = []
     check = builders.check_size
-    monkeypatch.setattr(
-        builders, "check_size", lambda *a: sizes.append(a[1:]) or check(*a)
-    )
+
+    def recorded(what, n_objects, n_mors):
+        sizes.append((n_objects, n_mors))
+        check(what, n_objects, n_mors)
+
+    monkeypatch.setattr(builders, "check_size", recorded)
     c3, v = chain(3), v_poset_category()
     results = [
         product_category([c3, v]).category,
