@@ -152,6 +152,23 @@ def test_mutated_documents_fail_only_with_movcat_errors():
     assert _sha(results) == OUTCOMES_SHA
 
 
+def message(text: str) -> str:
+    """``"ok"``, or the exception type and message, with any position in it."""
+    try:
+        parse_document(text)
+    except MovcatError as e:
+        return f"{type(e).__name__}: {e}"
+    return "ok"
+
+
+def test_error_messages_pinned():
+    """Every parser error message, with the line and column it names, over
+    the mutants and the scanner texts."""
+    messages = [message(t) for t in mutants(5000, 0) + token_texts()]
+    assert sum(m != "ok" for m in messages) == 5148
+    assert _sha(messages) == MESSAGES_SHA
+
+
 # One entity of every kind, the system with a copresheaf and a cone.
 EVERY_KIND_DOC = """\
 poset P { elements a b ; leq a b }
@@ -197,4 +214,5 @@ def test_roundtrip_digest_pinned():
 
 TOKENS_SHA = "71e7fddab100ee09a4bd6a8f76bfa37a0c2f5fc5b898a37df671a4d22debad36"
 OUTCOMES_SHA = "12498b67f4791c743a46492ae21fbe2566f74b7083a607c1dba01f2fa14a9429"
+MESSAGES_SHA = "32c490c8dfc5f2efbb20ad6cf02e1022c2eef0930814778b37a43cab3966d46b"
 ROUNDTRIP_SHA = "183f8ac0c8b7dacb6e5c241db064c815626d59040813854b616bf98912b11c84"
