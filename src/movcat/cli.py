@@ -164,6 +164,10 @@ def build() -> None:
 
 
 def _write_category(name: str, category: FiniteCategory, out: str) -> None:
+    """Write ``category`` as a document of one entity; a category with no
+    objects, which the reader's `objects` clause cannot list, exits 2."""
+    if not category.n_objects:
+        _fail_input(f"{name} has no objects; a document cannot list an empty category")
     doc = Document([make_category_entity(name, category)])
     try:
         with open(out, "w", encoding="utf-8") as fh:

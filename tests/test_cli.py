@@ -207,6 +207,16 @@ def test_build_over_cap_exit_2_writes_nothing():
         assert f"has {count}, over the caps of 64 / 4096" in res.output, args
 
 
+def test_build_empty_category_exit_2_writes_nothing():
+    res, outs = invoke(
+        ["build", "elements", "doc.cat", "H", "-o", "el.out.cat"],
+        {"doc.cat": "poset B { elements p }\ncopresheaf H on B { }"},
+    )
+    assert res.exit_code == 2
+    assert not outs
+    assert "error: elements_H has no objects" in res.output
+
+
 def test_build_elements_output_parses():
     text = (
         "poset B { elements p q ; leq p q }\n"
