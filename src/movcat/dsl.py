@@ -10,6 +10,11 @@ earlier key (a repeated `compose` included) is a `DuplicateStatement`.
 Parsing is followed by validation of every entity, so no parse ever accepts
 an entity its validator rejects.
 
+The reader scans a text into plain token strings and carries no positions.
+When it raises, the line and column it names come from `_tokenize`, which
+scans the text again with positions; a text with a bad character raises
+that scanner's error before anything else.
+
 Canonical serialization: entities in document order (which is a dependency
 order), members in ref order, one declaration per line.  Categories are
 stored in normal form (identities first, named ``id_<object>``), which is
@@ -21,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .builders import (
@@ -190,7 +196,9 @@ def make_category_entity(name: str, category: FiniteCategory) -> CategoryEntity:
 # Tokenizer
 
 
-@dataclass(slots=True)  # not frozen: a frozen instance is 4x slower to build
+# One lexeme with its position.  The parser reads the plain strings of
+# `_words` and builds these only to place an error; the tests pin them.
+@dataclass(slots=True)
 class _Token:
     kind: str  # "ident" | "punct" | "eof"
     value: str
@@ -229,84 +237,116 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
-class _Ref:
-    """Shape entry: one identifier, read as its ref among ``names``."""
+_PUNCT = frozenset(("->", "=>", ";", "{", "}", ":", "="))
+_NOT_IDENT = _PUNCT | {""}
+
+# The lexemes of `_LEXEME` as one group: a comment gives "", and `findall`
+# steps over the blanks, which match nothing.
+_WORD = re.compile(r"#[^\n]*|(->|=>|[;{}:=]|\w+|[^ \t\r\n])")
+
+
+def _words(text: str) -> list[str]:
+    """The token values of ``_tokenize(text)``, with "" for its eof token;
+    a text that `_tokenize` refuses raises its error.  Each distinct value
+    is checked once."""
+    words = list(filter(None, _WORD.findall(text)))
+    for w in set(words):
+        if w not in _PUNCT and not (w[0].isalpha() or w[0] == "_"):
+            _tokenize(text)  # raises DslSyntaxError at the first bad lexeme
+    words.append("")
+    return words
+
+
+class _Ref(dict):
+    """Shape entry: one identifier, read as its ref among ``names`` (the
+    last, for a name listed twice)."""
 
     def __init__(self, what: str, names: Iterable[str]):
+        super().__init__(zip(names, count()))
         self.what = what
-        self.refs = {name: i for i, name in enumerate(names)}
 
-    def resolve(self, tok: _Token) -> int:
-        if tok.value not in self.refs:
-            raise UnresolvedReference(f"{self.what} {tok.value!r} (line {tok.line})")
-        return self.refs[tok.value]
+
+def _first_refs(names: Iterable[str]) -> dict[str, int]:
+    """Each name's first position in ``names``, as ``list.index`` gives it."""
+    refs: dict[str, int] = {}
+    for i, name in enumerate(names):
+        refs.setdefault(name, i)
+    return refs
 
 
 class _Parser:
+    """A cursor over the words of a text.  ``words[i]`` is the value of
+    ``tokens[i]``; the tokens, which carry positions, are built only when
+    an error needs one."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.words = _words(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
+    @cached_property
+    def tokens(self) -> list[_Token]:
+        return _tokenize(self.text)
 
-    def next(self) -> _Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def error(self, i: int, expected: str) -> DslSyntaxError:
+        """The syntax error at word ``i``, which is not ``expected``."""
+        t = self.tokens[i]
+        return DslSyntaxError(t.line, t.col, expected, t.value or "<eof>")
 
     def at(self, part: str) -> bool:
-        """Whether the next token matches `part`, one entry of a shape."""
-        t = self.peek()
-        return t.kind == "ident" if part == "_" else t.value == part
+        """Whether the next word matches `part`, one entry of a shape."""
+        w = self.words[self.i]
+        return w not in _NOT_IDENT if part == "_" else w == part
 
     def read(self, *shape) -> list:
-        """Read tokens by shape and return the values in order.
+        """Read words by shape and return the values in order.
 
         ``"_"`` is one identifier, read as its name; ``"*"`` is one or more
         identifiers, read as a list of names; a `_Ref` is one identifier,
         read as its ref; ``";"`` ends a statement (it may be omitted before
         ``}``); any other entry is that exact keyword or punctuation,
-        checked and dropped.  The refs are resolved once the whole shape has
-        been read, so a syntax error in a statement is reported before an
-        unknown name in it.
+        checked and dropped.  The first unknown name is reported once the
+        whole shape has been read, so a syntax error in a statement is
+        reported before an unknown name in it.
         """
+        words, i = self.words, self.i
         out: list = []
-        refs: list[tuple[int, _Ref]] = []
+        missing = None  # (ref, word index) of the first unknown name
         for part in shape:
+            w = words[i]
             if isinstance(part, _Ref):
-                refs.append((len(out), part))
-                out.append(self.ident())
+                if w in _NOT_IDENT:
+                    raise self.error(i, "identifier")
+                ref = part.get(w)
+                if ref is None and missing is None:
+                    missing = part, i
+                out.append(ref)
             elif part == ";":
-                self.end_stmt()
+                if w == "}":
+                    continue  # the last `;` before `}` may be omitted
+                if w != ";":
+                    raise self.error(i, "';'")
             elif part == "_":
-                out.append(self.ident().value)
+                if w in _NOT_IDENT:
+                    raise self.error(i, "identifier")
+                out.append(w)
             elif part == "*":
-                names = [self.ident().value]
-                while self.at("_"):
-                    names.append(self.next().value)
-                out.append(names)
-            else:
-                t = self.next()
-                if t.value != part:
-                    raise DslSyntaxError(t.line, t.col, repr(part), t.value or "<eof>")
-        for k, ref in refs:
-            out[k] = ref.resolve(out[k])
+                if w in _NOT_IDENT:
+                    raise self.error(i, "identifier")
+                start = i
+                while words[i + 1] not in _NOT_IDENT:
+                    i += 1
+                out.append(words[start : i + 1])
+            elif w != part:
+                raise self.error(i, repr(part))
+            i += 1
+        self.i = i
+        if missing is not None:
+            ref, i = missing
+            raise UnresolvedReference(
+                f"{ref.what} {words[i]!r} (line {self.tokens[i].line})"
+            )
         return out
-
-    def ident(self) -> _Token:
-        t = self.next()
-        if t.kind != "ident":
-            raise DslSyntaxError(t.line, t.col, "identifier", t.value or "<eof>")
-        return t
-
-    def end_stmt(self) -> None:
-        """Consume a `;` terminator; the last one before `}` may be omitted."""
-        if self.at(";"):
-            self.next()
-        elif not self.at("}"):
-            t = self.peek()
-            raise DslSyntaxError(t.line, t.col, "';'", t.value or "<eof>")
 
     def clauses(self, *shape) -> Iterator[list]:
         """Yield ``read(*shape)`` for each consecutive statement that starts
@@ -330,9 +370,9 @@ class _Parser:
                 values.append(block())
             key = values[0] if n_key == 1 else tuple(values[:n_key])
             if key in table:
-                words = self.toks[start : start + n_key + (shape[0] != "_")]
-                stmt = " ".join(t.value for t in words)
-                line = words[-n_key].line  # of the first key
+                end = start + n_key + (shape[0] != "_")
+                stmt = " ".join(self.words[start:end])
+                line = self.tokens[end - n_key].line  # of the first key
                 raise ValidationFailed(
                     subject, [Violation("DuplicateStatement", f"{stmt} (line {line})")]
                 )
@@ -378,7 +418,7 @@ def _total(
 def _parse_poset(p: _Parser, doc: Document) -> PosetEntity:
     name, elems = p.read("_", "{", "elements", "*")
     check_size(f"poset {name}", len(elems), len(elems))
-    p.end_stmt()
+    p.read(";")
     element = _Ref("element", elems)
     pairs = list(p.clauses("leq", element, element, ";"))
     p.read("}")
@@ -388,14 +428,14 @@ def _parse_poset(p: _Parser, doc: Document) -> PosetEntity:
 def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
     name, elems = p.read("_", "{", "elements", "*")
     check_size(f"monoid {name}", 1, len(elems))
-    p.end_stmt()
+    p.read(";")
     if len(set(elems)) != len(elems):
         raise ValidationFailed(
             "monoid", [Violation("DuplicateName", "monoid elements not unique")]
         )
     element = _Ref("element", elems)
     (unit,) = p.read("unit", element)
-    p.end_stmt()
+    p.read(";")
     mul = p.table("monoid", 2, "mul", element, element, "=", element, ";")
     p.read("}")
     k = len(elems)
@@ -411,7 +451,7 @@ def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:
     name, objs = p.read("_", "{", "objects", "*")
     what = f"category {name}"
     check_size(what, len(objs), len(objs))
-    p.end_stmt()
+    p.read(";")
     obj = _Ref("object", objs)
     mors = [(f"id_{o}", i, i) for i, o in enumerate(objs)]
     taken = {m[0] for m in mors}
@@ -493,12 +533,14 @@ def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
     for q, m in enumerate(base.identity):
         acts.setdefault(m, {e: e for e in fibers[q]})
 
+    refs = [_first_refs(fiber) for fiber in fibers]
+
     def element(q: int, e: str) -> int:
-        if e not in fibers[q]:
+        if e not in refs[q]:
             raise UnresolvedReference(
                 f"element {e!r} in fiber of {base.object_names[q]}"
             )
-        return fibers[q].index(e)
+        return refs[q][e]
 
     action: list[list[int]] = []
     bad: list[Violation] = []
@@ -547,14 +589,15 @@ def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
                 [Violation("ConeWithoutCopresheaf", "cone requires `using copresheaf`")],
             )
         names = _total("system", "ConeIncomplete", cone_elems, range(index.n), label)
+        refs = {q: _first_refs(cop.fibers[q]) for q in set(system.at)}
         elems = []
         for a, ename in enumerate(names):
-            fiber = cop.fibers[system.at[a]]
+            fiber = refs[system.at[a]]
             if ename not in fiber:
                 raise UnresolvedReference(
                     f"cone element {ename!r} at index {index.elements[a]}"
                 )
-            elems.append(fiber.index(ename))
+            elems.append(fiber[ename])
         cone = make_cone(system, cop, elems)
     return SystemEntity(name, cat_name, poset_name, cop_name, system, cone)
 
@@ -590,13 +633,11 @@ def parse_document(text: str) -> Document:
     """Parse and validate a `.cat` document."""
     p = _Parser(text)
     doc = Document()
-    while p.peek().kind != "eof":
-        t = p.next()
-        parse = _PARSERS.get(t.value)
+    while p.words[p.i]:
+        parse = _PARSERS.get(p.words[p.i])
         if parse is None:
-            raise DslSyntaxError(
-                t.line, t.col, "one of " + ", ".join(_KEYWORDS), t.value
-            )
+            raise p.error(p.i, "one of " + ", ".join(_KEYWORDS))
+        p.i += 1
         doc.add(parse(p, doc))
     return doc
 

@@ -415,3 +415,33 @@ def test_every_missing_arrow_and_cone_entry_listed():
             "system S in P over I { object i => a ; cone i => x }"
         )
     assert e.value.codes == {"ConeWithoutCopresheaf"}
+
+
+def test_large_fiber_action_and_unknown_element():
+    n = 3000
+    els = " ".join(f"e{i}" for i in range(n))
+    acts = " ".join(f"e{i} => e{i * 7 % n} ;" for i in range(n))
+    text = (
+        "poset B { elements p q ; leq p q }\n"
+        f"copresheaf H on B {{ at p = {{ {els} }} ; at q = {{ {els} }} ;\n"
+        f"  act le0_1 {{ {acts} }} }}\n"
+        "system S in B over B using copresheaf H {\n"
+        "  object p => q ; object q => p ; bond p q => le0_1 ;\n"
+        "  cone p => e7 ; cone q => e1 }\n"
+    )
+    doc = parse_document(text)
+    cop = doc["H"].copresheaf
+    assert cop.action[cop.base.mor_names.index("le0_1")] == tuple(
+        i * 7 % n for i in range(n)
+    )
+    assert doc["S"].cone.elements == (7, 1)
+    last = f"e{n - 1} => e{(n - 1) * 7 % n} ;"
+    for old, new, message in [
+        (last, f"e{n - 1} => ghost ;", "element 'ghost' in fiber of q"),
+        (last, "ghost => e0 ;", "element 'ghost' in fiber of p"),
+        ("cone q => e1", "cone q => ghost", "cone element 'ghost' at index q"),
+    ]:
+        with pytest.raises(UnresolvedReference) as e:
+            parse_document(text.replace(old, new))
+        assert message in str(e.value)
+

@@ -8,11 +8,14 @@ import hashlib
 import random
 import re
 
+import pytest
+
 from movcat.builders import product_category
 from movcat.campaign import THEOREMS, generate_campaign_instance
 from movcat.dsl import (
     Document,
     _tokenize,
+    _words,
     make_category_entity,
     parse_document,
     serialize_document,
@@ -138,6 +141,26 @@ def test_tokens_and_error_positions_pinned():
     texts = token_texts()
     assert len(texts) > 600
     assert _sha(map(_scan, texts)) == TOKENS_SHA
+
+
+def test_reader_words_match_tokenizer():
+    """The reader's plain words are the tokenizer's values; where the
+    tokenizer refuses a text, the reader raises the same error."""
+    refused = 0
+    for text in token_texts():
+        try:
+            values = [t.value for t in _tokenize(text)]
+        except DslSyntaxError as e:
+            refused += 1
+            with pytest.raises(DslSyntaxError) as got:
+                parse_document(text)
+            g = got.value
+            assert (g.line, g.col, g.expected, g.found) == (
+                e.line, e.col, e.expected, e.found
+            )
+            continue
+        assert _words(text) == values
+    assert 100 < refused < len(token_texts()) - 400
 
 
 def test_mutated_documents_fail_only_with_movcat_errors():
