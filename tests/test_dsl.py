@@ -444,4 +444,3 @@ def test_large_fiber_action_and_unknown_element():
         with pytest.raises(UnresolvedReference) as e:
             parse_document(text.replace(old, new))
         assert message in str(e.value)
-
