@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from movcat.builders import build_monoid_category, product_category
+from movcat.builders import (
+    build_monoid_category,
+    build_poset_category,
+    coslice_category,
+    product_category,
+)
 from movcat.core import (
     Copresheaf,
     compose_functors,
@@ -22,7 +27,15 @@ from movcat.errors import (
     ValidationFailed,
     Violation,
 )
-from util import chain, v_poset_category
+from movcat.generators import MONOID_CATALOG, GenParams, random_category, random_poset
+from util import (
+    chain,
+    finset_retract,
+    naive_category_violations,
+    naive_poset_relation,
+    pointed_sets_2,
+    v_poset_category,
+)
 
 
 def test_validate_category_accepts_chain():
@@ -260,3 +273,112 @@ def test_violation_lists_pinned():
     assert h.hexdigest() == (
         "83cd8a4a261e94d3d6ed8bb5c50cfc220c477ac0f6c423840868640ae3e2c7f8"
     )
+
+
+def _poset_outcome(elements, pairs):
+    try:
+        return list(make_poset(elements, pairs).relation), []
+    except ValidationFailed as exc:
+        return [], [(v.code, v.detail) for v in exc.violations]
+
+
+def _closure_inputs():
+    """(elements, pairs): seeded random relations on 1..12 elements, cycles
+    and loops included, then 48-element forests and sparse orders listed as
+    the check-cap bench lists them (closed strict pairs, sorted, under a
+    random labelling) and as their bare generating edges."""
+    rng = random.Random("make-poset-closure")
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        p = rng.uniform(0.02, 0.35)
+        pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < p]
+        rng.shuffle(pairs)
+        yield [f"e{i}" for i in range(n)], pairs
+    n = 48
+    names = [f"p{i}" for i in range(n)]
+    for t in range(40):
+        if t % 2 == 0:
+            edges = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.85]
+        else:
+            edges = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08
+            ]
+        label = list(range(n))
+        rng.shuffle(label)
+        edges = [(label[i], label[j]) for i, j in edges]
+        closed, _ = naive_poset_relation(names, edges)
+        yield names, sorted((i, j) for i, j in closed if i != j)
+        yield names, edges
+
+
+def test_closure_order_matches_reference():
+    # The relation's iteration order and the AntisymmetryBroken list both
+    # follow the closure's insertion sequence; both are pinned here.
+    outcomes = {"ok": 0, "cyclic": 0}
+    for elements, pairs in _closure_inputs():
+        want = naive_poset_relation(elements, pairs)
+        assert _poset_outcome(elements, pairs) == want, (elements, pairs)
+        outcomes["cyclic" if want[1] else "ok"] += 1
+    assert outcomes["ok"] > 1000 and outcomes["cyclic"] > 1000
+
+
+def _raw(cat):
+    mors = list(zip(cat.mor_names, cat.mor_dom, cat.mor_cod))
+    return list(cat.object_names), mors, list(cat.identity), dict(cat.comp)
+
+
+def _retargeted(raw, rng):
+    """``raw`` with one to three composites moved to another morphism of
+    the same hom-set, so every table stays well typed."""
+    objs, mors, identity, comp = raw
+    comp = dict(comp)
+    hom = {}
+    for m, (_, d, c) in enumerate(mors):
+        hom.setdefault((d, c), []).append(m)
+    keys = [k for k in comp if len(hom[(mors[k[1]][1], mors[k[0]][2])]) > 1]
+    for _ in range(rng.randint(1, 3)):
+        g, f = key = rng.choice(keys)
+        comp[key] = rng.choice(
+            [m for m in hom[(mors[f][1], mors[g][2])] if m != comp[key]]
+        )
+    return objs, mors, identity, comp
+
+
+def _validator_outcome(objs, mors, identity, comp):
+    try:
+        validate_category(objs, mors, identity, comp)
+        return []
+    except ValidationFailed as exc:
+        return [(v.code, v.detail) for v in exc.violations]
+
+
+def test_validator_matches_all_triples_reference():
+    rng = random.Random("validate-category-reference")
+    params = GenParams()
+    thin = [
+        build_poset_category(random_poset(rng, 8)) for _ in range(20)
+    ] + [
+        product_category([chain(3), v_poset_category()]).category,
+        coslice_category(build_poset_category(random_poset(rng, 6)), 0).category,
+    ]
+    monoids = [build_monoid_category(*entry) for entry in MONOID_CATALOG]
+    generated = [random_category(random.Random(seed), params) for seed in range(150)]
+    # Categories with hom-sets of two or more morphisms, at one object and
+    # at several, where retargets stay well typed.
+    multi = [m for m in monoids if m.n_mors > 1] + [
+        pointed_sets_2(),
+        finset_retract(3, 2),
+        product_category([monoids[-1], chain(2)]).category,
+        product_category([pointed_sets_2(), chain(2)]).category,
+        coslice_category(pointed_sets_2(), 1).category,
+    ]
+    tables = [_raw(c) for c in thin + monoids + generated + multi]
+    for cat in multi:
+        raw = _raw(cat)
+        tables += [_retargeted(raw, rng) for _ in range(4 if cat.n_mors > 40 else 30)]
+    codes = set()
+    for objs, mors, identity, comp in tables:
+        want = naive_category_violations(objs, mors, identity, comp)
+        assert _validator_outcome(objs, mors, identity, comp) == want, (objs, mors)
+        codes.update(code for code, _ in want)
+    assert codes == {"IdentityLawBroken", "AssocBroken"}

@@ -444,3 +444,88 @@ def test_large_fiber_action_and_unknown_element():
         with pytest.raises(UnresolvedReference) as e:
             parse_document(text.replace(old, new))
         assert message in str(e.value)
+
+
+# A one-object category whose statements form one `arrows` run and one
+# `compose` run, each statement on its own line (e and f are left zeros).
+RUN_DOC = """\
+category E {
+  objects A ;
+  arrows e : A -> A ;
+  arrows f : A -> A ;
+  compose e e = e ;
+  compose e f = e ;
+  compose f e = f ;
+  compose f f = f ;
+}
+"""
+
+
+def test_compose_run_may_omit_its_last_semicolon():
+    want = parse_document(RUN_DOC)["E"].category
+    got = parse_document(RUN_DOC.replace("f f = f ;", "f f = f"))["E"].category
+    assert got == want
+    assert list(got.comp.items()) == list(want.comp.items())
+
+
+def _cap_doc():
+    arrows = "".join(f"  arrows f{i} : A -> A ;\n" for i in range(MAX_MORPHISMS))
+    return f"category C {{\n  objects A ;\n{arrows}  arrows g : A -> ;\n}}\n"
+
+
+# Errors inside runs of regular statements; each message was recorded on the
+# statement-at-a-time reader.
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        pytest.param(
+            RUN_DOC.replace("  compose f f = f ;\n", "  compose f f = f ;\n"
+                            "  compose e f = e ;\n"),
+            ValidationFailed, "category: DuplicateStatement: compose e f (line 9)",
+            id="repeated-key",
+        ),
+        pytest.param(
+            RUN_DOC.replace("compose e f = e", "compose e ghost = e")
+            .replace("compose f f = f", "compose f f = ;"),
+            UnresolvedReference, "arrow 'ghost' (line 6)",
+            id="unknown-name-before-syntax-error",
+        ),
+        pytest.param(
+            RUN_DOC.replace("compose e f = e", "compose ghost f = ;"),
+            DslSyntaxError, "line 6, col 21: expected identifier, found ';'",
+            id="syntax-error-in-the-unknown-name-statement",
+        ),
+        pytest.param(
+            RUN_DOC.replace("compose f e = f", "compose f => = f"),
+            DslSyntaxError, "line 7, col 13: expected identifier, found '=>'",
+            id="punctuation-in-ref-slot",
+        ),
+        pytest.param(
+            RUN_DOC.replace("arrows f :", "arrows ; :"),
+            DslSyntaxError, "line 4, col 10: expected identifier, found ';'",
+            id="punctuation-in-name-slot",
+        ),
+        pytest.param(
+            RUN_DOC.replace("arrows f :", "arrows id_f :"),
+            ValidationFailed, "category: ReservedName: arrow name 'id_f'",
+            id="reserved-arrow-name",
+        ),
+        pytest.param(
+            _cap_doc(), SizeBoundExceeded,
+            f"category C has 1 objects / {MAX_MORPHISMS + 1} morphisms, "
+            f"over the caps of {MAX_OBJECTS} / {MAX_MORPHISMS}",
+            id="arrows-over-the-cap",
+        ),
+        pytest.param(
+            "poset P {\n  elements a b c ;\n  leq a b ;\n  leq b ghost ;\n"
+            "  leq c : ;\n}\n",
+            UnresolvedReference, "element 'ghost' (line 4)",
+            id="leq-unknown-name-before-syntax-error",
+        ),
+    ],
+)
+def test_statement_run_errors(text, error, message):
+    with pytest.raises(error) as e:
+        parse_document(text)
+    assert type(e.value) is error
+    assert str(e.value) == message

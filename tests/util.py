@@ -620,3 +620,90 @@ def fail_every_verdict(monkeypatch, theorem: str) -> None:
         theorem,
         law._replace(evaluate=lambda doc: (False, "forced failure")),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference transcriptions of the validators: every pair, triple and element
+# is visited, so the optimized validators must report the same violations in
+# the same order.
+
+
+def naive_poset_relation(elements, pairs) -> tuple[list, list]:
+    """``make_poset``'s closure by the all-elements fixpoint: each visit of
+    (i, j) probes every k.  Returns the closed relation as
+    ``list(frozenset(rel))``, whose order follows the insertion sequence,
+    and the (code, detail) violations ``make_poset`` reports; the relation
+    is ``[]`` when there are violations."""
+    n = len(elements)
+    bad = []
+    if len(set(elements)) != n:
+        bad.append(("DuplicateName", "poset elements not unique"))
+    rel = {(i, i) for i in range(n)}
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            bad.append(("BadRef", f"leq pair ({i}, {j})"))
+        else:
+            rel.add((i, j))
+    if bad:
+        return [], bad
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(rel):
+            for k in range(n):
+                if (j, k) in rel and (i, k) not in rel:
+                    rel.add((i, k))
+                    changed = True
+    for i, j in rel:
+        if i != j and (j, i) in rel:
+            bad.append(("AntisymmetryBroken", f"({elements[i]}, {elements[j]})"))
+    return ([] if bad else list(frozenset(rel))), bad
+
+
+def naive_category_violations(object_names, morphisms, identity, comp) -> list:
+    """``validate_category``'s (code, detail) violations, in its order, from
+    scans over all morphisms: every composable pair, and every composable
+    triple for associativity.  ``[]`` for valid tables."""
+    n_obj, n_mor = len(object_names), len(morphisms)
+    names = [m[0] for m in morphisms]
+    dom = [m[1] for m in morphisms]
+    cod = [m[2] for m in morphisms]
+    bad = []
+    if len(set(object_names)) != n_obj:
+        bad.append(("DuplicateName", "object names not unique"))
+    if len(set(names)) != n_mor:
+        bad.append(("DuplicateName", "morphism names not unique"))
+    for i in range(n_mor):
+        if not (0 <= dom[i] < n_obj and 0 <= cod[i] < n_obj):
+            bad.append(("BadRef", f"morphism {i} has dom/cod out of range"))
+    if len(identity) != n_obj:
+        bad.append(("BadRef", "identity table size != object count"))
+    else:
+        for a, i in enumerate(identity):
+            if not (0 <= i < n_mor) or dom[i] != a or cod[i] != a:
+                bad.append(("BadRef", f"identity of object {a} mistyped"))
+    if bad:
+        return bad
+    pairs = [
+        (g, f) for g in range(n_mor) for f in range(n_mor) if cod[f] == dom[g]
+    ]
+    for g, f in pairs:
+        if (g, f) not in comp:
+            bad.append(("MissingComposite", f"(g, f)=({names[g]}, {names[f]})"))
+    for (g, f), h in comp.items():
+        if not (0 <= g < n_mor and 0 <= f < n_mor and cod[f] == dom[g]):
+            bad.append(("IllegalComposite", f"(g, f)=({g}, {f}) not composable"))
+        elif not (0 <= h < n_mor) or dom[h] != dom[f] or cod[h] != cod[g]:
+            bad.append(("IllegalComposite", f"comp({names[g]}, {names[f]}) mistyped"))
+    if bad:
+        return bad
+    for f in range(n_mor):
+        if comp[(identity[cod[f]], f)] != f or comp[(f, identity[dom[f]])] != f:
+            bad.append(("IdentityLawBroken", f"f={names[f]}"))
+    for g, f in pairs:
+        for h in range(n_mor):
+            if dom[h] == cod[g] and comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]:
+                bad.append(
+                    ("AssocBroken", f"(h, g, f)=({names[h]}, {names[g]}, {names[f]})")
+                )
+    return bad
