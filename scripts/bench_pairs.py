@@ -15,6 +15,8 @@ and per metric each side's ``bench/collect.py`` summary and the number of
 pairs the change won (ties count for neither side).  A run with failed
 operations is recorded, not dropped, and makes the script exit 1 once the
 record is written; a run that is incorrect for any other reason stops it.
+An existing record is never overwritten: when ``BENCH_<name>.json`` exists
+the script exits 2 before it runs anything.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     args = ap.parse_args(argv)
+    out = ROOT / f"BENCH_{args.name}.json"
+    if out.exists():
+        ap.error(f"{out.name} exists; choose a new --name")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -125,7 +130,6 @@ def main(argv=None) -> int:
         "pairs": pairs,
         "summary": _summary(pairs, better),
     }
-    out = ROOT / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for name, s in report["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.4g} "

@@ -13,6 +13,13 @@ rescan its morphisms.
 ``check_size`` is the one comparison against the size caps; the reader and
 every derived construction in ``builders`` call it before they build.
 
+The validators skip only work whose outcome their earlier checks fix, so
+they report the same violations in the same order as scans over every
+pair and triple: ``validate_category`` compares a composable triple only
+where its two composites can differ (a hom-set of two or more morphisms),
+and ``make_poset`` closes its relation by walking successors while adding
+pairs in the order that probing every element would.
+
 All values are immutable after validation and safe to share across
 concurrent readers.  The one field stored later is a copresheaf's
 ``_elements``, its category of elements, which the first
@@ -126,6 +133,12 @@ def validate_category(
     Raises ValidationFailed listing every violation (MissingComposite,
     IllegalComposite, IdentityLawBroken, AssocBroken, ...), each naming the
     offending pair or triple.
+
+    Associativity is compared only for triples (h, g, f) whose hom-set
+    hom(dom f, cod h) holds two or more morphisms.  By then every composite
+    is typed, so both sides of the triple lie in that hom-set, and a
+    one-morphism hom-set cannot tell them apart.  The violations and their
+    order are those of comparing every composable triple.
     """
     bad: list[Violation] = []
     n_obj = len(object_names)
@@ -171,10 +184,20 @@ def validate_category(
     for f in range(n_mor):
         if comp[(identity[cod[f]], f)] != f or comp[(f, identity[dom[f]])] != f:
             bad.append(Violation("IdentityLawBroken", f"f={names[f]}"))
+    # Both sides of a triple (h, g, f) lie in hom(dom f, cod h), now that
+    # every composite is typed, so a triple can break associativity only
+    # where that hom-set holds two or more morphisms.
+    multi = [set() for _ in range(n_obj)]
+    for (a, b), ms in cat._hom.items():
+        if len(ms) > 1:
+            multi[a].add(b)
     for g, f in composable:
+        targets = multi[dom[f]]
+        if not targets:
+            continue
         gf = comp[(g, f)]
         for h in cat.mors_out_of(cod[g]):
-            if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+            if cod[h] in targets and comp[(h, gf)] != comp[(comp[(h, g)], f)]:
                 bad.append(
                     Violation(
                         "AssocBroken",
@@ -435,7 +458,14 @@ def make_poset(
     elements: Sequence[str], pairs: Iterable[tuple[int, int]]
 ) -> FinitePoset:
     """Build a poset from generating pairs; applies reflexive-transitive
-    closure and checks antisymmetry."""
+    closure and checks antisymmetry.
+
+    The closure is a fixpoint over the pairs of the relation; a visit of
+    (i, j) adds each missing (i, k) with j <= k, in ascending k.  The pairs
+    are added in the order of the all-elements fixpoint that probes every k,
+    which fixes the iteration order of ``relation`` and of the
+    AntisymmetryBroken list (and so of ``validate_system``'s BondMissing
+    list)."""
     n = len(elements)
     bad: list[Violation] = []
     if len(set(elements)) != n:
@@ -448,14 +478,24 @@ def make_poset(
             rel.add((i, j))
     if bad:
         raise ValidationFailed("poset", bad)
+    # succ[j] is j's successors in rel.  A visit of (i, j) adds the pairs
+    # (i, k) for the k in succ[j] - succ[i] in ascending order, which is
+    # what probing every k in range(n) adds, in the same sequence (succ[j]
+    # cannot change during the visit: i == j adds nothing).  That sequence
+    # fixes the iteration order of the relation and of the
+    # AntisymmetryBroken list.
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for i, j in rel:
+        succ[i].add(j)
     changed = True
     while changed:
         changed = False
         for i, j in list(rel):
-            for k in range(n):
-                if (j, k) in rel and (i, k) not in rel:
-                    rel.add((i, k))
-                    changed = True
+            new = succ[j] - succ[i]
+            if new:
+                succ[i] |= new
+                rel.update([(i, k) for k in sorted(new)])
+                changed = True
     for i, j in rel:
         if i != j and (j, i) in rel:
             bad.append(

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .builders import (
@@ -150,24 +151,33 @@ def _kind(cls: type) -> str:
 
 @dataclass
 class Document:
-    """Ordered, name-resolved collection of entities."""
+    """Ordered, name-resolved collection of entities.  ``_by_name`` maps
+    each name to the first entity with it; `add` is the only code that
+    appends to ``entities``, and it keeps the map up to date."""
 
     entities: list = field(default_factory=list)
+    _by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_name = {}
+        for e in self.entities:
+            self._by_name.setdefault(e.name, e)
 
     def __getitem__(self, name: str) -> Entity:
-        for e in self.entities:
-            if e.name == name:
-                return e
-        raise UnresolvedReference(f"no entity named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnresolvedReference(f"no entity named {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return any(e.name == name for e in self.entities)
+        return name in self._by_name
 
     def add(self, entity: Entity) -> None:
-        if entity.name in self:
+        if entity.name in self._by_name:
             raise ValidationFailed(
                 "document", [Violation("DuplicateName", entity.name)]
             )
+        self._by_name[entity.name] = entity
         self.entities.append(entity)
 
     def get(self, name: str, *kinds: type) -> Entity:
@@ -277,7 +287,14 @@ def _first_refs(names: Iterable[str]) -> dict[str, int]:
 class _Parser:
     """A cursor over the words of a text.  ``words[i]`` is the value of
     ``tokens[i]``; the tokens, which carry positions, are built only when
-    an error needs one."""
+    an error needs one.
+
+    `read` reads one statement of any shape.  `run` reads a run of
+    statements of one regular shape (fixed words, names and refs) by
+    column, and stops at the first statement that does not match, which
+    `read` then reads; a table whose run repeats a key is read again by
+    `read`.  So every result, every error, its position and its precedence
+    are those of reading each statement with `read`."""
 
     def __init__(self, text: str):
         self.text = text
@@ -348,9 +365,47 @@ class _Parser:
             )
         return out
 
-    def clauses(self, *shape) -> Iterator[list]:
-        """Yield ``read(*shape)`` for each consecutive statement that starts
-        with ``shape[0]`` (``"_"``: any identifier)."""
+    def run(self, *shape) -> list[tuple]:
+        """The values of the longest run of statements at the cursor that
+        each match ``shape`` word for word, with every ref known; the cursor
+        moves past them.  ``shape`` holds fixed words, ``"_"`` and `_Ref`s
+        only, and its ``";"`` must be present.
+
+        The run is read by column: ``words[i + k :: len(shape)]`` holds
+        entry k of every statement, and the first statement with a word
+        that does not match, or with an unknown name, ends the run.  That
+        statement is left to `read`, so every error, its position and its
+        precedence come from `read`.  No statement reaches past the next
+        ``}``, which bounds the columns."""
+        words, i, n = self.words, self.i, len(shape)
+        try:
+            end = words.index("}", i)
+        except ValueError:
+            end = len(words) - 1
+        m = (end - i) // n  # statements that fit before `end`
+        values = []
+        for k, part in enumerate(shape):
+            column = words[i + k : i + k + m * n : n]
+            if isinstance(part, _Ref):
+                column = list(map(part.get, column))
+                if None in column:
+                    m = column.index(None)
+                values.append(column)
+                continue
+            if part == "_":
+                if not _NOT_IDENT.isdisjoint(column):
+                    m = list(map(_NOT_IDENT.__contains__, column)).index(True)
+                values.append(column)
+            elif column.count(part) != len(column):
+                m = list(map(part.__eq__, column)).index(False)
+        self.i = i + m * n
+        return list(zip(*(column[:m] for column in values)))
+
+    def clauses(self, *shape) -> Iterator:
+        """Yield the values of each consecutive statement that starts with
+        ``shape[0]`` (``"_"``: any identifier): a `run` of them, then
+        ``read(*shape)`` for each that the run left."""
+        yield from self.run(*shape)
         while self.at(shape[0]):
             yield self.read(*shape)
 
@@ -363,6 +418,15 @@ class _Parser:
         block = shape[-1] if callable(shape[-1]) else None
         head = shape[:-1] if block else shape
         table: dict = {}
+        if block is None and "*" not in shape:
+            start = self.i
+            rows = self.run(*shape)
+            if rows:
+                key = itemgetter(*range(n_key))
+                value = itemgetter(*range(n_key, len(rows[0])))
+                table = dict(zip(map(key, rows), map(value, rows)))
+                if len(table) < len(rows):  # a repeated key: `read` reports it
+                    table, self.i = {}, start
         while self.at(shape[0]):
             start = self.i
             values = self.read(*head)

@@ -245,6 +245,20 @@ def test_document_lookup_errors():
     assert doc.category_of("P").n_objects == 1
 
 
+def test_document_names_resolve_to_the_first_entity():
+    a = parse_document("poset x { elements a }")["x"]
+    a_again = parse_document("poset x { elements b }")["x"]
+    doc = Document([a, a_again])
+    assert doc["x"] is a and "x" in doc and "y" not in doc
+    with pytest.raises(ValidationFailed) as e:
+        doc.add(a_again)
+    assert str(e.value) == "document: DuplicateName: x"
+    assert doc.entities == [a, a_again]
+    with pytest.raises(ValidationFailed) as e:
+        parse_document("poset x { elements a }\nposet x { elements b }")
+    assert str(e.value) == "document: DuplicateName: x"
+
+
 # One document with every fixed word that is not an entity or statement
 # keyword; each (word, occurrence) below names one position.
 FIXED_WORDS_DOC = """\
