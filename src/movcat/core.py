@@ -184,9 +184,7 @@ def validate_category(
     for f in range(n_mor):
         if comp[(identity[cod[f]], f)] != f or comp[(f, identity[dom[f]])] != f:
             bad.append(Violation("IdentityLawBroken", f"f={names[f]}"))
-    # Both sides of a triple (h, g, f) lie in hom(dom f, cod h), now that
-    # every composite is typed, so a triple can break associativity only
-    # where that hom-set holds two or more morphisms.
+    # multi[a]: the b with two or more morphisms a -> b.
     multi = [set() for _ in range(n_obj)]
     for (a, b), ms in cat._hom.items():
         if len(ms) > 1:
@@ -480,10 +478,8 @@ def make_poset(
         raise ValidationFailed("poset", bad)
     # succ[j] is j's successors in rel.  A visit of (i, j) adds the pairs
     # (i, k) for the k in succ[j] - succ[i] in ascending order, which is
-    # what probing every k in range(n) adds, in the same sequence (succ[j]
-    # cannot change during the visit: i == j adds nothing).  That sequence
-    # fixes the iteration order of the relation and of the
-    # AntisymmetryBroken list.
+    # what probing every k in range(n) adds, in the same sequence: succ[j]
+    # cannot change during the visit, since i == j adds nothing.
     succ: list[set[int]] = [set() for _ in range(n)]
     for i, j in rel:
         succ[i].add(j)

@@ -390,14 +390,14 @@ class _Parser:
                 column = list(map(part.get, column))
                 if None in column:
                     m = column.index(None)
-                values.append(column)
-                continue
-            if part == "_":
+            elif part == "_":
                 if not _NOT_IDENT.isdisjoint(column):
                     m = list(map(_NOT_IDENT.__contains__, column)).index(True)
-                values.append(column)
-            elif column.count(part) != len(column):
-                m = list(map(part.__eq__, column)).index(False)
+            else:
+                if column.count(part) != len(column):
+                    m = list(map(part.__eq__, column)).index(False)
+                continue  # a fixed word gives no value
+            values.append(column)
         self.i = i + m * n
         return list(zip(*(column[:m] for column in values)))
 
@@ -422,9 +422,9 @@ class _Parser:
             start = self.i
             rows = self.run(*shape)
             if rows:
-                key = itemgetter(*range(n_key))
-                value = itemgetter(*range(n_key, len(rows[0])))
-                table = dict(zip(map(key, rows), map(value, rows)))
+                key_of = itemgetter(*range(n_key))
+                rest_of = itemgetter(*range(n_key, len(rows[0])))
+                table = dict(zip(map(key_of, rows), map(rest_of, rows)))
                 if len(table) < len(rows):  # a repeated key: `read` reports it
                     table, self.i = {}, start
         while self.at(shape[0]):
