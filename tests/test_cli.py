@@ -97,6 +97,26 @@ def test_check_unreadable_input_exit_2():
             assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def check_bytes(data: bytes):
+    """`movcat check` on a file holding ``data``, for the entity P."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.cat", "wb") as fh:
+            fh.write(data)
+        return runner.invoke(main, ["check", "doc.cat", "--entity", "P"])
+
+
+def test_check_reads_cr_and_crlf_as_line_ends():
+    """A lone CR ends a line, as CRLF does, so errors name the line a text
+    editor shows."""
+    res = check_bytes(b"poset P {\r elements a ;\r\n leq a b }")
+    assert res.exit_code == 2
+    assert "UnresolvedReference: element 'b' (line 3)" in res.output
+    res = check_bytes(b"poset P {\r elements a ;\r\n leq a @ }")
+    assert res.exit_code == 2
+    assert "line 3, col 8: expected identifier or punctuation, found '@'" in res.output
+
+
 def test_check_unchecked_keyword_and_oversize_input_exit_2():
     bogus = "poset P { bogus a b ; leq a b }"
     big = "poset P { elements " + " ".join(f"e{i}" for i in range(65)) + " }"

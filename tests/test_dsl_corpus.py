@@ -7,8 +7,11 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movcat.builders import product_category
 from movcat.campaign import THEOREMS, generate_campaign_instance
@@ -164,6 +167,116 @@ def test_reader_words_match_tokenizer():
     assert (len(texts), refused) == (651, 103)
 
 
+# Characters the scanner refuses outside a comment.  All but the last
+# three are blanks to `str.split`.
+ODD_BLANKS = (
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u3000", "\ufeff", "\x00",
+)
+# Lexemes written without blanks between them; the last two end in a
+# character that is no lexeme.
+GLUED = ("a:b", "a;b", "{a}", "x=>y", "a->b", "a=b", "=>>", "->-")
+
+
+def grid_text() -> str:
+    """The serialized `chain(8)` squared grid, the largest `check-cap` file."""
+    grid = Document()
+    grid.add(make_category_entity("G", product_category([chain(8), chain(8)]).category))
+    return serialize_document(grid)
+
+
+def scanner_texts() -> list[str]:
+    """The generated documents as they are and with, at seeded positions,
+    each odd blank (alone and inside a comment), each glued form, comments
+    that start mid-line or end a line or the text, and words outside ASCII;
+    then the grid, alone and with an odd blank or a comment near its end."""
+    rng = random.Random(19)
+    base = base_texts()
+    texts = list(base)
+
+    def insert(piece: str, n: int) -> None:
+        for _ in range(n):
+            t = rng.choice(base)
+            k = rng.randrange(len(t) + 1)
+            texts.append(t[:k] + piece + t[k:])
+
+    for blank in ODD_BLANKS:
+        insert(blank, 6)
+        insert(f" # note{blank} x\n", 3)
+    for glued in GLUED:
+        insert(glued, 4)
+        insert(f" {glued} ", 4)
+    insert("# mid-line comment", 12)
+    insert("#", 6)
+    texts += [t + "  # trailing" for t in base[::8]]
+    texts += [t.rstrip("\n") + "#" for t in base[1::8]]
+    for word in ("é", "x²", "_١"):
+        insert(word, 4)
+        insert(f" {word} ", 4)
+    grid = grid_text()
+    k = len(grid) - 40
+    texts += [grid, grid[:k] + "\u3000" + grid[k:], grid[:k] + "# \x85 c\n" + grid[k:]]
+    return texts
+
+
+def scans_alike(text: str) -> bool:
+    """Assert that the reader's words for ``text`` are the tokenizer's
+    values, or, where the tokenizer refuses it, that reading its words and
+    parsing it each raise the tokenizer's error at the same place; return
+    whether it was accepted."""
+    try:
+        values = [t.value for t in _tokenize(text)]
+    except DslSyntaxError as e:
+        for read in (_words, parse_document):
+            with pytest.raises(DslSyntaxError) as got:
+                read(text)
+            g = got.value
+            assert (g.line, g.col, g.expected, g.found) == (
+                e.line, e.col, e.expected, e.found
+            )
+        return False
+    assert _words(text) == values
+    return True
+
+
+def test_split_scanner_matches_tokenizer():
+    """Blanks other than space, tab, CR and LF, lexemes without blanks
+    between them, comments and words outside ASCII scan as the tokenizer
+    scans them."""
+    texts = scanner_texts()
+    accepted = sum(map(scans_alike, texts))
+    assert (len(texts), accepted) == (SCANNER_TEXTS, SCANNER_ACCEPTED)
+
+
+# Single lexemes, pieces of lexemes, blanks, comment starts and characters
+# outside ASCII, drawn into texts of up to 40 pieces.
+PIECES = (
+    ["->", "=>", ";", "{", "}", ":", "=", "-", ">", "#", "\n", " ", "\t", "\r"]
+    + list(string.ascii_letters + string.digits + "_")
+    + ["é", "²"]
+    + list(ODD_BLANKS)
+)
+# The same examples on every run; no example database is written.
+DERANDOMIZED = settings(
+    derandomize=True, database=None, deadline=None, max_examples=400
+)
+
+
+def test_drawn_texts_scan_like_tokenizer():
+    """Texts drawn from `PIECES` scan as the tokenizer scans them.  The
+    property runs inside a plain test, so a failure reaches pytest as the
+    shrunk example's assertion; on a failing ``@given`` test the Hypothesis
+    plugin imports libcst to suggest a patch, and that import's
+    DeprecationWarning, an error under this suite's filter, stops the run."""
+
+    @DERANDOMIZED
+    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+    def drawn(text):
+        scans_alike(text)
+
+    drawn()
+
+
 def test_mutated_documents_fail_only_with_movcat_errors():
     texts = mutants(5000, 0)
     results = []
@@ -239,4 +352,5 @@ def test_roundtrip_digest_pinned():
 TOKENS_SHA = "71e7fddab100ee09a4bd6a8f76bfa37a0c2f5fc5b898a37df671a4d22debad36"
 OUTCOMES_SHA = "12498b67f4791c743a46492ae21fbe2566f74b7083a607c1dba01f2fa14a9429"
 MESSAGES_SHA = "32c490c8dfc5f2efbb20ad6cf02e1022c2eef0930814778b37a43cab3966d46b"
+SCANNER_TEXTS, SCANNER_ACCEPTED = 329, 232
 ROUNDTRIP_SHA = "183f8ac0c8b7dacb6e5c241db064c815626d59040813854b616bf98912b11c84"
