@@ -56,15 +56,22 @@ def _fail_input(msg: str) -> None:
 
 
 def _load(path: str) -> Document:
+    """The document in the UTF-8 file ``path``.  One leading byte-order mark
+    is dropped, and CRLF and a lone CR end a line as LF does.  The bytes are
+    decoded whole, so a byte that is not UTF-8 is named by its offset in the
+    file, the mark included."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except FileNotFoundError:
         _fail_input(f"no such file: {path}")
     except OSError as exc:
         _fail_input(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         _fail_input(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return parse_document(text)
     except DslSyntaxError as exc:
         _fail_input(str(exc))
 

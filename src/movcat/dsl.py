@@ -10,10 +10,12 @@ earlier key (a repeated `compose` included) is a `DuplicateStatement`.
 Parsing is followed by validation of every entity, so no parse ever accepts
 an entity its validator rejects.
 
-The reader scans a text into plain token strings and carries no positions.
-When it raises, the line and column it names come from `_tokenize`, which
-scans the text again with positions; a text with a bad character raises
-that scanner's error before anything else.
+The reader scans a text into plain token strings and carries no positions:
+one `str.split` of the text without its comments, checked to have split
+only at the scanner's blanks and to hold only lexemes, or else `_tokenize`.
+When the reader raises, the line and column it names come from `_tokenize`,
+which scans the text again with positions; a text with a bad character
+raises that scanner's error before anything else.
 
 Canonical serialization: entities in document order (which is a dependency
 order), members in ref order, one declaration per line.  Categories are
@@ -207,7 +209,8 @@ def make_category_entity(name: str, category: FiniteCategory) -> CategoryEntity:
 
 
 # One lexeme with its position.  The parser reads the plain strings of
-# `_words` and builds these only to place an error; the tests pin them.
+# `_words` and builds these only to place an error, or for a text that
+# `_words` cannot split; the tests pin them.
 @dataclass(slots=True)
 class _Token:
     kind: str  # "ident" | "punct" | "eof"
@@ -249,20 +252,31 @@ def _tokenize(text: str) -> list[_Token]:
 
 _PUNCT = frozenset(("->", "=>", ";", "{", "}", ":", "="))
 _NOT_IDENT = _PUNCT | {""}
-
-# The lexemes of `_LEXEME` as one group: a comment gives "", and `findall`
-# steps over the blanks, which match nothing.
-_WORD = re.compile(r"#[^\n]*|(->|=>|[;{}:=]|\w+|[^ \t\r\n])")
+_COMMENT = re.compile(r"#[^\n]*")
+_IDENT = re.compile(r"\w+")
 
 
 def _words(text: str) -> list[str]:
     """The token values of ``_tokenize(text)``, with "" for its eof token;
-    a text that `_tokenize` refuses raises its error.  Each distinct value
-    is checked once."""
-    words = list(filter(None, _WORD.findall(text)))
-    for w in set(words):
-        if w not in _PUNCT and not (w[0].isalpha() or w[0] == "_"):
-            _tokenize(text)  # raises DslSyntaxError at the first bad lexeme
+    a text that `_tokenize` refuses raises its error.
+
+    The words come from one `str.split` of the text with its comments
+    removed and ``;``, ``{``, ``}`` and ``:`` set apart by spaces (none of
+    them occurs inside a longer lexeme).  That split holds when it consumed
+    only the scanner's blanks (space, tab, CR, LF; `str.split` also takes
+    the likes of U+000B and U+00A0, which the scanner refuses) and each
+    distinct word is a lexeme; otherwise the words are `_tokenize`'s, which
+    raises at the first bad lexeme."""
+    t = _COMMENT.sub("", text) if "#" in text else text
+    for c in ";{}:":
+        t = t.replace(c, f" {c} ")
+    words = t.split()
+    blanks = t.count(" ") + t.count("\t") + t.count("\r") + t.count("\n")
+    if len(t) - sum(map(len, words)) != blanks or not all(
+        w in _PUNCT or (w[0].isalpha() or w[0] == "_") and _IDENT.fullmatch(w)
+        for w in set(words)
+    ):
+        return [tok.value for tok in _tokenize(text)]
     words.append("")
     return words
 

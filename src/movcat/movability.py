@@ -113,11 +113,16 @@ def check_movable_wrt(
     def candidates(x):
         return ((mobj, m) for mobj in range(k.n_objects) for m in k.hom(mobj, x))
 
+    hom, comp, mor_dom = l.hom, l.comp, k.mor_dom
+    obj_map, mor_map = phi.obj_map, phi.mor_map
+
     def respond(x, cand, p):
         mobj, m = cand
-        pp, tm = phi.mor_map[p], phi.mor_map[m]
-        us = l.hom(phi.obj_map[mobj], phi.obj_map[k.mor_dom[p]])
-        return next((u for u in us if l.comp[(pp, u)] == tm), None)
+        pp, tm = mor_map[p], mor_map[m]
+        for u in hom(obj_map[mobj], obj_map[mor_dom[p]]):
+            if comp[(pp, u)] == tm:
+                return u
+        return None
 
     won, stuck = _first_winners(range(k.n_objects), candidates, k.mors_into, respond)
     if stuck:

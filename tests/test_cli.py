@@ -117,6 +117,50 @@ def test_check_reads_cr_and_crlf_as_line_ends():
     assert "line 3, col 8: expected identifier or punctuation, found '@'" in res.output
 
 
+BOM = "\ufeff".encode()
+
+
+def test_check_ignores_one_leading_byte_order_mark():
+    """A file that starts with a byte-order mark reads as the file without
+    it: same output, same exit code, whether it passes, fails or errs."""
+    unknown, bad = "poset P { elements a ; leq a b }", "poset P { elements a @ }"
+    codes = []
+    for text in (CHAIN3, V, unknown, bad):
+        entity = text.split()[1]
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            with open("plain.cat", "wb") as fh:
+                fh.write(text.encode())
+            with open("bom.cat", "wb") as fh:
+                fh.write(BOM + text.encode())
+            plain = runner.invoke(main, ["check", "plain.cat", "--entity", entity])
+            bom = runner.invoke(main, ["check", "bom.cat", "--entity", entity])
+        assert (bom.exit_code, bom.output) == (plain.exit_code, plain.output)
+        codes.append(bom.exit_code)
+    assert codes == [0, 1, 2, 2]
+
+
+def test_check_byte_order_mark_inside_text_exit_2():
+    """Only a leading mark is dropped; a second one, or one after the first
+    word, is a bad character at its position."""
+    for data, col in (
+        (BOM + BOM + b"poset P { elements a }", 1),
+        (b"poset P { elements a " + BOM + b"b }", 22),
+    ):
+        res = check_bytes(data)
+        assert res.exit_code == 2
+        assert res.output == (
+            f"error: line 1, col {col}: expected identifier or punctuation,"
+            " found '\\ufeff'\n"
+        )
+
+
+def test_check_bad_byte_after_byte_order_mark_names_its_offset():
+    res = check_bytes(BOM + b"po\xffset P { elements a }")
+    assert res.exit_code == 2
+    assert "doc.cat is not UTF-8 text: invalid start byte at byte 5" in res.output
+
+
 def test_check_unchecked_keyword_and_oversize_input_exit_2():
     bogus = "poset P { bogus a b ; leq a b }"
     big = "poset P { elements " + " ".join(f"e{i}" for i in range(65)) + " }"
