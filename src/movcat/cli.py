@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import sys
+from typing import NoReturn
 
 import click
 
@@ -50,7 +51,7 @@ def _echo(msg: str, err: bool = False) -> None:
     click.echo(msg, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
-def _fail_input(msg: str) -> None:
+def _fail_input(msg: str) -> NoReturn:
     _echo(f"error: {msg}", err=True)
     sys.exit(2)
 
