@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .builders import (
-    CommaResult,
     add_initial_object,
     coslice_category,
     elements_category,
@@ -64,7 +63,7 @@ from .movability import (
     _product_transport,
     _weak_domination_transfer,
 )
-from .search import _coproduct_coslice_domination, find_weak_domination
+from .search import coproduct_coslice_domination, find_weak_domination
 from .systems import (
     InverseSystem,
     SM1Witness,
@@ -115,7 +114,8 @@ def _semilattice_doc(rng: random.Random, params: GenParams) -> Document:
 # evaluate_instance records as a failure; so the laws call them for that
 # check alone and do not re-check the witnesses they return.
 # coproduct-coslice builds each object's coslice and witness once per
-# document and verifies each witness once, when it is built; it then calls
+# document and verifies each witness once, when it is built.  It runs the
+# public coproduct_coslice_domination on those shared coslices, then calls
 # the transports' private bodies, which trust their inputs and verify only
 # their output.
 
@@ -231,34 +231,24 @@ def _law_coproduct_coslice(doc: Document) -> tuple[bool, str]:
     designation = doc.get("coproducts_P", CoproductsEntity).designation
     if designation.base != cat:
         raise SourceTargetMismatch("designation is for a different category")
-    # Per object, filled in first-use order, so the first failure is the
-    # one a pair-by-pair rebuild would meet.
-    coslices: dict[int, CommaResult] = {}
-    witnesses: dict[int, Optional[MovabilityWitness]] = {}
-
-    def coslice(c: FiniteCategory, x: int) -> CommaResult:
-        if x not in coslices:
-            coslices[x] = coslice_category(c, x)
-        return coslices[x]
-
-    def witness(x: int) -> Optional[MovabilityWitness]:
-        if x not in witnesses:
-            part = coslice(cat, x).category
-            w = _movable(part)
-            if w is not None and not witness_valid(part, w):
-                raise VerificationFailed("factor witness does not verify")
-            witnesses[x] = w
-        return witnesses[x]
-
+    # One coslice and one verified witness per object, built up front: every
+    # coslice of a poset has an initial object, so no witness is None and no
+    # detail string depends on the order they are built in.
+    coslices = [coslice_category(cat, x) for x in range(cat.n_objects)]
+    witnesses = []
+    for part in coslices:
+        w = _movable(part.category)
+        if w is not None and not witness_valid(part.category, w):
+            raise VerificationFailed("factor witness does not verify")
+        witnesses.append(w)
     for x1 in range(cat.n_objects):
         for x2 in range(cat.n_objects):
-            res = _coproduct_coslice_domination(cat, designation, x1, x2, coslice)
-            ws = []
-            for x in (x1, x2):
-                w = witness(x)
-                if w is None:
-                    return False, "coslice factor unexpectedly not movable"
-                ws.append(w)
+            res = coproduct_coslice_domination(
+                cat, designation, x1, x2, lambda _, x: coslices[x]
+            )
+            ws = [witnesses[x1], witnesses[x2]]
+            if ws[0] is None or ws[1] is None:
+                return False, "coslice factor unexpectedly not movable"
             wl = _product_transport(res.product, ws)
             _weak_domination_transfer(res.f, res.g, res.phi, wl)
     return True, "all pairs compose to verified witnesses"

@@ -247,14 +247,13 @@ def system_check(
     if not any([sm1, sm2, associated, star]):
         sm1 = True
         sm2 = associated = star = ent.cone is not None
+    if (sm2 or associated or star) and ent.cone is None:
+        _fail_input(f"{entity} carries no cone")
     failed = False
     if sm1:
         ok = isinstance(check_sm1(ent.system), SM1Witness)
         _echo(f"sm1: {'pass' if ok else 'fail'}")
         failed |= not ok
-    if sm2 or associated or star:
-        if ent.cone is None:
-            _fail_input(f"{entity} carries no cone")
     if sm2:
         ok = isinstance(check_sm2(ent.system, ent.cone), SM2Witness)
         _echo(f"sm2: {'pass' if ok else 'fail'}")

@@ -173,7 +173,14 @@ def _fill_slots(
     slots: tuple[int, list, list], fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (obj_map, mor_map) pairs of ``_functor_slots`` in lexicographic
-    order, with the slots in ``fixed`` pinned to its values."""
+    order, with the slots in ``fixed`` pinned to its values.
+
+    Pins are used when searching retractions G with G(F(X)) = X and
+    G(F(f)) = f forced.  A pinned morphism is not type-checked, and the
+    checks of ``_functor_slots`` assume that pins type like a functor: the
+    slots of a pinned morphism's endpoints are pinned to its dom and cod,
+    and a pinned identity is an identity.
+    """
     n, candidates, checks = slots
     if fixed:
         candidates = candidates.copy()
@@ -184,20 +191,11 @@ def _fill_slots(
 
 
 def _iter_functor_maps(
-    k: FiniteCategory,
-    l: FiniteCategory,
-    fixed: Optional[Mapping[int, int]] = None,
+    k: FiniteCategory, l: FiniteCategory
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Backtrack over (obj_map, mor_map) pairs in lexicographic order.
-
-    Objects are slots 0..n-1 and morphism m is slot n+m; ``fixed`` pins
-    individual slots (used when searching retractions G with G(F(X)) = X
-    and G(F(f)) = f forced).  A pinned morphism is not type-checked, and
-    the checks of ``_functor_slots`` assume that pins type like a functor:
-    the slots of a pinned morphism's endpoints are pinned to its dom and
-    cod, and a pinned identity is an identity.
-    """
-    return _fill_slots(_functor_slots(k, l), fixed)
+    """Backtrack over the (obj_map, mor_map) pairs of the functors K -> L
+    in lexicographic order."""
+    return _fill_slots(_functor_slots(k, l))
 
 
 @dataclass
@@ -488,30 +486,20 @@ def coproduct_coslice_domination(
     designation: CoproductDesignation,
     x1: int,
     x2: int,
+    coslice: Callable[[FiniteCategory, int], CommaResult] = coslice_category,
 ) -> CosliceDominationResult:
     """Construct and verify coslice(C, X1 + X2) <~ coslice(C, X1) x
     coslice(C, X2).
 
     F restricts along the injections; G copairs into the designated
     coproduct; phi's components are the fold maps Q + Q -> Q.  Everything
-    is validated before returning.  The ``coproduct-coslice`` campaign law
-    runs the same construction on coslices it builds once per object.
+    is validated before returning.  ``coslice(c, x)`` must give
+    ``coslice_category(c, x)``; it is called for the coproduct object, then
+    X1, then X2, so a caller may share one coslice per object (the
+    ``coproduct-coslice`` campaign law does).
     """
     if designation.base != c:
         raise SourceTargetMismatch("designation is for a different category")
-    return _coproduct_coslice_domination(c, designation, x1, x2, coslice_category)
-
-
-def _coproduct_coslice_domination(
-    c: FiniteCategory,
-    designation: CoproductDesignation,
-    x1: int,
-    x2: int,
-    coslice: Callable[[FiniteCategory, int], CommaResult],
-) -> CosliceDominationResult:
-    """``coproduct_coslice_domination`` on a designation over C, with
-    ``coslice(c, x)`` standing in for ``coslice_category``; it is called
-    for the coproduct object, then X1, then X2."""
     j, i1, i2 = designation.pair(x1, x2)
     k_res = coslice(c, j)
     l1 = coslice(c, x1)

@@ -257,19 +257,29 @@ def check_sm2(system: InverseSystem, cone: SystemCone) -> SM2Result:
 
 @dataclass(frozen=True)
 class AssociatedReport:
-    """Verdicts for the three associated-system conditions.
+    """Verdicts for the three associated-system conditions; condition N
+    holds exactly when it has no failures.
 
     cond1: cone compatibility; cond2: every copresheaf element factors
     through the cone; cond3: parallel morphisms equalized on the cone are
     equalized by some bond.
     """
 
-    cond1: bool
     cond1_failures: tuple
-    cond2: bool
     cond2_failures: tuple  # (Q, x) with no factorization
-    cond3: bool
     cond3_failures: tuple  # (a, Q, f, g) with no equalizing index
+
+    @property
+    def cond1(self) -> bool:
+        return not self.cond1_failures
+
+    @property
+    def cond2(self) -> bool:
+        return not self.cond2_failures
+
+    @property
+    def cond3(self) -> bool:
+        return not self.cond3_failures
 
     @property
     def associated(self) -> bool:
@@ -306,9 +316,7 @@ def check_associated(system: InverseSystem, cone: SystemCone) -> AssociatedRepor
                 if not equalized:
                     c3.append((a, q, f, g))
 
-    return AssociatedReport(
-        not c1, tuple(c1), not c2, tuple(c2), not c3, tuple(c3)
-    )
+    return AssociatedReport(tuple(c1), tuple(c2), tuple(c3))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from movcat.movability import (
     product_transport,
     weak_domination_transfer,
 )
-from movcat.search import _coproduct_coslice_domination, coproduct_coslice_domination
+from movcat.search import coproduct_coslice_domination
 from util import fail_every_verdict
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
@@ -170,8 +170,9 @@ def test_coproduct_coslice_private_path_matches_public():
     # sha256 over seeds 0..99 at default params: for every pair (x1, x2),
     # (F, G, phi) of the domination, the product witness of the two coslice
     # factors and the witness transferred to the coslice over x1 + x2, all
-    # through the public constructions.  The law's private path, on one
-    # coslice per object, must give the same values pair by pair.
+    # through the public constructions.  The law's path (the construction on
+    # one coslice per object, then the transports' private bodies) must give
+    # the same values pair by pair.
     h = hashlib.sha256()
     for s in range(100):
         doc = generate_campaign_instance("coproduct-coslice", s)
@@ -185,8 +186,8 @@ def test_coproduct_coslice_private_path_matches_public():
                 wl = product_transport(r.product, ws)
                 wk = weak_domination_transfer(r.f, r.g, r.phi, wl)
                 h.update(repr((r.f, r.g, r.phi, wl, wk)).encode())
-                p = _coproduct_coslice_domination(
-                    cat, designation, x1, x2, lambda c, x: coslices[x]
+                p = coproduct_coslice_domination(
+                    cat, designation, x1, x2, lambda _, x: coslices[x]
                 )
                 assert (p.f, p.g, p.phi) == (r.f, r.g, r.phi)
                 assert _product_transport(p.product, ws) == wl
@@ -196,9 +197,10 @@ def test_coproduct_coslice_private_path_matches_public():
 
 def test_coproduct_coslice_law_builds_and_checks_once(monkeypatch):
     # Per document of n objects: one coslice per object, one check per
-    # factor witness, and one output check in each of the two transports
-    # per pair.  Rebuilding per pair costs 3n^2 coslices and 5n^2 checks.
-    calls = {"coslice": 0, "valid": 0}
+    # factor witness, one run of the public construction per pair, and one
+    # output check in each of the two transports per pair.  Rebuilding per
+    # pair costs 3n^2 coslices and 5n^2 checks.
+    calls = {"coslice": 0, "valid": 0, "domination": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -209,8 +211,17 @@ def test_coproduct_coslice_law_builds_and_checks_once(monkeypatch):
 
     coslice = counted("coslice", coslice_category)
     valid = counted("valid", movability.witness_valid)
-    for module in (campaign, search):
-        monkeypatch.setattr(module, "coslice_category", coslice)
+    monkeypatch.setattr(
+        campaign,
+        "coproduct_coslice_domination",
+        counted("domination", campaign.coproduct_coslice_domination),
+    )
+    monkeypatch.setattr(campaign, "coslice_category", coslice)
+    # The construction's default ``coslice`` was bound when it was defined,
+    # so a law that fell back on it would build uncounted coslices.
+    monkeypatch.setattr(
+        search.coproduct_coslice_domination, "__defaults__", (coslice,)
+    )
     for module in (campaign, movability):
         monkeypatch.setattr(module, "witness_valid", valid)
     sizes = set()
@@ -218,9 +229,13 @@ def test_coproduct_coslice_law_builds_and_checks_once(monkeypatch):
         doc = generate_campaign_instance("coproduct-coslice", s)
         n = doc.category_of("P").n_objects
         sizes.add(n)
-        calls.update(coslice=0, valid=0)
+        calls.update(coslice=0, valid=0, domination=0)
         assert evaluate_instance("coproduct-coslice", doc)[0]
-        assert calls == {"coslice": n, "valid": n + 2 * n * n}, (s, n)
+        assert calls == {
+            "coslice": n,
+            "valid": n + 2 * n * n,
+            "domination": n * n,
+        }, (s, n)
     assert len(sizes) > 1
 
 

@@ -345,6 +345,33 @@ def test_system_check_pass_and_fail():
     assert "system S" in res.output  # document echoed for replay
 
 
+def test_system_check_selection_flags():
+    coned = serialize_document(generate_instance("system", 2))
+    coneless = (
+        CHAIN3 + "\n"
+        "poset I { elements i }\n"
+        "system S in C3 over I { object i => a }\n"
+    )
+
+    def check(text, *flags):
+        return invoke(
+            ["system", "check", "doc.cat", "--entity", "S", *flags],
+            {"doc.cat": text},
+        )[0]
+
+    # A flag that needs a cone on a system without one is bad input: exit 2
+    # before any condition runs, so no verdict line is printed.
+    res = check(coneless, "--sm1", "--star")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: S carries no cone\n"
+    # Each flag selects its own line only.
+    res = check(coned, "--sm1")
+    assert (res.exit_code, res.output) == (0, "sm1: pass\n")
+    res = check(coned, "--star")
+    assert (res.exit_code, res.output) == (0, "star: pass\n")
+
+
 def test_campaign_json_deterministic_and_clean():
     out1, _ = invoke(["campaign", "poset-oracle", "--seeds", "0..8", "--json"])
     out2, _ = invoke(["campaign", "poset-oracle", "--seeds", "0..8", "--json"])
