@@ -27,7 +27,6 @@ from .builders import (
 from .core import FiniteCategory
 from .errors import (
     MovcatError,
-    SourceTargetMismatch,
     UnknownTheorem,
     UnresolvedReference,
     VerificationFailed,
@@ -229,8 +228,6 @@ def _law_star_bridge(doc: Document) -> tuple[bool, str]:
 def _law_coproduct_coslice(doc: Document) -> tuple[bool, str]:
     cat = doc.category_of("P")
     designation = doc.get("coproducts_P", CoproductsEntity).designation
-    if designation.base != cat:
-        raise SourceTargetMismatch("designation is for a different category")
     # One coslice and one verified witness per object, built up front: every
     # coslice of a poset has an initial object, so no witness is None and no
     # detail string depends on the order they are built in.
@@ -241,10 +238,14 @@ def _law_coproduct_coslice(doc: Document) -> tuple[bool, str]:
         if w is not None and not witness_valid(part.category, w):
             raise VerificationFailed("factor witness does not verify")
         witnesses.append(w)
+
+    def shared_coslice(_, x):
+        return coslices[x]
+
     for x1 in range(cat.n_objects):
         for x2 in range(cat.n_objects):
             res = coproduct_coslice_domination(
-                cat, designation, x1, x2, lambda _, x: coslices[x]
+                cat, designation, x1, x2, shared_coslice
             )
             ws = [witnesses[x1], witnesses[x2]]
             if ws[0] is None or ws[1] is None:

@@ -486,20 +486,21 @@ def coproduct_coslice_domination(
     designation: CoproductDesignation,
     x1: int,
     x2: int,
-    coslice: Callable[[FiniteCategory, int], CommaResult] = coslice_category,
+    coslice: Optional[Callable[[FiniteCategory, int], CommaResult]] = None,
 ) -> CosliceDominationResult:
     """Construct and verify coslice(C, X1 + X2) <~ coslice(C, X1) x
     coslice(C, X2).
 
     F restricts along the injections; G copairs into the designated
     coproduct; phi's components are the fold maps Q + Q -> Q.  Everything
-    is validated before returning.  ``coslice(c, x)`` must give
-    ``coslice_category(c, x)``; it is called for the coproduct object, then
-    X1, then X2, so a caller may share one coslice per object (the
-    ``coproduct-coslice`` campaign law does).
+    is validated before returning.  ``coslice(c, x)``, ``coslice_category``
+    when omitted, must give ``coslice_category(c, x)``; it is called for the
+    coproduct object, then X1, then X2, so a caller may share one coslice
+    per object (the ``coproduct-coslice`` campaign law does).
     """
     if designation.base != c:
         raise SourceTargetMismatch("designation is for a different category")
+    coslice = coslice or coslice_category
     j, i1, i2 = designation.pair(x1, x2)
     k_res = coslice(c, j)
     l1 = coslice(c, x1)

@@ -216,12 +216,8 @@ def test_coproduct_coslice_law_builds_and_checks_once(monkeypatch):
         "coproduct_coslice_domination",
         counted("domination", campaign.coproduct_coslice_domination),
     )
-    monkeypatch.setattr(campaign, "coslice_category", coslice)
-    # The construction's default ``coslice`` was bound when it was defined,
-    # so a law that fell back on it would build uncounted coslices.
-    monkeypatch.setattr(
-        search.coproduct_coslice_domination, "__defaults__", (coslice,)
-    )
+    for module in (campaign, search):
+        monkeypatch.setattr(module, "coslice_category", coslice)
     for module in (campaign, movability):
         monkeypatch.setattr(module, "witness_valid", valid)
     sizes = set()
