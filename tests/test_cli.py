@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 
 from click.testing import CliRunner
 
@@ -402,3 +404,64 @@ def test_campaign_bad_seeds_exit_2():
         res, _ = invoke(["campaign", "initial", "--seeds", seeds])
         assert res.exit_code == 2, seeds
         assert "bad --seeds" in res.output
+
+
+def _shuffled_poset(rng, n: int, forest: bool) -> str:
+    """A poset entity ``K`` of n elements, listed in shuffled order, with
+    one lower cover per element (a forest) or sparse random covers."""
+    if forest:
+        pairs = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8]
+    else:
+        pairs = [
+            (a, b)
+            for b in range(n)
+            for a in range(b)
+            if rng.random() < 2.5 / n
+        ]
+    listing = list(range(n))
+    rng.shuffle(listing)
+    rng.shuffle(pairs)
+    leq = "".join(f" leq p{a} p{b} ;" for a, b in pairs)
+    return f"poset K {{ elements {' '.join(f'p{i}' for i in listing)} ;{leq} }}\n"
+
+
+def _cli_corpus():
+    """(args, document) for the pinned CLI transcript: 60 poset entities
+    listed out of order, the ``category`` instances of seeds 0..99, and
+    weak domination searches on reference pairs."""
+    rng = random.Random("cli-corpus")
+    for i in range(60):
+        doc = _shuffled_poset(rng, rng.randint(6, 20), forest=i % 2 == 0)
+        yield ["check", "doc.cat", "--entity", "K"], doc
+    for seed in range(100):
+        doc = serialize_document(generate_instance("category", seed))
+        yield ["check", "doc.cat", "--entity", "K"], doc
+    for seed in range(6):
+        doc = serialize_document(generate_instance("domination-pair", seed))
+        yield ["search", "domination", "doc.cat", "K", "L", "--weak"], doc
+    for k, l in (("C3", "V"), ("V", "C3"), ("C3", "C3")):
+        yield ["search", "domination", "doc.cat", k, l, "--weak"], BOTH
+
+
+# Exit 0 and exit 1 counts, and the sha256 of every (exit code, stdout).
+CLI_TRANSCRIPT_CODES = (130, 39)
+CLI_TRANSCRIPT_SHA256 = (
+    "61dc4a97071fe6b91683440c6636a57440b12c97906c07ac832a590de8d8cdd2"
+)
+
+
+def test_cli_transcript_pinned(tmp_path):
+    # Every report's bytes and exit code, so a change to how reports are
+    # written cannot change what they say.
+    path = tmp_path / "doc.cat"
+    digest = hashlib.sha256()
+    codes = []
+    for args, doc in _cli_corpus():
+        path.write_text(doc, encoding="utf-8")
+        args = [str(path) if a == "doc.cat" else a for a in args]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code in (0, 1), (args, doc, res.output)
+        digest.update(f"{res.exit_code}\n{res.stdout}".encode())
+        codes.append(res.exit_code)
+    assert (codes.count(0), codes.count(1)) == CLI_TRANSCRIPT_CODES
+    assert digest.hexdigest() == CLI_TRANSCRIPT_SHA256

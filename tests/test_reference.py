@@ -10,11 +10,19 @@ import dataclasses
 import itertools
 import random
 
-from movcat.builders import elements_category
+from movcat.builders import (
+    add_initial_object,
+    build_poset_category,
+    elements_category,
+)
 from movcat.campaign import generate_campaign_instance
 from movcat.core import identity_functor, make_poset, validate_category
 from movcat.generators import generate_instance, terminal_copresheaf
-from movcat.movability import check_strongly_movable, space_movability
+from movcat.movability import (
+    MovabilityWitness,
+    check_strongly_movable,
+    space_movability,
+)
 from movcat.search import (
     enumerate_functors,
     find_functorial_domination,
@@ -122,6 +130,34 @@ def _unforced_choice(system, res):
         for a, a2 in res.choices
         for answers in [sm1_answers(system, a, res.alpha_prime[a], a2)]
     )
+
+
+def test_movability_candidate_order_matches_reference():
+    # Posets listed out of order, so the winning mover often has a late ref
+    # and a morphism into X can come before X's identity; and categories
+    # whose only mover may be the initial object, listed last.
+    rng = random.Random("candidate-order")
+    movable = 0
+    for i in range(200):
+        n = rng.randint(4, 9)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        p = rng.uniform(0.1, 0.6)
+        pairs = [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if rank[a] < rank[b] and rng.random() < p
+        ]
+        k = build_poset_category(make_poset([f"e{j}" for j in range(n)], pairs))
+        got = check_strongly_movable(k)
+        assert got == naive_movable_wrt(k, k, identity_functor(k)), f"poset {i}"
+        movable += isinstance(got, MovabilityWitness)
+    assert 20 < movable < 180
+    for seed in range(300):
+        k = add_initial_object(generate_instance("category", seed).category_of("K"))
+        want = naive_movable_wrt(k, k, identity_functor(k))
+        assert check_strongly_movable(k) == want, f"category seed {seed}"
 
 
 def test_sm1_matches_reference_over_retract_ambients():
