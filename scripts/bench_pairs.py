@@ -11,8 +11,13 @@ the command of BENCHMARK.json with ``--workload W --seed N --seconds S
 the same seed; even pairs run the parent first, odd pairs the change.  Runs
 go one at a time.  The result goes to ``BENCH_<name>.json``: every run's
 end-to-end metrics with its ``attempted`` and ``failed`` operation counts,
-and per metric each side's ``bench/collect.py`` summary and the number of
-pairs the change won (ties count for neither side).  A run with failed
+the environment's ``PYTHONDONTWRITEBYTECODE`` (when it is set, neither side
+caches compiled modules, so every run's ``setup_s`` includes compiling
+movcat), and per metric each side's ``bench/collect.py`` summary, the number
+of pairs the change won (ties count for neither side) and
+``claim_rule_met``: whether the change won at least nine pairs in ten and
+its median beats the parent's by more than the parent's q3 - q1, the rule a
+claimed gain must meet.  A run with failed
 operations is recorded, not dropped, and makes the script exit 1 once the
 record is written; a run that is incorrect for any other reason stops it.
 An existing record is never overwritten: when ``BENCH_<name>.json`` exists
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -70,13 +76,18 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         sign = 1 if direction == "higher" else -1
-        out[name] = {
+        s = out[name] = {
             "better": direction,
             "parent": summarize(parent),
             "change": summarize(change),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+        gap = sign * (s["change"]["median"] - s["parent"]["median"])
+        s["claim_rule_met"] = (
+            10 * s["change_wins"] >= 9 * len(pairs)
+            and gap > s["parent"]["q3"] - s["parent"]["q1"]
+        )
     return out
 
 
@@ -127,6 +138,7 @@ def main(argv=None) -> int:
         "command": spec["command"] + args_of + ["--seed", "N"],
         **commits,
         "python": sys.version.split()[0],
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "pairs": pairs,
         "summary": _summary(pairs, better),
     }
@@ -135,7 +147,8 @@ def main(argv=None) -> int:
         print(f"{name}: parent {s['parent']['median']:.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
-              f"{s['change']['q3']:.4g}], change wins {s['change_wins']}/{s['pairs']}")
+              f"{s['change']['q3']:.4g}], change wins {s['change_wins']}/{s['pairs']}, "
+              f"claim rule {'met' if s['claim_rule_met'] else 'not met'}")
     failed = {side: sum(p[side]["failed"] for p in pairs) for side in commits}
     for side in commits:
         attempted = sum(p[side]["attempted"] for p in pairs)

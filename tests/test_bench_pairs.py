@@ -1,6 +1,8 @@
-"""`scripts/bench_pairs.py` keeps every existing record."""
+"""`scripts/bench_pairs.py` keeps every existing record and applies the
+claim rule to what it records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,62 @@ def test_existing_record_is_not_overwritten(monkeypatch, capsys):
     assert e.value.code == 2
     assert "BENCH_read.json exists" in capsys.readouterr().err
     assert record.read_bytes() == before
+
+
+def _pairs(parent, change, name="item_p50_ms"):
+    return [
+        {"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)
+    ]
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, met",
+    [
+        # 10/10 wins; the medians are 2.55 apart, the parent's q3 - q1 is 0.45.
+        ("lower", [3.0, 3.1, 2.9, 3.5, 3.0, 2.8, 3.2, 2.7, 3.3, 3.4],
+         [0.5] * 10, True),
+        # 9 wins and one tie still meet the rule.
+        ("lower", [3.0] * 10, [2.0] * 9 + [3.0], True),
+        # 8 wins and two ties do not: a tie counts for neither side.
+        ("lower", [3.0] * 10, [2.0] * 8 + [3.0] * 2, False),
+        # 9 wins and one loss.
+        ("higher", [100.0] * 10, [120.0] * 9 + [90.0], True),
+        # 10/10 wins inside the parent's spread.
+        ("higher", [90.0, 110.0] * 5, [111.0, 112.0] * 5, False),
+        # A gap the other way is never a gain.
+        ("higher", [3.0] * 10, [2.0] * 10, False),
+    ],
+)
+def test_claim_rule_on_synthetic_pairs(better, parent, change, met):
+    s = _load()._summary(_pairs(parent, change), {"item_p50_ms": better})
+    assert s["item_p50_ms"]["claim_rule_met"] is met
+
+
+def test_record_carries_claim_rule_and_bytecode_setting(
+    tmp_path, monkeypatch, capsys
+):
+    bench_pairs = _load()
+    spec = (ROOT / "BENCHMARK.json").read_text()
+    names = [m["name"] for m in json.loads(spec)["end_to_end"]]
+    (tmp_path / "BENCHMARK.json").write_text(spec)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "_unpack", lambda commit, into: None)
+    runs = iter(range(100))
+
+    def run(where, command):
+        # 1.0 on the first run of each pair, 2.0 on the second: the change
+        # wins two pairs of four on every metric.
+        metrics = {n: 1.0 + next(runs) % 2 for n in names}
+        return {**metrics, "attempted": 5, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.main(
+        ["--parent", "HEAD", "--workload", "check-cap", "--pairs", "4",
+         "--name", "t"]
+    ) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert {s["claim_rule_met"] for s in record["summary"].values()} == {False}
+    assert "claim rule not met" in capsys.readouterr().out
