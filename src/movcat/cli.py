@@ -3,6 +3,12 @@
 Exit codes: 0 when the property holds or the campaign is clean, 1 when the
 property fails or a counterexample is found, 2 on input or validation
 errors.
+
+``check`` and ``search domination`` compose each report, then write it with
+one call.  click exits 1 when a write meets a closed pipe, so a report
+written line by line could turn a pass into exit 1 under ``| head -1``; a
+report that fits in the pipe's buffer is now out before any reader can
+close it.
 """
 
 from __future__ import annotations
@@ -109,18 +115,20 @@ def check(file: str, entity: str, via: str | None) -> None:
         if phi.source != k:
             _fail_input(f"--via {via} is not a functor out of {entity}")
         prop, res = "movable", check_movable_wrt(k, phi.target, phi)
+    names = k.object_names
     if isinstance(res, MovabilityWitness):
-        _echo(f"{entity}: {prop} (witness found)")
-        for x in range(k.n_objects):
-            _echo(
-                f"  {k.object_names[x]}: mover {k.object_names[res.movers[x]]}"
-                f" via {k.mor_names[res.mover_mors[x]]}"
-            )
-        sys.exit(0)
-    _echo(f"{entity}: not {prop}")
-    _echo(f"  defeated at object {k.object_names[res.obj]}")
-    _echo(serialize_document(doc))
-    sys.exit(1)
+        lines = [f"{entity}: {prop} (witness found)"] + [
+            f"  {names[x]}: mover {names[m]} via {k.mor_names[mm]}"
+            for x, (m, mm) in enumerate(zip(res.movers, res.mover_mors))
+        ]
+    else:
+        lines = [
+            f"{entity}: not {prop}",
+            f"  defeated at object {names[res.obj]}",
+            serialize_document(doc),
+        ]
+    _echo("\n".join(lines))
+    sys.exit(0 if isinstance(res, MovabilityWitness) else 1)
 
 
 @main.group()
@@ -154,15 +162,16 @@ def domination(file: str, k_name: str, l_name: str, weak: bool, budget: int) -> 
     else:
         f, g = res.found
         phi = None
-    _echo("found")
+    lines = ["found"]
     for label, fn in (("F", f), ("G", g)):
         names, images = fn.source.object_names, fn.target.object_names
         pairs = (f"{names[a]}=>{images[b]}" for a, b in enumerate(fn.obj_map))
-        _echo(f"  {label} objects: " + " ".join(pairs))
+        lines.append(f"  {label} objects: " + " ".join(pairs))
     if phi is not None:
         comps = enumerate(phi.components)
         pairs = (f"{k.object_names[a]}:{k.mor_names[c]}" for a, c in comps)
-        _echo("  phi: " + " ".join(pairs))
+        lines.append("  phi: " + " ".join(pairs))
+    _echo("\n".join(lines))
     sys.exit(0)
 
 

@@ -7,7 +7,10 @@ hom_L(Phi(M(X)), Phi(Y)) with Phi(p) . u = Phi(m_X).  Strong movability is
 the special case L = K, Phi = 1_K.
 
 Searches iterate candidates in ascending ref order, so reported witnesses
-are the lexicographically least ones.  These deciders and those in
+are the lexicographically least ones.  ``check_movable_wrt`` reads an
+object X's candidates (M, m) from the morphisms into X, which are ascending
+by ref; a stable sort by domain gives the order (M, then m) without probing
+hom(M, X) for every object M.  These deciders and those in
 ``systems`` all run one first-winner search, ``_first_winners``.  Transport
 operations re-verify the transported witness rather than trusting the
 proof; a verification failure is a hard internal error.  The public
@@ -110,10 +113,12 @@ def check_movable_wrt(
     """Decide movability of K w.r.t. L and phi: K -> L, exhaustively."""
     _check_phi(k, l, phi)
 
-    def candidates(x):
-        return ((mobj, m) for mobj in range(k.n_objects) for m in k.hom(mobj, x))
-
     hom, comp, mor_dom = l.hom, l.comp, k.mor_dom
+
+    def candidates(x):
+        into = sorted(k.mors_into(x), key=mor_dom.__getitem__)
+        return ((mor_dom[m], m) for m in into)
+
     obj_map, mor_map = phi.obj_map, phi.mor_map
 
     def respond(x, cand, p):

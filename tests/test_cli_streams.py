@@ -1,7 +1,12 @@
-"""In-process CLI invocations must not outlive themselves: every stream a
-CliRunner invocation hands the command is garbage once the call returns."""
+"""The CLI's streams: every stream an in-process CliRunner invocation hands
+the command is garbage once the call returns, and a reader that closes the
+pipe after the first line does not change the exit code."""
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner, _NamedTextIOWrapper
 
@@ -28,3 +33,24 @@ def test_check_invocations_leave_no_stream_alive(tmp_path):
         res = CliRunner().invoke(main, ["check", str(path), "--entity", entity])
         assert res.exit_code == i % 3
     assert _alive() == before
+
+
+def test_check_exit_code_survives_reader_closing_the_pipe(tmp_path):
+    # `movcat check big.cat --entity K | head -1`: written line by line,
+    # the report met a closed pipe and click turned the pass into exit 1.
+    elements = " ".join(f"e{i}" for i in range(64))
+    leq = "".join(f" leq e{i // 2} e{i} ;" for i in range(1, 64))
+    path = tmp_path / "big.cat"
+    path.write_text(f"poset K {{ elements {elements} ;{leq} }}\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for _ in range(3):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "movcat.cli", "check", path, "--entity", "K"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"K: strong-movable (witness found)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
