@@ -6,9 +6,9 @@ errors.
 
 ``check`` and ``search domination`` compose each report, then write it with
 one call.  click exits 1 when a write meets a closed pipe, so a report
-written line by line could turn a pass into exit 1 under ``| head -1``; a
-report that fits in the pipe's buffer is now out before any reader can
-close it.
+written line by line can turn a pass into exit 1 under ``| head -1``; a
+report written at once that fits in the pipe's buffer is out before any
+reader can close it.
 """
 
 from __future__ import annotations
