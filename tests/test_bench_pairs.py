@@ -38,9 +38,10 @@ def test_existing_record_is_not_overwritten(monkeypatch, capsys):
     assert record.read_bytes() == before
 
 
-def _pairs(parent, change, name="item_p50_ms"):
+def _pairs(parent, change):
     return [
-        {"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)
+        {"parent": {"item_p50_ms": p}, "change": {"item_p50_ms": c}}
+        for p, c in zip(parent, change)
     ]
 
 

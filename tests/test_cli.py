@@ -408,7 +408,8 @@ def test_campaign_bad_seeds_exit_2():
 
 def _shuffled_poset(rng, n: int, forest: bool) -> str:
     """A poset entity ``K`` of n elements, listed in shuffled order, with
-    one lower cover per element (a forest) or sparse random covers."""
+    at most one lower cover per element (a forest) or sparse random
+    covers."""
     if forest:
         pairs = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8]
     else:
