@@ -10,10 +10,14 @@ import dataclasses
 import itertools
 import random
 
+from movcat import search
 from movcat.builders import (
     add_initial_object,
+    build_monoid_category,
     build_poset_category,
+    coslice_category,
     elements_category,
+    product_category,
 )
 from movcat.campaign import generate_campaign_instance
 from movcat.core import identity_functor, make_poset, validate_category
@@ -198,3 +202,62 @@ def test_domination_search_matches_reference():
             got = enumerate_functors(k, l, budget)
             assert got.functors == functors[:budget], f"{where} budget {budget}"
             assert got.truncated == (len(functors) > budget), where
+
+
+def _cyclic(n: int):
+    """Z/n as a one-object category whose identity is the last ref: ref r
+    is the rotation by r + 1, so two non-identities can compose to the
+    identity."""
+    return build_monoid_category(
+        [f"r{(r + 1) % n}" for r in range(n)],
+        n - 1,
+        [[(a + b + 1) % n for b in range(n)] for a in range(n)],
+    )
+
+
+def _iso_pair():
+    """Two objects and an isomorphism f: a -> b with inverse g, listed
+    before the identities."""
+    mors = [("f", 0, 1), ("id_a", 0, 0), ("g", 1, 0), ("id_b", 1, 1)]
+    comp = {(2, 0): 1, (0, 2): 3, (1, 1): 1, (3, 3): 3,
+            (0, 1): 0, (3, 0): 0, (2, 3): 2, (1, 2): 2}
+    return validate_category(["a", "b"], mors, [1, 3], comp)
+
+
+def test_folded_identities_match_reference():
+    """Categories whose identities are not refs 0..n-1, or are composites
+    of two non-identities: the functor lists, every budget of both
+    domination searches, and every pinned G search of an injective F equal
+    the generate-and-filter reference."""
+    z2, iso = _cyclic(2), _iso_pair()
+    cats = [z2, _cyclic(3), iso, product_category([chain(2), z2]).category,
+            coslice_category(iso, 0).category, chain(2), v_poset_category()]
+    assert all(c.identity != tuple(range(c.n_objects)) for c in cats[:5])
+    pinned = 0
+    for k, l in itertools.product(cats, repeat=2):
+        where = f"{k.object_names}/{k.mor_names} <~ {l.object_names}/{l.mor_names}"
+        functors = naive_functors(k, l)
+        assert enumerate_functors(k, l).functors == functors, where
+        for weak, find in ((False, find_functorial_domination),
+                           (True, find_weak_domination)):
+            trace = naive_domination(k, l, weak)
+            for budget in range(trace[0] + 2):
+                got = find(k, l, budget)
+                assert (got.found, got.truncated) == naive_domination_at(
+                    trace, budget
+                ), f"{where} weak={weak} budget {budget}"
+        n = l.n_objects
+        naive = [g.obj_map + g.mor_map for g in naive_functors(l, k)]
+        for f in functors:
+            fixed = {o: x for x, o in enumerate(f.obj_map)}
+            fixed.update((n + t, m) for m, t in enumerate(f.mor_map))
+            if len(fixed) < k.n_objects + k.n_mors:
+                continue  # F is not injective
+            got = list(search._fill_slots(search._functor_slots(l, k), fixed))
+            assert got == [
+                (slots[:n], slots[n:])
+                for slots in naive
+                if all(slots[i] == v for i, v in fixed.items())
+            ], (where, fixed)
+            pinned += 1
+    assert pinned > 20
