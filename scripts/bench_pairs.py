@@ -14,14 +14,17 @@ end-to-end metrics with its ``attempted`` and ``failed`` operation counts,
 the environment's ``PYTHONDONTWRITEBYTECODE`` (when it is set, neither side
 caches compiled modules, so every run's ``setup_s`` includes compiling
 movcat), and per metric each side's ``bench/collect.py`` summary, the number
-of pairs the change won (ties count for neither side) and
+of pairs the change won (ties count for neither side),
 ``claim_rule_met``: whether the change won at least nine pairs in ten and
 its median beats the parent's by more than the parent's q3 - q1, the rule a
-claimed gain must meet.  A run with failed
+claimed gain must meet, and ``within_bound``: whether the change's median
+is no worse than the parent's by more than the metric's BENCHMARK.json
+``bound``, taken as a fraction of the parent's median.  A run with failed
 operations is recorded, not dropped, and makes the script exit 1 once the
 record is written; a run that is incorrect for any other reason stops it.
 An existing record is never overwritten: when ``BENCH_<name>.json`` exists
-the script exits 2 before it runs anything.
+the script exits 2 before it runs anything, as it does for a ``--workload``
+that BENCHMARK.json does not list.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ def _run(where: Path, command: list[str]) -> dict:
     return run
 
 
-def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
+def _summary(
+    pairs: list[dict], better: dict[str, str], bounds: dict[str, float]
+) -> dict:
     out = {}
     for name, direction in better.items():
         parent = [p["parent"][name] for p in pairs]
@@ -88,6 +93,7 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
             10 * s["change_wins"] >= 9 * len(pairs)
             and gap > s["parent"]["q3"] - s["parent"]["q1"]
         )
+        s["within_bound"] = -gap <= bounds[name] * abs(s["parent"]["median"])
     return out
 
 
@@ -99,9 +105,12 @@ def _positive_int(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="commit to compare HEAD with")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in spec["workloads"]]
+    )
     ap.add_argument("--pairs", type=_positive_int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json")
@@ -110,8 +119,8 @@ def main(argv=None) -> int:
     if out.exists():
         ap.error(f"{out.name} exists; choose a new --name")
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     args_of = ["--workload", args.workload, "--seconds", str(spec["run_seconds"]),
                "--trace", "0"]
     commits = {"parent": _git("rev-parse", args.parent),
@@ -140,7 +149,7 @@ def main(argv=None) -> int:
         "python": sys.version.split()[0],
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "pairs": pairs,
-        "summary": _summary(pairs, better),
+        "summary": _summary(pairs, better, bounds),
     }
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for name, s in report["summary"].items():
@@ -148,7 +157,8 @@ def main(argv=None) -> int:
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
               f"{s['change']['q3']:.4g}], change wins {s['change_wins']}/{s['pairs']}, "
-              f"claim rule {'met' if s['claim_rule_met'] else 'not met'}")
+              f"claim rule {'met' if s['claim_rule_met'] else 'not met'}, "
+              f"{'within' if s['within_bound'] else 'outside'} bound")
     failed = {side: sum(p[side]["failed"] for p in pairs) for side in commits}
     for side in commits:
         attempted = sum(p[side]["attempted"] for p in pairs)

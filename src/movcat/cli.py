@@ -258,28 +258,34 @@ def system_check(
         sm2 = associated = star = ent.cone is not None
     if (sm2 or associated or star) and ent.cone is None:
         _fail_input(f"{entity} carries no cone")
-    failed = False
-    if sm1:
-        ok = isinstance(check_sm1(ent.system), SM1Witness)
-        _echo(f"sm1: {'pass' if ok else 'fail'}")
-        failed |= not ok
-    if sm2:
-        ok = isinstance(check_sm2(ent.system, ent.cone), SM2Witness)
-        _echo(f"sm2: {'pass' if ok else 'fail'}")
-        failed |= not ok
-    if associated:
-        rep = check_associated(ent.system, ent.cone)
-        _echo(
-            f"associated: {'pass' if rep.associated else 'fail'}"
-            f" (1:{rep.cond1} 2:{rep.cond2} 3:{rep.cond3})"
-        )
-        failed |= not rep.associated
-    if star:
-        ok = isinstance(check_star(ent.cone.copresheaf), StarWitness)
-        _echo(f"star: {'pass' if ok else 'fail'}")
-        failed |= not ok
-    if failed:
-        _echo(serialize_document(doc))
+    # The report is written once, with the lines of the checks that ran
+    # when one of them raises, as it was written line by line before.
+    lines, failed = [], False
+    try:
+        if sm1:
+            ok = isinstance(check_sm1(ent.system), SM1Witness)
+            lines.append(f"sm1: {'pass' if ok else 'fail'}")
+            failed |= not ok
+        if sm2:
+            ok = isinstance(check_sm2(ent.system, ent.cone), SM2Witness)
+            lines.append(f"sm2: {'pass' if ok else 'fail'}")
+            failed |= not ok
+        if associated:
+            rep = check_associated(ent.system, ent.cone)
+            lines.append(
+                f"associated: {'pass' if rep.associated else 'fail'}"
+                f" (1:{rep.cond1} 2:{rep.cond2} 3:{rep.cond3})"
+            )
+            failed |= not rep.associated
+        if star:
+            ok = isinstance(check_star(ent.cone.copresheaf), StarWitness)
+            lines.append(f"star: {'pass' if ok else 'fail'}")
+            failed |= not ok
+        if failed:
+            lines.append(serialize_document(doc))
+    finally:
+        if lines:
+            _echo("\n".join(lines))
     sys.exit(1 if failed else 0)
 
 
@@ -311,13 +317,13 @@ def campaign(
     if as_json:
         _echo(report.to_json())
     else:
-        _echo(
+        lines = [
             f"{theorem}: {report.passes}/{report.instances} pass"
             f" ({report.wall_time:.2f}s)"
-        )
+        ]
         for f in report.failures:
-            _echo(f"seed {f['seed']}: {f['detail']}")
-            _echo(f["document"])
+            lines += [f"seed {f['seed']}: {f['detail']}", f["document"]]
+        _echo("\n".join(lines))
     sys.exit(0 if report.clean else 1)
 
 

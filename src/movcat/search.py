@@ -4,33 +4,40 @@ relating a coslice over a coproduct to the product of coslices.
 
 Functor maps and natural-transformation components are both enumerated by
 one slot backtracker, ``_backtrack``, with incremental constraint propagation
-(dom/cod typing, identity preservation, composition closure and naturality
-as assignments complete); it emits in lexicographic obj-map/mor-map order.
-Functor object slots are forward-checked: once both ends of a non-identity
-morphism are assigned, the target must have a morphism between their
-images, or the branch is cut before any morphism slot is tried.  Every
-search spends one ``_Budget``, which counts emitted candidates (not
-internal nodes) across all of its phases, so pruning never moves a budget
-stop.  The strict phase builds the slots of G: L -> K once and pins them
-anew for each F.
+(dom/cod typing, composition closure and naturality as assignments
+complete); it emits in lexicographic obj-map/mor-map order.  Identity
+morphisms get no functor slot: each id_x is filled in with the identity of
+x's image as a functor is emitted, and a composite of two non-identities
+that is an identity is checked against that image.  Functor object slots
+are forward-checked: once both ends of a non-identity morphism are
+assigned, the target must have a morphism between their images, or the
+branch is cut before any morphism slot is tried.  Every search spends one
+``_Budget``, which counts emitted candidates (not internal nodes) across
+all of its phases, so pruning never moves a budget stop.  The strict phase
+builds the slots of G: L -> K once and pins them anew for each F.
 
-The weak domination search enumerates the functors G: L -> K once per call.
-The first F walks them lazily and appends each G's object and morphism maps
-to two flat arrays of K refs (``array("H")``); each G spends a unit as it
-is stored, so the arrays never hold more G than the budget, and nothing
-outlives the call.  When that walk ends, one bitset per (L-object o,
-K-object x) marks the G with hom_K(G(o), x) non-empty.  Each later F ANDs
-the bitsets at (F(x), x) over the objects x of K: what is left are exactly
-the G for which every component of a phi: G.F => 1_K has somewhere to go.
-Only those G are built as ``Functor`` values and searched for a phi; the
-units of the skipped G are spent in bulk, so emission order and budget
-stops are those of the plain nested walk.
+The weak domination search walks the functors F: K -> L and G: L -> K once
+each per call.  As the strict phase walks the F, it appends each F's object
+and morphism maps to two flat arrays of L refs (``array("H")``); the weak
+phase replays them in the same order, and each F spends one unit in each
+phase.  The first F of the weak phase walks the G lazily and appends each
+G's maps to two flat arrays of K refs; each G spends a unit as it is
+stored, so no array holds more maps than the budget, and nothing outlives
+the call.  When the G walk ends, one bitset per (L-object o, K-object x)
+marks the G with hom_K(G(o), x) non-empty.  Each later F ANDs the bitsets
+at (F(x), x) over the objects x of K: what is left are exactly the G for
+which every component of a phi: G.F => 1_K has somewhere to go.  Only
+those G, and only the F with some G left, are built as ``Functor`` values
+and searched for a phi; the units of the skipped G are spent in bulk, so
+emission order and budget stops are those of the plain nested walk.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional
 
 from .builders import (
@@ -111,83 +118,136 @@ def _backtrack(candidates: list, checks: list) -> Iterator[tuple[int, ...]]:
             values[i], at[i] = candidates[i](vals), 0
 
 
-def _functor_slots(
-    k: FiniteCategory, l: FiniteCategory
-) -> tuple[int, list, list]:
-    """``(n, candidates, checks)`` for ``_backtrack`` over the functors
-    K -> L: objects are slots 0..n-1 and morphism m is slot n+m.
+def _connected(ends: list, linked: set) -> Callable[[list[int]], bool]:
+    """A check that every (dom, cod) of ``ends`` has a morphism of the
+    target between the images of its ends (``linked`` holds its pairs)."""
+
+    def check(v: list[int]) -> bool:
+        for d, c in ends:
+            if (v[d], v[c]) not in linked:
+                return False
+        return True
+
+    return check
+
+
+def _closes(
+    triples: list, units: list, comp: dict, ident: tuple
+) -> Callable[[list[int]], bool]:
+    """A check that the image of each composite closes: ``comp`` sends the
+    images of slots (g, f) to the image of slot h for each (g, f, h) in
+    ``triples``, and to the identity of the image of object x for each
+    (g, f, x) in ``units``."""
+
+    def check(v: list[int]) -> bool:
+        for g, f, h in triples:
+            if comp[(v[g], v[f])] != v[h]:
+                return False
+        for g, f, x in units:
+            if comp[(v[g], v[f])] != ident[v[x]]:
+                return False
+        return True
+
+    return check
+
+
+def _functor_slots(k: FiniteCategory, l: FiniteCategory) -> tuple:
+    """``(n, candidates, checks, pick, maps)`` for ``_backtrack`` over the
+    functors K -> L, where n is the number of objects of K.
+
+    Objects are slots 0..n-1 and the non-identity morphisms of K follow in
+    ref order, so there are as many slots as K has morphisms.  Identities
+    get no slot, since a functor sends id_x to the identity of the image of
+    x.  ``maps(vals)`` turns an assignment into the (obj_map, mor_map)
+    pair: it appends ``l.identity[v[x]]`` for every object x and reads
+    morphism m's image at ``pick[m]``, which is m's slot, or n_slots + x
+    for m = id_x.  Identity images depend on the objects alone, so the
+    emission order is still lexicographic in (obj_map, mor_map).
 
     Object slot i is forward-checked on every non-identity morphism between
     distinct objects whose later end is i: its candidate list,
     hom_L(v[dom], v[cod]), must be non-empty, since every object slot comes
     before every morphism slot and an empty list ends the branch anyway.
-    Morphism slot m checks the composites of K that it completes.
+    A composite g . f = h of two non-identities is checked at the latest of
+    the slots of g, f and h; when h is an identity id_x it has no slot, and
+    the check, at the later of g's and f's slots, is against
+    ``l.identity[v[x]]``.  A composite with an identity factor holds by the
+    identity law and is not checked.
     """
-    n = k.n_objects
+    n, dom, cod = k.n_objects, k.mor_dom, k.mor_cod
+    n_slots = k.n_mors
+    pick = [n_slots + d for d in dom]
     candidates = [lambda v, c=range(l.n_objects): c] * n
-    # Each object's identity in L, as a one-value candidate list.
-    identity_of = [(m,) for m in l.identity]
     # The (dom, cod) ends to forward-check, by the slot that completes them.
     ends_at: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    for m in range(k.n_mors):
-        d, c = k.mor_dom[m], k.mor_cod[m]
-        if k.is_identity(m):
-            candidates.append(lambda v, d=d, ids=identity_of: ids[v[d]])
-        else:
-            candidates.append(lambda v, d=d, c=c, hom=l.hom: hom(v[d], v[c]))
-            if d != c:
-                ends_at[max(d, c)].add((d, c))
+    hom = l.hom
+    for s, m in enumerate(filterfalse(k.is_identity, range(n_slots)), n):
+        pick[m] = s
+        d, c = dom[m], cod[m]
+        candidates.append(lambda v, d=d, c=c: hom(v[d], v[c]))
+        if d != c:
+            ends_at[max(d, c)].add((d, c))
 
-    def connected(ends, linked=set(zip(l.mor_dom, l.mor_cod))):
-        def check(v: list[int]) -> bool:
-            for d, c in ends:
-                if (v[d], v[c]) not in linked:
-                    return False
-            return True
-
-        return check
-
-    # Composition checks that become decidable once morphism m is assigned.
-    # An identity factor maps to the identity of its image object, so its
-    # triples hold by the identity law and are not checked.
-    closure_at: list[list[tuple[int, int, int]]] = [[] for _ in range(k.n_mors)]
+    # Composition checks by the morphism slot that makes them decidable:
+    # (g, f, h) slots, and (g, f, x) for g . f = id_x.
+    closure_at: list[list[tuple]] = [[] for _ in range(n, n_slots)]
+    unit_at: list[list[tuple]] = [[] for _ in range(n, n_slots)]
     for (g, f), h in k.comp.items():
-        if not (k.is_identity(g) or k.is_identity(f)):
-            closure_at[max(g, f, h)].append((n + g, n + f, n + h))
+        sg, sf = pick[g], pick[f]
+        if sg >= n_slots or sf >= n_slots:
+            continue
+        sh = pick[h]
+        if sh >= n_slots:
+            unit_at[max(sg, sf) - n].append((sg, sf, sh - n_slots))
+        else:
+            closure_at[max(sg, sf, sh) - n].append((sg, sf, sh))
 
-    def closes(triples, comp=l.comp):
-        def check(v: list[int]) -> bool:
-            for g, f, h in triples:
-                if comp[(v[g], v[f])] != v[h]:
-                    return False
-            return True
+    linked = set(zip(l.mor_dom, l.mor_cod)) if n_slots > n else None
+    checks = [_connected(sorted(e), linked) if e else None for e in ends_at]
+    checks += [
+        _closes(t, u, l.comp, l.identity) if t or u else None
+        for t, u in zip(closure_at, unit_at)
+    ]
 
-        return check
+    ident = l.identity.__getitem__
+    # itemgetter gives a bare value, not a tuple, for a single index.
+    get = (
+        itemgetter(*pick)
+        if len(pick) > 1
+        else lambda ext: tuple(map(ext.__getitem__, pick))
+    )
 
-    checks = [connected(sorted(e)) if e else None for e in ends_at]
-    checks += [closes(t) if t else None for t in closure_at]
-    return n, candidates, checks
+    def maps(vals: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        obj = vals[:n]
+        return obj, get(vals + tuple(map(ident, obj)))
+
+    return n, candidates, checks, pick, maps
 
 
 def _fill_slots(
-    slots: tuple[int, list, list], fixed: Optional[Mapping[int, int]] = None
+    slots: tuple, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (obj_map, mor_map) pairs of ``_functor_slots`` in lexicographic
-    order, with the slots in ``fixed`` pinned to its values.
+    order, with the maps pinned to ``fixed``.
 
-    Pins are used when searching retractions G with G(F(X)) = X and
-    G(F(f)) = f forced.  A pinned morphism is not type-checked, and the
-    checks of ``_functor_slots`` assume that pins type like a functor: the
-    slots of a pinned morphism's endpoints are pinned to its dom and cod,
-    and a pinned identity is an identity.
+    ``fixed`` is keyed by object ref x and by n + m for morphism m.  Pins
+    are used when searching retractions G with G(F(X)) = X and G(F(f)) = f
+    forced.  A pinned morphism is not type-checked, and the checks of
+    ``_functor_slots`` assume that pins type like a functor: the slots of a
+    pinned morphism's endpoints are pinned to its dom and cod, and a pinned
+    identity is an identity.  An identity has no slot, so its pin is
+    dropped: its image follows from its object's.
     """
-    n, candidates, checks = slots
+    n, candidates, checks, pick, maps = slots
     if fixed:
+        n_slots = len(candidates)
         candidates = candidates.copy()
-        for slot, value in fixed.items():
-            candidates[slot] = lambda v, c=(value,): c
+        for key, value in fixed.items():
+            slot = key if key < n else pick[key - n]
+            if slot < n_slots:
+                candidates[slot] = lambda v, c=(value,): c
     for vals in _backtrack(candidates, checks):
-        yield vals[:n], vals[n:]
+        yield maps(vals)
 
 
 def _iter_functor_maps(
@@ -278,13 +338,24 @@ def _first(found: Iterator[tuple]) -> DominationResult:
 
 
 def _retractions(
-    k: FiniteCategory, l: FiniteCategory, budget: _Budget
+    k: FiniteCategory,
+    l: FiniteCategory,
+    budget: _Budget,
+    keep: Optional[tuple[array, array]] = None,
 ) -> Iterator[tuple[Functor, Functor]]:
-    """Pairs (F, G) with G . F = 1_K, each re-validated, F outer."""
+    """Pairs (F, G) with G . F = 1_K, each re-validated, F outer.
+
+    ``keep``, when given, is a pair of arrays to which every F's object
+    and morphism maps are appended as F spends its unit, so that a later
+    phase can replay the F walk.
+    """
     n = l.n_objects
     g_slots = _functor_slots(l, k)
     for f_obj, f_mor in _iter_functor_maps(k, l):
         budget.spend()
+        if keep:
+            keep[0].extend(f_obj)
+            keep[1].extend(f_mor)
         # G(F(X)) = X and G(F(f)) = f, so F must be injective.
         if len(set(f_obj)) < len(f_obj) or len(set(f_mor)) < len(f_mor):
             continue
@@ -311,25 +382,43 @@ def find_functorial_domination(
     return _first(_retractions(k, l, _Budget(budget)))
 
 
+def _ref_array(cat: FiniteCategory) -> array:
+    """An empty array for refs of ``cat``, all below ``cat.n_mors`` (every
+    object has an identity); two bytes each fit any category within
+    MAX_MORPHISMS."""
+    return array("H" if cat.n_mors <= 1 << 16 else "L")
+
+
+def _row(maps: array, i: int, width: int) -> tuple[int, ...]:
+    """Map i of a flat array that holds maps of ``width`` refs each."""
+    return tuple(maps[i * width : (i + 1) * width])
+
+
 def _weak_dominations(
     k: FiniteCategory, l: FiniteCategory, budget: _Budget
 ) -> Iterator[tuple[Functor, Functor, NaturalTransformation]]:
     """Triples (F, G, phi: G.F => 1_K), strict pairs first.
 
-    The weak phase enumerates the G functors L -> K once.  The first F
-    walks ``_iter_functor_maps(l, k)``, spends a unit per G and appends the
-    G's maps to the flat buffers ``g_objs`` and ``g_mors``, so they never
-    hold more G than the budget, and they die with the call.  A pair with
-    an empty hom_K(G(F(x)), x) for some x admits no phi, so the compose and
-    the phi search are skipped there.  Once the walk ends, ``reach[o][x]``
-    is the bitset of the G with hom_K(G(o), x) non-empty, one per
-    (L-object, K-object); every later F ANDs ``reach[F(x)][x]`` over x,
-    builds a ``Functor`` only for the G left, and spends the units of the
-    G it skips in bulk, where the first F spent them one by one.
+    F: K -> L and G: L -> K are each walked once per call.  The strict
+    phase appends each F's maps to the flat buffers ``f_objs`` and
+    ``f_mors`` of L refs as the F spends its unit; the weak phase replays
+    them in the same order, and each F spends a unit again.  The first F
+    of the weak phase walks ``_iter_functor_maps(l, k)``, spends a unit per
+    G and appends the G's maps to ``g_objs`` and ``g_mors``.  No buffer
+    holds more maps than the budget, and they die with the call.  A pair
+    with an empty hom_K(G(F(x)), x) for some x admits no phi, so the
+    compose and the phi search are skipped there.  Once the G walk ends,
+    ``reach[o][x]`` is the bitset of the G with hom_K(G(o), x) non-empty,
+    one per (L-object, K-object); every later F ANDs ``reach[F(x)][x]`` over
+    x, builds ``Functor`` values only when some G is left, and spends the
+    units of the G it skips in bulk, where the first F spent them one by
+    one.
     """
     one_k = identity_functor(k)
-    for f, g in _retractions(k, l, budget):
-        yield f, g, validate_nat_trans(k.identity, compose_functors(g, f), one_k)
+    f_objs, f_mors = _ref_array(l), _ref_array(l)
+    # A strict pair has G . F = 1_K, checked by ``_retractions``.
+    for f, g in _retractions(k, l, budget, (f_objs, f_mors)):
+        yield f, g, validate_nat_trans(k.identity, one_k, one_k)
 
     def phis(f: Functor, g: Functor):
         gf = compose_functors(g, f)
@@ -337,19 +426,18 @@ def _weak_dominations(
             budget.spend()
             yield f, g, validate_nat_trans(comps, gf, one_k)
 
+    n_k, m_k = k.n_objects, k.n_mors
     n_obj, n_mor = l.n_objects, l.n_mors
-    # Both arrays hold refs of K, all below k.n_mors (every object has an
-    # identity); two bytes each fit any K within MAX_MORPHISMS.
-    ref = "H" if k.n_mors <= 1 << 16 else "L"
-    g_objs, g_mors, n_g = array(ref), array(ref), 0
-    g_maps = _iter_functor_maps(l, k)
-    reach = None
-    objects = range(k.n_objects)
-    for f_obj, f_mor in _iter_functor_maps(k, l):
+    g_objs, g_mors, n_g = _ref_array(k), _ref_array(k), 0
+    objects = range(n_k)
+    # The strict phase walked every F; the empty K has one, with empty maps.
+    n_f = len(f_mors) // m_k if m_k else 1
+    for i in range(n_f):
         budget.spend()
-        f = Functor(k, l, f_obj, f_mor)
-        if reach is None:
-            for g_obj, g_mor in g_maps:
+        f_obj = _row(f_objs, i, n_k)
+        if i == 0:
+            f = Functor(k, l, f_obj, _row(f_mors, 0, m_k))
+            for g_obj, g_mor in _iter_functor_maps(l, k):
                 budget.spend()
                 n_g += 1
                 g_objs.extend(g_obj)
@@ -361,20 +449,19 @@ def _weak_dominations(
         live = (1 << n_g) - 1
         for x in objects:
             live &= reach[f_obj[x]][x]
+        if not live:
+            budget.spend(n_g)
+            continue
+        f = Functor(k, l, f_obj, _row(f_mors, i, m_k))
         bits = format(live, "b")[::-1]
         spent = -1
-        i = bits.find("1")
-        while i >= 0:
-            budget.spend(i - spent)
-            spent = i
-            g = Functor(
-                l,
-                k,
-                tuple(g_objs[i * n_obj : (i + 1) * n_obj]),
-                tuple(g_mors[i * n_mor : (i + 1) * n_mor]),
-            )
+        j = bits.find("1")
+        while j >= 0:
+            budget.spend(j - spent)
+            spent = j
+            g = Functor(l, k, _row(g_objs, j, n_obj), _row(g_mors, j, n_mor))
             yield from phis(f, g)
-            i = bits.find("1", i + 1)
+            j = bits.find("1", j + 1)
         budget.spend(n_g - 1 - spent)
 
 

@@ -64,8 +64,50 @@ def _pairs(parent, change):
     ],
 )
 def test_claim_rule_on_synthetic_pairs(better, parent, change, met):
-    s = _load()._summary(_pairs(parent, change), {"item_p50_ms": better})
+    s = _load()._summary(
+        _pairs(parent, change), {"item_p50_ms": better}, {"item_p50_ms": 0.25}
+    )
     assert s["item_p50_ms"]["claim_rule_met"] is met
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, within",
+    [
+        # Parent median 4.0; a bound of 0.25 allows the change up to 5.0.
+        ("lower", [4.0, 3.0, 5.0] * 3 + [4.0], [5.0] * 10, True),
+        ("lower", [4.0, 3.0, 5.0] * 3 + [4.0], [5.0] * 9 + [6.0], True),
+        ("lower", [4.0, 3.0, 5.0] * 3 + [4.0], [5.5] * 10, False),
+        # Parent median 100.0; the change may fall to 75.0.
+        ("higher", [100.0] * 10, [75.0] * 10, True),
+        ("higher", [100.0] * 10, [74.0] * 10, False),
+        # A gain is always within the bound, whether or not it is claimed.
+        ("lower", [4.0] * 10, [3.9] * 10, True),
+        ("higher", [100.0] * 10, [101.0] * 5 + [99.0] * 5, True),
+    ],
+)
+def test_bound_on_synthetic_pairs(better, parent, change, within):
+    s = _load()._summary(
+        _pairs(parent, change), {"item_p50_ms": better}, {"item_p50_ms": 0.25}
+    )
+    assert s["item_p50_ms"]["within_bound"] is within
+
+
+def test_unknown_workload_is_refused(monkeypatch, capsys):
+    bench_pairs = _load()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before checking the workload")
+
+    for name in ("_git", "_unpack", "_run"):
+        monkeypatch.setattr(bench_pairs, name, refuse)
+    with pytest.raises(SystemExit) as e:
+        bench_pairs.main(
+            ["--parent", "HEAD", "--workload", "domination-serch", "--name",
+             "no-such-record"]
+        )
+    assert e.value.code == 2
+    assert "invalid choice: 'domination-serch'" in capsys.readouterr().err
+    assert not (ROOT / "BENCH_no-such-record.json").exists()
 
 
 def test_record_carries_claim_rule_and_bytecode_setting(
@@ -95,4 +137,6 @@ def test_record_carries_claim_rule_and_bytecode_setting(
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["PYTHONDONTWRITEBYTECODE"] == "1"
     assert {s["claim_rule_met"] for s in record["summary"].values()} == {False}
-    assert "claim rule not met" in capsys.readouterr().out
+    # Both sides' medians are 1.5, inside every bound.
+    assert {s["within_bound"] for s in record["summary"].values()} == {True}
+    assert "claim rule not met, within bound" in capsys.readouterr().out

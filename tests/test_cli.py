@@ -372,6 +372,13 @@ def test_system_check_selection_flags():
     assert (res.exit_code, res.output) == (0, "sm1: pass\n")
     res = check(coned, "--star")
     assert (res.exit_code, res.output) == (0, "star: pass\n")
+    # A check that raises still leaves the lines of the checks before it:
+    # this generated cone is incompatible, which SM2 reports as an error.
+    incompatible = serialize_document(generate_instance("system", 4))
+    res = check(incompatible)
+    assert res.exit_code == 2
+    assert res.stdout == "sm1: pass\n"
+    assert res.stderr.startswith("error: ConeIncompatible: ")
 
 
 def test_campaign_json_deterministic_and_clean():

@@ -11,6 +11,8 @@ from pathlib import Path
 from click.testing import CliRunner, _NamedTextIOWrapper
 
 from movcat.cli import main
+from movcat.dsl import serialize_document
+from movcat.generators import generate_instance
 
 DOC = (
     "poset C3 { elements a b c ; leq a b ; leq b c }\n"
@@ -52,5 +54,26 @@ def test_check_exit_code_survives_reader_closing_the_pipe(tmp_path):
             env=env,
         )
         assert proc.stdout.readline() == b"K: strong-movable (witness found)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+
+
+def test_system_check_exit_code_survives_reader_closing_the_pipe(tmp_path):
+    # `movcat system check sys2.cat --entity S | head -1` on a system whose
+    # four checks pass: written line by line, a later line could meet the
+    # closed pipe and turn the pass into exit 1.
+    path = tmp_path / "sys2.cat"
+    path.write_text(serialize_document(generate_instance("system", 2)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for _ in range(5):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "movcat.cli", "system", "check", path,
+             "--entity", "S"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"sm1: pass\n"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0

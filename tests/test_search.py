@@ -162,6 +162,29 @@ def test_weak_phase_enumerates_g_once_per_call(monkeypatch):
     assert len(walks) == 2
 
 
+def test_each_search_walks_f_once_per_call(monkeypatch):
+    # The strict phase walks the functors K -> L once; the weak phase
+    # replays that walk rather than walking K -> L again.
+    k, l = v_poset_category(), chain(3)
+    walks = []
+    iter_functor_maps = search._iter_functor_maps
+
+    def counted(src, tgt):
+        if (src, tgt) == (k, l):
+            walks.append(1)
+        return iter_functor_maps(src, tgt)
+
+    monkeypatch.setattr(search, "_iter_functor_maps", counted)
+    for find in (find_weak_domination, find_functorial_domination):
+        walks.clear()
+        first = find(k, l)
+        assert first.found is None and not first.truncated
+        assert len(walks) == 1
+        # A second call walks again and agrees.
+        assert find(k, l) == first
+        assert len(walks) == 2
+
+
 def test_weak_phase_yields_every_triple_in_nested_walk_order(monkeypatch):
     # Drained to the end, the weak phase looks for a phi on exactly the
     # (F, G) with every hom_K(G(F(x)), x) non-empty, and yields every
