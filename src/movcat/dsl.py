@@ -290,14 +290,6 @@ class _Ref(dict):
         self.what = what
 
 
-def _first_refs(names: Iterable[str]) -> dict[str, int]:
-    """Each name's first position in ``names``, as ``list.index`` gives it."""
-    refs: dict[str, int] = {}
-    for i, name in enumerate(names):
-        refs.setdefault(name, i)
-    return refs
-
-
 class _Parser:
     """A cursor over the words of a text.  ``words[i]`` is the value of
     ``tokens[i]``; the tokens, which carry positions, are built only when
@@ -611,7 +603,7 @@ def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
     for q, m in enumerate(base.identity):
         acts.setdefault(m, {e: e for e in fibers[q]})
 
-    refs = [_first_refs(fiber) for fiber in fibers]
+    refs = [_Ref("element", fiber) for fiber in fibers]
 
     def element(q: int, e: str) -> int:
         if e not in refs[q]:
@@ -667,7 +659,7 @@ def _parse_system(p: _Parser, doc: Document) -> SystemEntity:
                 [Violation("ConeWithoutCopresheaf", "cone requires `using copresheaf`")],
             )
         names = _total("system", "ConeIncomplete", cone_elems, range(index.n), label)
-        refs = {q: _first_refs(cop.fibers[q]) for q in set(system.at)}
+        refs = {q: _Ref("element", cop.fibers[q]) for q in set(system.at)}
         elems = []
         for a, ename in enumerate(names):
             fiber = refs[system.at[a]]
