@@ -5,31 +5,35 @@ relating a coslice over a coproduct to the product of coslices.
 Functor maps and natural-transformation components are both enumerated by
 one slot backtracker, ``_backtrack``, with incremental constraint propagation
 (dom/cod typing, composition closure and naturality as assignments
-complete); it emits in lexicographic obj-map/mor-map order.  Identity
-morphisms get no functor slot: each id_x is filled in with the identity of
-x's image as a functor is emitted, and a composite of two non-identities
-that is an identity is checked against that image.  Functor object slots
-are forward-checked: once both ends of a non-identity morphism are
-assigned, the target must have a morphism between their images, or the
-branch is cut before any morphism slot is tried.  Every search spends one
-``_Budget``, which counts emitted candidates (not internal nodes) across
-all of its phases, so pruning never moves a budget stop.  The strict phase
-builds the slots of G: L -> K once and pins them anew for each F.
+complete).  A walked functor K -> L is a slot row: the images of the
+objects of K, then those of its non-identity morphisms in ref order,
+``k.n_mors`` values in all, emitted in lexicographic order.  Identity
+morphisms get no slot: ``_functor`` fills in each id_x with the identity of
+x's image when it builds a ``Functor`` from a row, which it does only where
+a functor is read, and a composite of two non-identities that is an
+identity is checked against that image.  Functor object slots are
+forward-checked: once both ends of a non-identity morphism are assigned,
+the target must have a morphism between their images, or the branch is cut
+before any morphism slot is tried.  Every search spends one ``_Budget``,
+which counts emitted candidates (not internal nodes) across all of its
+phases, so pruning never moves a budget stop.  A search builds the slots of
+each direction once; the strict phase pins the slots of G: L -> K anew for
+each F, and the weak phase walks the same slots unpinned.
 
 The weak domination search walks the functors F: K -> L and G: L -> K once
-each per call.  As the strict phase walks the F, it appends each F's object
-and morphism maps to two flat arrays of L refs (``array("H")``); the weak
-phase replays them in the same order, and each F spends one unit in each
-phase.  The first F of the weak phase walks the G lazily and appends each
-G's maps to two flat arrays of K refs; each G spends a unit as it is
-stored, so no array holds more maps than the budget, and nothing outlives
-the call.  When the G walk ends, one bitset per (L-object o, K-object x)
-marks the G with hom_K(G(o), x) non-empty.  Each later F ANDs the bitsets
-at (F(x), x) over the objects x of K: what is left are exactly the G for
-which every component of a phi: G.F => 1_K has somewhere to go.  Only
-those G, and only the F with some G left, are built as ``Functor`` values
-and searched for a phi; the units of the skipped G are spent in bulk, so
-emission order and budget stops are those of the plain nested walk.
+each per call.  As the strict phase walks the F, it appends each F's row to
+one flat array of L refs (``array("H")``); the weak phase replays the rows
+in the same order, and each F spends one unit in each phase.  The first F
+of the weak phase walks the G lazily and appends each G's row to one flat
+array of K refs; each G spends a unit as it is stored, so no array holds
+more rows than the budget, and nothing outlives the call.  When the G walk
+ends, one bitset per (L-object o, K-object x) marks the G with
+hom_K(G(o), x) non-empty.  Each later F ANDs the bitsets at (F(x), x) over
+the objects x of K: what is left are exactly the G for which every
+component of a phi: G.F => 1_K has somewhere to go.  Only those G, and only
+the F with some G left, are built as ``Functor`` values and searched for a
+phi; the units of the skipped G are spent in bulk, so emission order and
+budget stops are those of the plain nested walk.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .builders import (
     CommaResult,
@@ -152,17 +155,16 @@ def _closes(
 
 
 def _functor_slots(k: FiniteCategory, l: FiniteCategory) -> tuple:
-    """``(n, candidates, checks, pick, maps)`` for ``_backtrack`` over the
+    """``(n, candidates, checks, pick)`` for ``_backtrack`` over the
     functors K -> L, where n is the number of objects of K.
 
     Objects are slots 0..n-1 and the non-identity morphisms of K follow in
-    ref order, so there are as many slots as K has morphisms.  Identities
-    get no slot, since a functor sends id_x to the identity of the image of
-    x.  ``maps(vals)`` turns an assignment into the (obj_map, mor_map)
-    pair: it appends ``l.identity[v[x]]`` for every object x and reads
-    morphism m's image at ``pick[m]``, which is m's slot, or n_slots + x
-    for m = id_x.  Identity images depend on the objects alone, so the
-    emission order is still lexicographic in (obj_map, mor_map).
+    ref order, so there are as many slots as K has morphisms, and an
+    assignment is a slot row.  Identities get no slot, since a functor
+    sends id_x to the identity of the image of x.  ``pick[m]`` is morphism
+    m's slot, or n_slots + x for m = id_x; ``_functor`` reads a row's maps
+    through it.  Identity images depend on the objects alone, so rows come
+    out in lexicographic (obj_map, mor_map) order.
 
     Object slot i is forward-checked on every non-identity morphism between
     distinct objects whose later end is i: its candidate list,
@@ -209,26 +211,14 @@ def _functor_slots(k: FiniteCategory, l: FiniteCategory) -> tuple:
         for t, u in zip(closure_at, unit_at)
     ]
 
-    ident = l.identity.__getitem__
-    # itemgetter gives a bare value, not a tuple, for a single index.
-    get = (
-        itemgetter(*pick)
-        if len(pick) > 1
-        else lambda ext: tuple(map(ext.__getitem__, pick))
-    )
-
-    def maps(vals: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        obj = vals[:n]
-        return obj, get(vals + tuple(map(ident, obj)))
-
-    return n, candidates, checks, pick, maps
+    return n, candidates, checks, pick
 
 
 def _fill_slots(
     slots: tuple, fixed: Optional[Mapping[int, int]] = None
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (obj_map, mor_map) pairs of ``_functor_slots`` in lexicographic
-    order, with the maps pinned to ``fixed``.
+) -> Iterator[tuple[int, ...]]:
+    """The slot rows of ``_functor_slots`` in lexicographic order, with the
+    maps pinned to ``fixed``.
 
     ``fixed`` is keyed by object ref x and by n + m for morphism m.  Pins
     are used when searching retractions G with G(F(X)) = X and G(F(f)) = f
@@ -238,7 +228,7 @@ def _fill_slots(
     identity is an identity.  An identity has no slot, so its pin is
     dropped: its image follows from its object's.
     """
-    n, candidates, checks, pick, maps = slots
+    n, candidates, checks, pick = slots
     if fixed:
         n_slots = len(candidates)
         candidates = candidates.copy()
@@ -246,16 +236,17 @@ def _fill_slots(
             slot = key if key < n else pick[key - n]
             if slot < n_slots:
                 candidates[slot] = lambda v, c=(value,): c
-    for vals in _backtrack(candidates, checks):
-        yield maps(vals)
+    return _backtrack(candidates, checks)
 
 
-def _iter_functor_maps(
-    k: FiniteCategory, l: FiniteCategory
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Backtrack over the (obj_map, mor_map) pairs of the functors K -> L
-    in lexicographic order."""
-    return _fill_slots(_functor_slots(k, l))
+def _functor(
+    k: FiniteCategory, l: FiniteCategory, pick: list, row: Sequence[int]
+) -> Functor:
+    """The functor K -> L of a slot row, each identity's image filled in
+    from its object's image."""
+    obj = tuple(row[: k.n_objects])
+    ext = (*row, *map(l.identity.__getitem__, obj))
+    return Functor(k, l, obj, tuple(map(ext.__getitem__, pick)))
 
 
 @dataclass
@@ -272,10 +263,11 @@ def enumerate_functors(
     """Enumerate all functors K -> L in lexicographic order, up to budget."""
     out: list[Functor] = []
     allowance = _Budget(budget)
+    slots = _functor_slots(k, l)
     try:
-        for obj_map, mor_map in _iter_functor_maps(k, l):
+        for row in _fill_slots(slots):
             allowance.spend()
-            out.append(Functor(k, l, obj_map, mor_map))
+            out.append(_functor(k, l, slots[3], row))
     except _Exhausted:
         return FunctorEnumeration(out, True)
     return FunctorEnumeration(out, False)
@@ -340,32 +332,38 @@ def _first(found: Iterator[tuple]) -> DominationResult:
 def _retractions(
     k: FiniteCategory,
     l: FiniteCategory,
+    f_slots: tuple,
+    g_slots: tuple,
     budget: _Budget,
-    keep: Optional[tuple[array, array]] = None,
+    keep: Optional[array] = None,
 ) -> Iterator[tuple[Functor, Functor]]:
     """Pairs (F, G) with G . F = 1_K, each re-validated, F outer.
 
-    ``keep``, when given, is a pair of arrays to which every F's object
-    and morphism maps are appended as F spends its unit, so that a later
-    phase can replay the F walk.
+    ``f_slots`` and ``g_slots`` are the ``_functor_slots`` of K -> L and
+    L -> K; the F walk is unpinned, and each injective F pins the G slots.
+    ``keep``, when given, is an array to which every F's row is appended as
+    F spends its unit, so that a later phase can replay the F walk.
     """
-    n = l.n_objects
-    g_slots = _functor_slots(l, k)
-    for f_obj, f_mor in _iter_functor_maps(k, l):
+    n_k, n_l = k.n_objects, l.n_objects
+    one_k = identity_functor(k)
+    for row in _fill_slots(f_slots):
         budget.spend()
-        if keep:
-            keep[0].extend(f_obj)
-            keep[1].extend(f_mor)
+        if keep is not None:
+            keep.extend(row)
         # G(F(X)) = X and G(F(f)) = f, so F must be injective.
-        if len(set(f_obj)) < len(f_obj) or len(set(f_mor)) < len(f_mor):
+        if len(set(row[:n_k])) < n_k:
             continue
-        fixed = {o: x for x, o in enumerate(f_obj)}
-        fixed.update((n + t, m) for m, t in enumerate(f_mor))
-        for g_obj, g_mor in _fill_slots(g_slots, fixed):
+        f = _functor(k, l, f_slots[3], row)
+        if len(set(f.mor_map)) < k.n_mors:
+            continue
+        fixed = {o: x for x, o in enumerate(f.obj_map)}
+        fixed.update((n_l + t, m) for m, t in enumerate(f.mor_map))
+        for g_row in _fill_slots(g_slots, fixed):
             budget.spend()
-            f = validate_functor(k, l, f_obj, f_mor)
-            g = validate_functor(l, k, g_obj, g_mor)
-            if compose_functors(g, f) != identity_functor(k):
+            g = _functor(l, k, g_slots[3], g_row)
+            validate_functor(k, l, f.obj_map, f.mor_map)
+            validate_functor(l, k, g.obj_map, g.mor_map)
+            if compose_functors(g, f) != one_k:
                 raise VerificationFailed("retraction constraint violated")
             yield f, g
 
@@ -379,7 +377,8 @@ def find_functorial_domination(
     G(F(f)) = f.  The first pair found (lexicographically) is re-validated
     and returned.
     """
-    return _first(_retractions(k, l, _Budget(budget)))
+    slots = _functor_slots(k, l), _functor_slots(l, k)
+    return _first(_retractions(k, l, *slots, _Budget(budget)))
 
 
 def _ref_array(cat: FiniteCategory) -> array:
@@ -389,35 +388,30 @@ def _ref_array(cat: FiniteCategory) -> array:
     return array("H" if cat.n_mors <= 1 << 16 else "L")
 
 
-def _row(maps: array, i: int, width: int) -> tuple[int, ...]:
-    """Map i of a flat array that holds maps of ``width`` refs each."""
-    return tuple(maps[i * width : (i + 1) * width])
-
-
 def _weak_dominations(
     k: FiniteCategory, l: FiniteCategory, budget: _Budget
 ) -> Iterator[tuple[Functor, Functor, NaturalTransformation]]:
     """Triples (F, G, phi: G.F => 1_K), strict pairs first.
 
-    F: K -> L and G: L -> K are each walked once per call.  The strict
-    phase appends each F's maps to the flat buffers ``f_objs`` and
-    ``f_mors`` of L refs as the F spends its unit; the weak phase replays
-    them in the same order, and each F spends a unit again.  The first F
-    of the weak phase walks ``_iter_functor_maps(l, k)``, spends a unit per
-    G and appends the G's maps to ``g_objs`` and ``g_mors``.  No buffer
-    holds more maps than the budget, and they die with the call.  A pair
-    with an empty hom_K(G(F(x)), x) for some x admits no phi, so the
-    compose and the phi search are skipped there.  Once the G walk ends,
-    ``reach[o][x]`` is the bitset of the G with hom_K(G(o), x) non-empty,
-    one per (L-object, K-object); every later F ANDs ``reach[F(x)][x]`` over
-    x, builds ``Functor`` values only when some G is left, and spends the
-    units of the G it skips in bulk, where the first F spent them one by
-    one.
+    The slots of F: K -> L and G: L -> K are built once, and each
+    direction is walked once per call.  The strict phase appends each F's
+    row to the flat buffer ``fs`` of L refs as the F spends its unit; the
+    weak phase replays the rows in the same order, and each F spends a unit
+    again.  The first F of the weak phase walks the G slots unpinned,
+    spends a unit per G and appends the G's row to ``gs``.  No buffer holds
+    more rows than the budget, and they die with the call.  A pair with an
+    empty hom_K(G(F(x)), x) for some x admits no phi, so the compose and the
+    phi search are skipped there.  Once the G walk ends, ``reach[o][x]`` is
+    the bitset of the G with hom_K(G(o), x) non-empty, one per (L-object,
+    K-object); every later F ANDs ``reach[F(x)][x]`` over x, builds
+    ``Functor`` values only when some G is left, and spends the units of
+    the G it skips in bulk, where the first F spent them one by one.
     """
     one_k = identity_functor(k)
-    f_objs, f_mors = _ref_array(l), _ref_array(l)
+    f_slots, g_slots = _functor_slots(k, l), _functor_slots(l, k)
+    fs = _ref_array(l)
     # A strict pair has G . F = 1_K, checked by ``_retractions``.
-    for f, g in _retractions(k, l, budget, (f_objs, f_mors)):
+    for f, g in _retractions(k, l, f_slots, g_slots, budget, fs):
         yield f, g, validate_nat_trans(k.identity, one_k, one_k)
 
     def phis(f: Functor, g: Functor):
@@ -426,58 +420,59 @@ def _weak_dominations(
             budget.spend()
             yield f, g, validate_nat_trans(comps, gf, one_k)
 
-    n_k, m_k = k.n_objects, k.n_mors
-    n_obj, n_mor = l.n_objects, l.n_mors
-    g_objs, g_mors, n_g = _ref_array(k), _ref_array(k), 0
-    objects = range(n_k)
-    # The strict phase walked every F; the empty K has one, with empty maps.
-    n_f = len(f_mors) // m_k if m_k else 1
+    f_pick, g_pick = f_slots[3], g_slots[3]
+    # A row has one slot per morphism of its functor's source.
+    f_width, g_width = k.n_mors, l.n_mors
+    gs, n_g = _ref_array(k), 0
+    objects = range(k.n_objects)
+    # The strict phase walked every F; the empty K has one, with an empty row.
+    n_f = len(fs) // f_width if f_width else 1
     for i in range(n_f):
         budget.spend()
-        f_obj = _row(f_objs, i, n_k)
+        at = i * f_width
         if i == 0:
-            f = Functor(k, l, f_obj, _row(f_mors, 0, m_k))
-            for g_obj, g_mor in _iter_functor_maps(l, k):
+            f = _functor(k, l, f_pick, fs[:f_width])
+            for g_row in _fill_slots(g_slots):
                 budget.spend()
                 n_g += 1
-                g_objs.extend(g_obj)
-                g_mors.extend(g_mor)
-                if all(k.hom(g_obj[f_obj[x]], x) for x in objects):
-                    yield from phis(f, Functor(l, k, g_obj, g_mor))
-            reach = _reach_bitsets(k, g_objs, n_obj)
+                gs.extend(g_row)
+                if all(k.hom(g_row[fs[x]], x) for x in objects):
+                    yield from phis(f, _functor(l, k, g_pick, g_row))
+            reach = _reach_bitsets(k, l, gs)
             continue
         live = (1 << n_g) - 1
         for x in objects:
-            live &= reach[f_obj[x]][x]
+            live &= reach[fs[at + x]][x]
         if not live:
             budget.spend(n_g)
             continue
-        f = Functor(k, l, f_obj, _row(f_mors, i, m_k))
+        f = _functor(k, l, f_pick, fs[at : at + f_width])
         bits = format(live, "b")[::-1]
         spent = -1
         j = bits.find("1")
         while j >= 0:
             budget.spend(j - spent)
             spent = j
-            g = Functor(l, k, _row(g_objs, j, n_obj), _row(g_mors, j, n_mor))
-            yield from phis(f, g)
+            g_at = j * g_width
+            yield from phis(f, _functor(l, k, g_pick, gs[g_at : g_at + g_width]))
             j = bits.find("1", j + 1)
         budget.spend(n_g - 1 - spent)
 
 
 def _reach_bitsets(
-    k: FiniteCategory, g_objs: array, n_obj: int
+    k: FiniteCategory, l: FiniteCategory, gs: array
 ) -> list[list[int]]:
     """``reach[o][x]``: bit i set when hom_K(G_i(o), x) is non-empty, for
-    the G whose object maps fill ``g_objs`` in rows of ``n_obj``."""
+    the G: L -> K whose slot rows fill ``gs``; G_i(o) is read at stride
+    ``l.n_mors``, the width of a row."""
     # hits[y][x] is the digit "1" when hom(y, x) is non-empty, else "0".
     # Joined over a column of G(o) values, lowest G last, the hits hold
     # every x's bitset in binary, interleaved with stride n_objects.
     n = k.n_objects
     hits = ["".join("01"[bool(k.hom(y, x))] for x in range(n)) for y in range(n)]
     reach = []
-    for o in range(n_obj):
-        column = g_objs[o::n_obj]
+    for o in range(l.n_objects):
+        column = gs[o :: l.n_mors]
         column.reverse()
         digits = "".join(map(hits.__getitem__, column))
         reach.append([int("0" + digits[x::n], 2) for x in range(n)])

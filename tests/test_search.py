@@ -39,6 +39,7 @@ from util import (
     diamond,
     naive_functors,
     naive_nat_trans_count,
+    slot_row,
     v_poset_category,
 )
 
@@ -141,48 +142,60 @@ def test_weak_domination_one_budget_for_both_phases():
     assert res.found is None and not res.truncated
 
 
+def _count_walks(monkeypatch) -> tuple[list, list]:
+    """Hook the search so that it records the (source, target) of every
+    slot build and of every unpinned walk; pinned G searches pass pins."""
+    built, walked, direction = [], [], {}
+    functor_slots, fill_slots = search._functor_slots, search._fill_slots
+
+    def counted_slots(src, tgt):
+        slots = functor_slots(src, tgt)
+        built.append((src, tgt))
+        direction[id(slots)] = (src, tgt)
+        return slots
+
+    def counted_fill(slots, fixed=None):
+        if not fixed:
+            walked.append(direction[id(slots)])
+        return fill_slots(slots, fixed)
+
+    monkeypatch.setattr(search, "_functor_slots", counted_slots)
+    monkeypatch.setattr(search, "_fill_slots", counted_fill)
+    return built, walked
+
+
 def test_weak_phase_enumerates_g_once_per_call(monkeypatch):
     # The weak phase walks the functors L -> K once and replays them for
     # every later F; the strict phase's pinned G searches do not count.
+    # Both phases share one build of the G slots.
     k, l = v_poset_category(), chain(3)
-    walks = []
-    iter_functor_maps = search._iter_functor_maps
-
-    def counted(src, tgt):
-        if (src, tgt) == (l, k):
-            walks.append(1)
-        return iter_functor_maps(src, tgt)
-
-    monkeypatch.setattr(search, "_iter_functor_maps", counted)
+    built, walked = _count_walks(monkeypatch)
     first = find_weak_domination(k, l)
     assert first.found is None and not first.truncated
-    assert len(walks) == 1
+    assert walked.count((l, k)) == 1
+    assert built.count((l, k)) == 1
     # Nothing outlives a call: a second call walks again and agrees.
     assert find_weak_domination(k, l) == first
-    assert len(walks) == 2
+    assert walked.count((l, k)) == 2
+    assert built.count((l, k)) == 2
 
 
 def test_each_search_walks_f_once_per_call(monkeypatch):
     # The strict phase walks the functors K -> L once; the weak phase
     # replays that walk rather than walking K -> L again.
     k, l = v_poset_category(), chain(3)
-    walks = []
-    iter_functor_maps = search._iter_functor_maps
-
-    def counted(src, tgt):
-        if (src, tgt) == (k, l):
-            walks.append(1)
-        return iter_functor_maps(src, tgt)
-
-    monkeypatch.setattr(search, "_iter_functor_maps", counted)
+    built, walked = _count_walks(monkeypatch)
     for find in (find_weak_domination, find_functorial_domination):
-        walks.clear()
+        built.clear()
+        walked.clear()
         first = find(k, l)
         assert first.found is None and not first.truncated
-        assert len(walks) == 1
+        assert walked.count((k, l)) == 1
+        assert built.count((k, l)) == 1
         # A second call walks again and agrees.
         assert find(k, l) == first
-        assert len(walks) == 2
+        assert walked.count((k, l)) == 2
+        assert built.count((k, l)) == 2
 
 
 def test_weak_phase_yields_every_triple_in_nested_walk_order(monkeypatch):
@@ -201,7 +214,8 @@ def test_weak_phase_yields_every_triple_in_nested_walk_order(monkeypatch):
                  (antichain(2), antichain(3)), (v_poset_category(),) * 2):
         searched.clear()
         budget = search._Budget(DEFAULT_BUDGET)
-        n_strict = sum(1 for _ in search._retractions(k, l, budget))
+        slots = search._functor_slots(k, l), search._functor_slots(l, k)
+        n_strict = sum(1 for _ in search._retractions(k, l, *slots, budget))
         triples = list(search._weak_dominations(k, l, budget))[n_strict:]
         one_k = identity_functor(k)
         live = [
@@ -329,7 +343,7 @@ def test_forward_check_keeps_every_pinned_functor_in_order():
     searched = emitted = 0
     for k, l in pairs:
         n = l.n_objects
-        naive = [g.obj_map + g.mor_map for g in naive_functors(l, k)]
+        naive = naive_functors(l, k)
         for f in naive_functors(k, l):
             fixed = {o: x for x, o in enumerate(f.obj_map)}
             fixed.update((n + t, m) for m, t in enumerate(f.mor_map))
@@ -337,9 +351,9 @@ def test_forward_check_keeps_every_pinned_functor_in_order():
                 continue  # F is not injective
             got = list(search._fill_slots(search._functor_slots(l, k), fixed))
             want = [
-                (slots[:n], slots[n:])
-                for slots in naive
-                if all(slots[i] == v for i, v in fixed.items())
+                slot_row(g)
+                for g in naive
+                if all((g.obj_map + g.mor_map)[i] == v for i, v in fixed.items())
             ]
             assert got == want, (k.object_names, l.object_names, fixed)
             searched += 1

@@ -9,7 +9,7 @@ import itertools
 from typing import Optional
 
 from movcat import campaign
-from movcat.builders import build_poset_category
+from movcat.builders import build_monoid_category, build_poset_category
 from movcat.core import (
     FiniteCategory,
     compose_functors,
@@ -53,6 +53,46 @@ def diamond():
         ["bot", "a", "b", "top"], [(0, 1), (0, 2), (1, 3), (2, 3)]
     )
     return build_poset_category(poset), poset
+
+
+def cyclic(n: int) -> FiniteCategory:
+    """Z/n as a one-object category whose identity is the last ref: ref r
+    is the rotation by r + 1, so two non-identities can compose to the
+    identity."""
+    return build_monoid_category(
+        [f"r{(r + 1) % n}" for r in range(n)],
+        n - 1,
+        [[(a + b + 1) % n for b in range(n)] for a in range(n)],
+    )
+
+
+def iso_pair() -> FiniteCategory:
+    """Two objects and an isomorphism f: a -> b with inverse g, listed
+    before the identities."""
+    mors = [("f", 0, 1), ("id_a", 0, 0), ("g", 1, 0), ("id_b", 1, 1)]
+    comp = {(2, 0): 1, (0, 2): 3, (1, 1): 1, (3, 3): 3,
+            (0, 1): 0, (3, 0): 0, (2, 3): 2, (1, 2): 2}
+    return validate_category(["a", "b"], mors, [1, 3], comp)
+
+
+def permuted(
+    cat: FiniteCategory, obj_perm: list[int], mor_perm: list[int]
+) -> FiniteCategory:
+    """The isomorphic copy of ``cat`` whose object x has ref obj_perm[x]
+    and whose morphism m has ref mor_perm[m], validated afresh."""
+    names = [""] * cat.n_objects
+    for x, y in enumerate(obj_perm):
+        names[y] = cat.object_names[x]
+    mors: list = [None] * cat.n_mors
+    for m, t in enumerate(mor_perm):
+        mors[t] = (
+            cat.mor_names[m], obj_perm[cat.mor_dom[m]], obj_perm[cat.mor_cod[m]]
+        )
+    identity = [0] * cat.n_objects
+    for x, m in enumerate(cat.identity):
+        identity[obj_perm[x]] = mor_perm[m]
+    comp = {(mor_perm[g], mor_perm[f]): mor_perm[h] for (g, f), h in cat.comp.items()}
+    return validate_category(names, mors, identity, comp)
 
 
 def pointed_sets_2() -> FiniteCategory:
@@ -191,6 +231,15 @@ def naive_functors(k: FiniteCategory, l: FiniteCategory) -> list:
             except ValidationFailed:
                 pass
     return out
+
+
+def slot_row(f) -> tuple:
+    """A functor as the functor search walks it: the object map, then the
+    images of the source's non-identity morphisms in ref order."""
+    identities = set(f.source.identity)
+    return f.obj_map + tuple(
+        t for m, t in enumerate(f.mor_map) if m not in identities
+    )
 
 
 def naive_nat_trans(f, g) -> list:
