@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,12 @@ from movcat.dsl import (
     serialize_document,
 )
 from movcat.errors import NotAMonoid, SizeBoundExceeded
-from movcat.generators import GenParams, generate_instance, random_copresheaf_doc
+from movcat.generators import (
+    GenParams,
+    generate_instance,
+    random_category,
+    random_copresheaf_doc,
+)
 from movcat.movability import (
     check_movable_wrt,
     check_strongly_movable,
@@ -37,6 +43,7 @@ from movcat.systems import check_star
 from util import (
     antichain,
     chain,
+    cyclic,
     find_isomorphism,
     naive_coslice,
     naive_elements,
@@ -308,6 +315,39 @@ def test_builders_match_definition_reference():
         assert _tables(res.category) == _tables(ref_cat)
         assert _maps(res.forgetful) == ref_forgetful
         assert res.morphism_triples == ref_triples
+
+
+def _mixed_factors():
+    """Z/2 as a monoid (its identity is the last ref), the one-object
+    category, chain(3), V, and four ``random_category`` outputs: two thin
+    ones whose ``comp`` is not in (g, f) order and two monoids."""
+    randoms = [
+        random_category(random.Random(seed), GenParams()) for seed in (3, 5, 8, 10)
+    ]
+    return [cyclic(2), chain(1), chain(3), v_poset_category(), *randoms]
+
+
+def test_product_matches_reference_on_mixed_factors():
+    # Every table, the insertion order of comp, the names and the
+    # projections of products of one, two and three factors, and the round
+    # trip through object_index and morphism_index.
+    pool = _mixed_factors()
+    products = [[c] for c in pool]
+    products += [list(p) for p in itertools.product(pool, repeat=2)]
+    products += [list(p) for p in itertools.product(pool[:4], repeat=3)]
+    products += [[pool[i] for i in pick] for pick in [(2, 5, 6), (7, 0, 5), (4, 3, 0)]]
+    for factors in products:
+        prod = product_category(factors)
+        ref_cat, ref_projections = naive_product(factors)
+        assert _tables(prod.category) == _tables(ref_cat)
+        assert [_maps(p) for p in prod.projections] == ref_projections
+        assert prod.factors == tuple(factors)
+        for o, t in enumerate(prod.objects):
+            assert prod.object_index(t) == o
+        for m, t in enumerate(prod.morphisms):
+            assert prod.morphism_index(t) == m
+        assert len(prod.objects) == prod.category.n_objects
+        assert len(prod.morphisms) == prod.category.n_mors
 
 
 def test_cap_size_builder_outputs_revalidate():

@@ -1,14 +1,18 @@
 """Metamorphic tests: an isomorphic copy of a category, with its object and
 morphism refs permuted, gets the same answers, and a certificate carried
-over by the permutation checks on the copy.
+over by the permutation checks on the copy.  The products A x B and B x A
+are such copies, related by the swap of factors.
 
 Every search walks ref order, so the least witness or the first triple
 found may differ on the copy; only verdicts, budget stops and the
 carried-over certificates are compared."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from movcat.builders import product_category
 from movcat.core import (
     Functor,
     compose_functors,
@@ -131,3 +135,38 @@ def test_searches_and_decider_commute_with_permutation():
                      "movable")
         for hit in (False, True)
     }
+
+
+def swap(w: MovabilityWitness, a, b) -> MovabilityWitness:
+    """The witness ``w`` of A x B carried to B x A by the swap isomorphism,
+    which sends object x = i.n_B + j to j.n_A + i, and morphisms the same
+    way with the morphism counts."""
+
+    def obj(x):
+        return x % b.n_objects * a.n_objects + x // b.n_objects
+
+    def mor(m):
+        return m % b.n_mors * a.n_mors + m // b.n_mors
+
+    movers, mover_mors = [0] * len(w.movers), [0] * len(w.movers)
+    for x, (mobj, m) in enumerate(zip(w.movers, w.mover_mors)):
+        movers[obj(x)], mover_mors[obj(x)] = obj(mobj), mor(m)
+    lifts = [0] * len(w.lifts)
+    for p, u in enumerate(w.lifts):
+        lifts[mor(p)] = mor(u)
+    return MovabilityWitness(tuple(movers), tuple(mover_mors), tuple(lifts))
+
+
+def test_product_verdicts_and_witnesses_commute_with_swap():
+    seen = set()
+    for a, b in itertools.product(CATEGORIES.values(), repeat=2):
+        ab = product_category([a, b]).category
+        ba = product_category([b, a]).category
+        w, w2 = check_strongly_movable(ab), check_strongly_movable(ba)
+        movable = isinstance(w, MovabilityWitness)
+        assert movable == isinstance(w2, MovabilityWitness)
+        seen.add(movable)
+        if movable:
+            assert witness_valid(ba, swap(w, a, b))
+            assert witness_valid(ab, swap(w2, b, a))
+    assert seen == {False, True}

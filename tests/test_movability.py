@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,7 +34,9 @@ from movcat.movability import (
 )
 from util import (
     chain,
+    cyclic,
     naive_movable_wrt,
+    naive_product_transport,
     naive_strongly_movable,
     pointed_sets_2,
     v_poset_category,
@@ -270,6 +273,24 @@ def test_product_with_v_factor_not_movable():
     prod = product_category([v_poset_category(), chain(2)])
     res = check_strongly_movable(prod.category)
     assert isinstance(res, Counterexample)
+
+
+def test_product_transport_matches_reference():
+    # Movable factors: the one-object category, Z/2 as a monoid (identity
+    # last), chain(3), pointed sets and random ones, monoids among them.
+    pool = [chain(1), cyclic(2), chain(3), pointed_sets_2()]
+    pool += [random_category(random.Random(seed), GenParams()) for seed in (3, 5, 10)]
+    witnesses = [check_strongly_movable(c) for c in pool]
+    assert all(isinstance(w, MovabilityWitness) for w in witnesses)
+    picks = list(itertools.product(range(len(pool)), repeat=2))
+    picks += list(itertools.product(range(4), repeat=3))
+    picks += [(2, 4, 5), (6, 1, 4)]
+    for pick in picks:
+        prod = product_category([pool[i] for i in pick])
+        ws = [witnesses[i] for i in pick]
+        out = product_transport(prod, ws)
+        assert out == naive_product_transport(prod, ws)
+        assert witness_valid(prod.category, out)
 
 
 def test_product_transport_rejects_wrong_arity():

@@ -525,6 +525,23 @@ def naive_product(factors) -> tuple[FiniteCategory, list]:
     return cat, projections
 
 
+def naive_product_transport(product, witnesses) -> MovabilityWitness:
+    """Strong-movability witness of ``product`` from one witness per factor,
+    componentwise: each tuple of factor answers is looked up through the
+    product's ``object_index`` and ``morphism_index``."""
+    def answers(table, tuples, index):
+        return tuple(
+            index([getattr(w, table)[c] for w, c in zip(witnesses, t)])
+            for t in tuples
+        )
+
+    return MovabilityWitness(
+        answers("movers", product.objects, product.object_index),
+        answers("mover_mors", product.objects, product.morphism_index),
+        answers("lifts", product.morphisms, product.morphism_index),
+    )
+
+
 def _naive_comma(base, over, sends, obj_names, tag):
     """Morphisms are the (i, j, eta) with eta: over[i] -> over[j] and
     ``sends(eta, i, j)``, in lexicographic order.  Returns the category, the
