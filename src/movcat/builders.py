@@ -108,7 +108,10 @@ class ProductResult:
     """Product category plus its projection functors.
 
     Object o is ``objects[o]`` and morphism m is ``morphisms[m]``: the tuple
-    of factor refs, in lexicographic order.
+    of factor refs, in lexicographic order.  So the ref of (c1, ..., ck) is
+    the radix number ((c1*n2 + c2)*n3 + ...)*nk + ck, where ni is the i-th
+    factor's object count for an object and its morphism count for a
+    morphism.
     """
 
     category: FiniteCategory
@@ -126,54 +129,102 @@ class ProductResult:
         return _index(self._morphism_refs, tuple(components))
 
 
+def _radix_refs(tables: Sequence[Sequence[int]], sizes: Sequence[int]) -> list[int]:
+    """The product refs of the tuples ``itertools.product(*tables)``, in that
+    order, for factors of ``sizes``: (a1, ..., ak) has the ref
+    ((a1*n2 + a2)*n3 + ...)*nk + ak."""
+    pairs = zip(tables, sizes)
+    out = next(pairs)[0]
+    for table, n in pairs:
+        out = [a * n + b for a in out for b in table]
+    return out
+
+
+def _radix_names(prefix: str, sizes: Sequence[int]) -> tuple[str, ...]:
+    """``prefix`` followed by the digits of each radix ref, joined by "_"."""
+    rest = iter(sizes)
+    out = [prefix + str(i) for i in range(next(rest))]
+    for n in rest:
+        digits = ["_" + str(i) for i in range(n)]
+        out = [a + b for a in out for b in digits]
+    return tuple(out)
+
+
+def _comp_rows(cat: FiniteCategory, scale: int = 1) -> list[list[tuple[int, int]]]:
+    """Per morphism g, the pairs (f, g.f) for f into dom(g), f ascending,
+    each ref multiplied by ``scale``."""
+    comp, into = cat.comp, cat.mors_into
+    return [
+        [(f * scale, comp[g, f] * scale) for f in into(d)]
+        for g, d in enumerate(cat.mor_dom)
+    ]
+
+
 def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
     """Product of categories: tuple objects/morphisms, componentwise tables.
 
-    Objects and morphisms are ordered lexicographically by component refs.
-    Raises SizeBoundExceeded when the result would exceed the caps.
+    Objects and morphisms are ordered lexicographically by component refs,
+    so every table is a radix fold of the factors' tables.  The composites
+    of g are read from each factor's composition row for its component
+    (the pairs (f, g.f)): the rows of the factors before the last are
+    folded into one row per morphism of their product, and the last
+    factor's rows expand those straight into ``comp``, which lists g
+    ascending and, within g, f ascending.  Raises SizeBoundExceeded when
+    the result would exceed the caps.
     """
     if not factors:
         raise ValueError("need at least one factor")
-    check_size(
-        "product",
-        math.prod(c.n_objects for c in factors),
-        math.prod(c.n_mors for c in factors),
-    )
-    objects = tuple(itertools.product(*(range(c.n_objects) for c in factors)))
-    morphisms = tuple(itertools.product(*(range(c.n_mors) for c in factors)))
-    obj_ref = {t: o for o, t in enumerate(objects)}
-    mor_ref = {t: m for m, t in enumerate(morphisms)}
-    obj_names = tuple("o" + "_".join(map(str, t)) for t in objects)
-    mor_names = tuple("m" + "_".join(map(str, t)) for t in morphisms)
+    n_objs = [c.n_objects for c in factors]
+    n_mors = [c.n_mors for c in factors]
+    check_size("product", math.prod(n_objs), math.prod(n_mors))
+    objects = tuple(itertools.product(*map(range, n_objs)))
+    morphisms = tuple(itertools.product(*map(range, n_mors)))
+    # One int object per ref, shared by every entry of comp that names it.
+    refs = list(range(len(morphisms)))
+    dom = tuple(_radix_refs([c.mor_dom for c in factors], n_objs))
+    cod = tuple(_radix_refs([c.mor_cod for c in factors], n_objs))
+    identity = tuple(_radix_refs([c.identity for c in factors], n_mors))
 
-    # The product of the factors' tables lists the componentwise entries in
-    # the order of the tuples they belong to.
-    def refs(ref: dict, tables) -> tuple[int, ...]:
-        return tuple(map(ref.__getitem__, itertools.product(*tables)))
-
-    dom = refs(obj_ref, [c.mor_dom for c in factors])
-    cod = refs(obj_ref, [c.mor_cod for c in factors])
-    identity = refs(mor_ref, [c.identity for c in factors])
-    comps = [c.comp for c in factors]
-    by_cod = group_by(cod, len(objects))
-    comp = {}
-    for g, gt in enumerate(morphisms):
-        for f in by_cod[dom[g]]:
-            comp[(g, f)] = mor_ref[
-                tuple(cp[gf] for cp, gf in zip(comps, zip(gt, morphisms[f])))
+    # head[G]: the pairs (F, G.F) of the factors before the last, each ref
+    # already multiplied by the last factor's morphism count.
+    if len(factors) == 1:
+        head = [[(0, 0)]]
+    else:
+        head = _comp_rows(factors[0], n_mors[1])
+        for c, n in zip(factors[1:-1], n_mors[2:]):
+            rows = _comp_rows(c)
+            head = [
+                [((f + f2) * n, (h + h2) * n) for f, h in hr for f2, h2 in r]
+                for hr in head
+                for r in rows
             ]
-    cat = FiniteCategory(obj_names, mor_names, dom, cod, identity, comp)
+    comp = {}
+    for g, (hr, r) in zip(refs, itertools.product(head, _comp_rows(factors[-1]))):
+        for f, h in hr:
+            for f2, h2 in r:
+                comp[g, refs[f + f2]] = refs[h + h2]
+
+    cat = FiniteCategory(
+        _radix_names("o", n_objs), _radix_names("m", n_mors),
+        dom, cod, identity, comp,
+    )
+    # Projection i maps each tuple to its i-th component: the i-th column,
+    # which zip gives for every factor unless some factor is empty.
+    empty = [()] * len(factors)
     projections = tuple(
-        Functor(
-            cat,
-            c,
-            tuple(t[i] for t in objects),
-            tuple(t[i] for t in morphisms),
+        Functor(cat, c, obj_map, mor_map)
+        for c, obj_map, mor_map in zip(
+            factors, list(zip(*objects)) or empty, list(zip(*morphisms)) or empty
         )
-        for i, c in enumerate(factors)
     )
     return ProductResult(
-        cat, projections, tuple(factors), objects, morphisms, obj_ref, mor_ref
+        cat,
+        projections,
+        tuple(factors),
+        objects,
+        morphisms,
+        dict(zip(objects, range(len(objects)))),
+        dict(zip(morphisms, refs)),
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .builders import ProductResult, elements_category
+from .builders import ProductResult, _radix_refs, elements_category
 from .core import (
     Copresheaf,
     FiniteCategory,
@@ -283,20 +283,19 @@ def _product_transport(
     product: ProductResult, witnesses: Sequence[MovabilityWitness]
 ) -> MovabilityWitness:
     """``product_transport`` with its inputs trusted: the caller has
-    verified one witness per factor.  The output is still verified."""
-    movers = tuple(
-        product.object_index([w.movers[c] for w, c in zip(witnesses, comps)])
-        for comps in product.objects
+    verified one witness per factor.  The output is still verified.
+
+    Each table of the product witness lists the factors' answers for the
+    tuples in ``product.objects`` or ``product.morphisms``, whose refs are
+    radix numbers in the factors' sizes (see ``ProductResult``), so each
+    table is the radix fold of the factors' tables."""
+    n_objs = [c.n_objects for c in product.factors]
+    n_mors = [c.n_mors for c in product.factors]
+    out = MovabilityWitness(
+        tuple(_radix_refs([w.movers for w in witnesses], n_objs)),
+        tuple(_radix_refs([w.mover_mors for w in witnesses], n_mors)),
+        tuple(_radix_refs([w.lifts for w in witnesses], n_mors)),
     )
-    mover_mors = tuple(
-        product.morphism_index([w.mover_mors[c] for w, c in zip(witnesses, comps)])
-        for comps in product.objects
-    )
-    lifts = tuple(
-        product.morphism_index([w.lifts[c] for w, c in zip(witnesses, comps)])
-        for comps in product.morphisms
-    )
-    out = MovabilityWitness(movers, mover_mors, lifts)
     if not witness_valid(product.category, out):
         raise VerificationFailed("product witness does not verify")
     return out
