@@ -10,16 +10,20 @@ Object and morphism order is the documented construction sequence, which is
 what makes witnesses reproducible.
 
 A product, ``ProductResult``, keeps its objects and morphisms as tuples of
-factor refs in lexicographic order, with one ref dict for each.  Coslices
-and categories of elements share one comma construction (the coslice under
-X is the category of elements of hom(X, -)), with morphisms (i, j, eta) in
-lexicographic order, and one result type, ``CommaResult``, which keeps the
-object and morphism indices that the construction builds.  Both result
-types answer ``object_index`` and ``morphism_index`` by dict lookup and
-raise ValueError on a key that names nothing.  The comma construction reads
-the arrows out of each base object from ``FiniteCategory.mors_out_of``.
-Every builder fills its composition table per composable pair, never by
-scanning all pairs of morphisms.
+factor refs in lexicographic order, with one ref dict for each.  That order
+is the contract: the ref of (c1, ..., ck) is the radix number
+((c1*n2 + c2)*n3 + ...)*nk + ck in the factors' object or morphism counts,
+so each product table, and each table of a product witness
+(``movability.product_transport``), is a fold of the factors' tables.
+Coslices and categories of elements share one comma construction (the
+coslice under X is the category of elements of hom(X, -)), with morphisms
+(i, j, eta) in lexicographic order, and one result type, ``CommaResult``,
+which keeps the object and morphism indices that the construction builds.
+Both result types answer ``object_index`` and ``morphism_index`` by dict
+lookup and raise ValueError on a key that names nothing.  The comma
+construction reads the arrows out of each base object from
+``FiniteCategory.mors_out_of``.  Every builder fills its composition table
+per composable pair, never by scanning all pairs of morphisms.
 
 A copresheaf is checked when it is built, so elements_category trusts its
 input; the copresheaf carries its category of elements once that is built,
