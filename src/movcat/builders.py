@@ -133,7 +133,9 @@ class ProductResult:
         return _index(self._morphism_refs, tuple(components))
 
 
-def _radix_refs(tables: Sequence[Sequence[int]], sizes: Sequence[int]) -> list[int]:
+def _radix_refs(
+    tables: Sequence[Sequence[int]], sizes: Sequence[int]
+) -> Sequence[int]:
     """The product refs of the tuples ``itertools.product(*tables)``, in that
     order, for factors of ``sizes``: (a1, ..., ak) has the ref
     ((a1*n2 + a2)*n3 + ...)*nk + ak."""
