@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -16,6 +17,7 @@ from movcat.dsl import parse_document, serialize_document
 from movcat.errors import ParamsOutOfRange, UnknownTheorem
 from movcat.generators import KINDS, GenParams, generate_instance
 from movcat.movability import (
+    Counterexample,
     MovabilityWitness,
     _product_transport,
     _weak_domination_transfer,
@@ -25,6 +27,7 @@ from movcat.movability import (
     weak_domination_transfer,
 )
 from movcat.search import coproduct_coslice_domination
+from movcat.systems import StarCounterexample, StarWitness
 from util import fail_every_verdict
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
@@ -318,3 +321,140 @@ def test_campaign_reports_pinned():
         for law in THEOREMS
     }
     assert got == CAMPAIGN_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Each law's own comparison, seen to fail: a decider that the law imports in
+# movcat.campaign is swapped for one that lies in one targeted way.
+
+NOT_MOVABLE = Counterexample(0, ())
+
+
+def _lie(monkeypatch, name, lie):
+    """Swap ``campaign.<name>`` for a decider giving ``lie(answer, *args)``
+    in place of its real answer.  Returns the list that records each call
+    on which the given answer was not the real one."""
+    real = getattr(campaign, name)
+    told = []
+
+    def decider(*args):
+        answer = real(*args)
+        given = lie(answer, *args)
+        if given is not answer:
+            told.append(args)
+        return given
+
+    monkeypatch.setattr(campaign, name, decider)
+    return told
+
+
+def _refuted(w):
+    return NOT_MOVABLE if isinstance(w, MovabilityWitness) else w
+
+
+def _one_lift_changed(w, k):
+    """``w`` with its last lift replaced by a ref naming no morphism of k."""
+    if not isinstance(w, MovabilityWitness):
+        return w
+    return dataclasses.replace(w, lifts=w.lifts[:-1] + (k.n_mors,))
+
+
+def _lie_is_caught(monkeypatch, theorem, told, detail, seeds=range(0, 40)):
+    # Every instance on which a lie was told fails with the law's own detail
+    # (a string, or a function of the document); every other one passes.
+    # Once the lie is undone, each failing document, stored as a campaign
+    # stores it, replays to a pass.
+    stored = []
+    for s in seeds:
+        doc = generate_campaign_instance(theorem, s, PARAMS)
+        told.clear()
+        ok, got = evaluate_instance(theorem, doc)
+        if told:
+            want = detail(doc) if callable(detail) else detail
+            assert (ok, got) == (False, want), s
+            stored.append(serialize_document(doc))
+        else:
+            assert ok, (s, got)
+    monkeypatch.undo()
+    assert stored
+    for text in stored:
+        assert evaluate_instance(theorem, parse_document(text))[0]
+
+
+def test_product_law_sees_a_wrong_product_verdict(monkeypatch):
+    # The decider refutes a movable product and answers its factors truly.
+    products = []
+
+    def recorded(factors):
+        prod = product_category(factors)
+        products.append(prod.category)
+        return prod
+
+    monkeypatch.setattr(campaign, "product_category", recorded)
+    told = _lie(
+        monkeypatch,
+        "check_strongly_movable",
+        lambda w, k: _refuted(w) if products and k is products[-1] else w,
+    )
+    _lie_is_caught(
+        monkeypatch,
+        "product",
+        told,
+        "product verdict differs from conjunction of factors",
+    )
+
+
+def test_transfer_law_sees_a_changed_lift(monkeypatch):
+    told = _lie(monkeypatch, "check_strongly_movable", _one_lift_changed)
+    _lie_is_caught(
+        monkeypatch,
+        "transfer",
+        told,
+        "VerificationFailed: witness of L does not verify",
+    )
+
+
+def test_coslice_law_sees_a_refuted_coslice(monkeypatch):
+    told = _lie(monkeypatch, "check_strongly_movable", lambda w, k: _refuted(w))
+
+    def detail(doc):
+        first = doc.category_of("K").object_names[0]
+        return f"coslice under object {first} not movable"
+
+    _lie_is_caught(monkeypatch, "coslice", told, detail)
+
+
+def test_initial_law_sees_a_refuted_category(monkeypatch):
+    told = _lie(monkeypatch, "check_strongly_movable", lambda w, k: _refuted(w))
+    _lie_is_caught(
+        monkeypatch,
+        "initial",
+        told,
+        "category with fresh initial object not movable",
+    )
+
+
+def test_poset_oracle_law_sees_a_refuted_poset(monkeypatch):
+    told = _lie(monkeypatch, "check_strongly_movable", lambda w, k: _refuted(w))
+    _lie_is_caught(
+        monkeypatch,
+        "poset-oracle",
+        told,
+        "thin-category verdict False vs order oracle True",
+    )
+
+
+def test_star_bridge_law_sees_a_refuted_star_condition(monkeypatch):
+    told = _lie(
+        monkeypatch,
+        "check_star",
+        lambda s, h: StarCounterexample((0, 0), {})
+        if isinstance(s, StarWitness)
+        else s,
+    )
+    _lie_is_caught(
+        monkeypatch,
+        "star-bridge",
+        told,
+        "direct condition disagrees with elements-category verdict",
+    )
