@@ -27,7 +27,13 @@ from movcat.movability import (
     weak_domination_transfer,
 )
 from movcat.search import coproduct_coslice_domination
-from movcat.systems import StarCounterexample, StarWitness
+from movcat.systems import (
+    SM1Witness,
+    SM2Witness,
+    SMCounterexample,
+    StarCounterexample,
+    StarWitness,
+)
 from util import fail_every_verdict
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
@@ -458,3 +464,87 @@ def test_star_bridge_law_sees_a_refuted_star_condition(monkeypatch):
         told,
         "direct condition disagrees with elements-category verdict",
     )
+
+
+def test_sm_bridge_law_sees_a_refuted_sm2(monkeypatch):
+    told = _lie(
+        monkeypatch,
+        "check_sm2",
+        lambda w, system, cone: SMCounterexample(0, {})
+        if isinstance(w, SM2Witness)
+        else w,
+    )
+    _lie_is_caught(
+        monkeypatch, "sm-bridge", told, "SM1 with a compatible cone but SM2 fails"
+    )
+
+
+def test_sm_bridge_law_sees_sm1_refuted_on_a_directed_index(monkeypatch):
+    told = _lie(
+        monkeypatch,
+        "check_sm1",
+        lambda w, system: SMCounterexample(0, {})
+        if system.directed and isinstance(w, SM1Witness)
+        else w,
+    )
+    _lie_is_caught(monkeypatch, "sm-bridge", told, "SM1 fails on a directed index")
+
+
+def test_coproduct_coslice_law_sees_a_refuted_coslice(monkeypatch):
+    # Only the first coslice of each document is refuted; the law must stop
+    # before it builds any domination.
+    told = _lie(
+        monkeypatch,
+        "check_strongly_movable",
+        lambda w, k: w if told else _refuted(w),
+    )
+    dominations = []
+    monkeypatch.setattr(
+        campaign, "coproduct_coslice_domination", lambda *a: dominations.append(a)
+    )
+    _lie_is_caught(
+        monkeypatch,
+        "coproduct-coslice",
+        told,
+        "coslice factor unexpectedly not movable",
+        seeds=range(0, 12),
+    )
+    assert dominations == []
+
+
+def test_coproduct_coslice_law_sees_a_changed_lift(monkeypatch):
+    told = _lie(monkeypatch, "check_strongly_movable", _one_lift_changed)
+    _lie_is_caught(
+        monkeypatch,
+        "coproduct-coslice",
+        told,
+        "VerificationFailed: factor witness does not verify",
+        seeds=range(0, 12),
+    )
+
+
+def test_sm_bridge_law_decides_sm2_at_most_once(monkeypatch):
+    # The associated-system conditions are not asked, and SM2 is asked only
+    # where SM1 holds under a compatible cone.
+    calls = {"associated": 0, "sm2": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        campaign, "check_associated", counted("associated", campaign.check_associated)
+    )
+    monkeypatch.setattr(campaign, "check_sm2", counted("sm2", campaign.check_sm2))
+    asked = 0
+    for s in range(300):
+        calls.update(associated=0, sm2=0)
+        assert evaluate_instance(
+            "sm-bridge", generate_campaign_instance("sm-bridge", s)
+        )[0]
+        assert calls["associated"] == 0 and calls["sm2"] <= 1, (s, calls)
+        asked += calls["sm2"]
+    assert asked > 0
