@@ -48,7 +48,14 @@ from .dsl import (
 
 @dataclass(frozen=True)
 class GenParams:
-    """Desk-scale size caps for generated instances."""
+    """Desk-scale size caps for generated instances.
+
+    Each cap is at least 1, and ``max_morphisms`` is at most MAX_MORPHISMS.
+    ``max_objects`` is at most MAX_OBJECTS - 1,
+    since the ``initial`` law adjoins an object; ``max_fiber`` is at most
+    (MAX_OBJECTS + 6) // 4 = 17, since the category of elements that
+    ``star-bridge`` builds can have 4 * max_fiber - 6 objects.
+    """
 
     max_objects: int = 5
     max_morphisms: int = 24
@@ -56,11 +63,15 @@ class GenParams:
 
 
 def _check_params(params: GenParams) -> None:
-    if not 1 <= params.max_objects <= MAX_OBJECTS:
+    # The ``initial`` law adjoins an object to a category of up to
+    # max_objects objects.  The largest copresheaf a system document draws is
+    # the collapse copresheaf on a 4-chain, with 4 * max_fiber - 6 elements,
+    # and ``star-bridge`` builds its category of elements, one object each.
+    if not 1 <= params.max_objects <= MAX_OBJECTS - 1:
         raise ParamsOutOfRange(f"max_objects={params.max_objects}")
     if not 1 <= params.max_morphisms <= MAX_MORPHISMS:
         raise ParamsOutOfRange(f"max_morphisms={params.max_morphisms}")
-    if params.max_fiber < 1:
+    if not 1 <= params.max_fiber <= (MAX_OBJECTS + 6) // 4:
         raise ParamsOutOfRange(f"max_fiber={params.max_fiber}")
 
 

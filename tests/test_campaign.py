@@ -13,6 +13,7 @@ from movcat.campaign import (
     run_campaign,
 )
 from movcat.cli import main
+from movcat.core import MAX_MORPHISMS, MAX_OBJECTS
 from movcat.dsl import parse_document, serialize_document
 from movcat.errors import ParamsOutOfRange, UnknownTheorem
 from movcat.generators import KINDS, GenParams, generate_instance
@@ -93,6 +94,8 @@ def test_campaign_instance_determinism():
         ("coslice", GenParams(max_objects=0)),
         ("sm-bridge", GenParams(max_fiber=0)),
         ("coslice", GenParams(max_objects=100)),
+        ("initial", GenParams(max_objects=MAX_OBJECTS)),
+        ("star-bridge", GenParams(max_fiber=18)),
     ],
 )
 def test_campaign_params_checked(theorem, params):
@@ -100,6 +103,34 @@ def test_campaign_params_checked(theorem, params):
     for seeds in (range(0, 20), range(0)):
         with pytest.raises(ParamsOutOfRange):
             run_campaign(theorem, seeds, params)
+
+
+@pytest.mark.parametrize(
+    "theorem, params, size, largest",
+    [
+        (
+            "initial",
+            GenParams(MAX_OBJECTS - 1, MAX_MORPHISMS, 3),
+            lambda doc: doc.category_of("K").n_objects + 1,
+            MAX_OBJECTS,
+        ),
+        (
+            "star-bridge",
+            GenParams(max_fiber=17),
+            lambda doc: sum(map(len, doc["H"].copresheaf.fibers)),
+            4 * 17 - 6,
+        ),
+    ],
+    ids=["initial", "star-bridge"],
+)
+def test_campaign_clean_at_params_bounds(theorem, params, size, largest):
+    # At the largest accepted params, the category each law builds (the one
+    # with an adjoined initial object; the category of elements) reaches
+    # its largest size within the caps, and no law records a failure.
+    seeds = range(0, 100)
+    sizes = [size(generate_campaign_instance(theorem, s, params)) for s in seeds]
+    assert max(sizes) == largest
+    assert run_campaign(theorem, seeds, params).clean
 
 
 # sha256 over seeds 0..39: for each law, every document's canonical text
