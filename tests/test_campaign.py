@@ -385,8 +385,12 @@ def _lie(monkeypatch, name, lie):
     return told
 
 
-def _refuted(w):
+def _refuted(w, *_):
     return NOT_MOVABLE if isinstance(w, MovabilityWitness) else w
+
+
+def _sm2_refuted(w, system, cone):
+    return SMCounterexample(0, {}) if isinstance(w, SM2Witness) else w
 
 
 def _one_lift_changed(w, k):
@@ -452,7 +456,7 @@ def test_transfer_law_sees_a_changed_lift(monkeypatch):
 
 
 def test_coslice_law_sees_a_refuted_coslice(monkeypatch):
-    told = _lie(monkeypatch, "check_strongly_movable", lambda w, k: _refuted(w))
+    told = _lie(monkeypatch, "check_strongly_movable", _refuted)
 
     def detail(doc):
         first = doc.category_of("K").object_names[0]
@@ -462,7 +466,7 @@ def test_coslice_law_sees_a_refuted_coslice(monkeypatch):
 
 
 def test_initial_law_sees_a_refuted_category(monkeypatch):
-    told = _lie(monkeypatch, "check_strongly_movable", lambda w, k: _refuted(w))
+    told = _lie(monkeypatch, "check_strongly_movable", _refuted)
     _lie_is_caught(
         monkeypatch,
         "initial",
@@ -472,7 +476,7 @@ def test_initial_law_sees_a_refuted_category(monkeypatch):
 
 
 def test_poset_oracle_law_sees_a_refuted_poset(monkeypatch):
-    told = _lie(monkeypatch, "check_strongly_movable", lambda w, k: _refuted(w))
+    told = _lie(monkeypatch, "check_strongly_movable", _refuted)
     _lie_is_caught(
         monkeypatch,
         "poset-oracle",
@@ -497,14 +501,20 @@ def test_star_bridge_law_sees_a_refuted_star_condition(monkeypatch):
     )
 
 
-def test_sm_bridge_law_sees_a_refuted_sm2(monkeypatch):
-    told = _lie(
+def test_star_bridge_law_sees_a_refuted_sm2(monkeypatch):
+    # SM2 is asked only of an associated system over a directed index, where
+    # it must agree with the star condition.
+    told = _lie(monkeypatch, "check_sm2", _sm2_refuted)
+    _lie_is_caught(
         monkeypatch,
-        "check_sm2",
-        lambda w, system, cone: SMCounterexample(0, {})
-        if isinstance(w, SM2Witness)
-        else w,
+        "star-bridge",
+        told,
+        "associated system: SM2 disagrees with condition",
     )
+
+
+def test_sm_bridge_law_sees_a_refuted_sm2(monkeypatch):
+    told = _lie(monkeypatch, "check_sm2", _sm2_refuted)
     _lie_is_caught(
         monkeypatch, "sm-bridge", told, "SM1 with a compatible cone but SM2 fails"
     )
