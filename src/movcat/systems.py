@@ -3,11 +3,14 @@ cones valued in a copresheaf, and the checkers for the two strong-movability
 conditions on systems, the associated-system conditions, and the direct
 object-by-object condition on copresheaves.
 
-The index poset is not required to be directed: over a finite directed
-poset both system conditions hold trivially (there is a maximum element and
-the bonds themselves are witnesses), so non-directed indices are what make
-the checkers interesting.  Directedness is reported on validation because
-the classical definitions presuppose it.
+The index poset is not required to be directed.  Over a finite directed
+poset both system conditions hold trivially: the maximum element m serves as
+a' for every a; SM1 then has a* = m, the only upper bound of m, and
+r = bond(a'', m) meets both of its equations by functoriality; SM2, under a
+compatible cone, is met by the same r.  So the ``sm-bridge`` law checks
+directly that SM1 holds on every directed index, and non-directed indices
+are what make the checkers interesting.  Directedness is reported on
+validation because the classical definitions presuppose it.
 
 SM1, SM2 and the copresheaf condition are decided by the same first-winner
 search as movability (``movability._first_winners``).  The copresheaf
