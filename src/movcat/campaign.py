@@ -112,8 +112,8 @@ def _semilattice_doc(rng: random.Random, params: GenParams) -> Document:
 # output and raise VerificationFailed when it does not verify, which
 # evaluate_instance records as a failure; so the laws call them for that
 # check alone and do not re-check the witnesses they return.
-# sm-bridge checks that SM1 holds on every directed index (see ``systems``)
-# and asks SM2 only where SM1 holds under a compatible cone.
+# sm-bridge checks that SM1 holds on every directed index, as it must (see
+# ``systems``).
 # coproduct-coslice builds each object's coslice and witness once per
 # document, and tests and verifies each witness once, when it is built.  It
 # runs the public coproduct_coslice_domination on those shared coslices,
