@@ -51,10 +51,10 @@ class GenParams:
     """Desk-scale size caps for generated instances.
 
     Each cap is at least 1, and ``max_morphisms`` is at most MAX_MORPHISMS.
-    ``max_objects`` is at most MAX_OBJECTS - 1,
-    since the ``initial`` law adjoins an object; ``max_fiber`` is at most
-    (MAX_OBJECTS + 6) // 4 = 17, since the category of elements that
-    ``star-bridge`` builds can have 4 * max_fiber - 6 objects.
+    ``max_objects`` is at most MAX_OBJECTS - 1, since the ``initial`` law
+    adjoins an object; ``max_fiber`` is at most (MAX_OBJECTS + 6) // 4 = 17,
+    since the category of elements that ``star-bridge`` builds can have
+    4 * max_fiber - 6 objects.
     """
 
     max_objects: int = 5
