@@ -29,7 +29,6 @@ from .core import (
     identity_nat_trans,
     make_poset,
     validate_category,
-    validate_copresheaf,
     validate_functor,
     validate_nat_trans,
 )
@@ -41,7 +40,6 @@ from .errors import (
     MovcatError,
     NoDesignatedCoproducts,
     NotAMonoid,
-    NotComposable,
     ParamsOutOfRange,
     SizeBoundExceeded,
     SourceTargetMismatch,

@@ -335,7 +335,7 @@ def elements_category(h: Copresheaf) -> CommaResult:
     if h._elements is None:
         base = h.base
         objects = [
-            (q, x) for q in range(base.n_objects) for x in range(h.fiber_size(q))
+            (q, x) for q in range(base.n_objects) for x in range(len(h.fibers[q]))
         ]
         result = _comma(
             base,

@@ -27,6 +27,7 @@ from .builders import (
 from .core import FiniteCategory
 from .errors import (
     MovcatError,
+    ParamsOutOfRange,
     UnknownTheorem,
     UnresolvedReference,
     VerificationFailed,
@@ -113,7 +114,8 @@ def _semilattice_doc(rng: random.Random, params: GenParams) -> Document:
 # evaluate_instance records as a failure; so the laws call them for that
 # check alone and do not re-check the witnesses they return.
 # sm-bridge checks that SM1 holds on every directed index, as it must (see
-# ``systems``).
+# ``systems``), and decides cone compatibility only where SM1 holds;
+# star-bridge leaves compatibility to check_associated, whose cond1 it is.
 # coproduct-coslice builds each object's coslice and witness once per
 # document, and tests and verifies each witness once, when it is built.  It
 # runs the public coproduct_coslice_domination on those shared coslices,
@@ -195,11 +197,10 @@ def _system_with_cone(doc: Document) -> tuple[InverseSystem, SystemCone]:
 
 def _law_sm_bridge(doc: Document) -> tuple[bool, str]:
     system, cone = _system_with_cone(doc)
-    compatible = not cone_compatible(system, cone)
     sm1_ok = isinstance(check_sm1(system), SM1Witness)
     if system.directed and not sm1_ok:
         return False, "SM1 fails on a directed index"
-    if sm1_ok and compatible:
+    if sm1_ok and not cone_compatible(system, cone):
         if not isinstance(check_sm2(system, cone), SM2Witness):
             return False, "SM1 with a compatible cone but SM2 fails"
     return True, "sm1=" + ("pass" if sm1_ok else "fail")
@@ -213,7 +214,7 @@ def _law_star_bridge(doc: Document) -> tuple[bool, str]:
     w = _movable(elements_category(h).category)
     if star_ok != (w is not None):
         return False, "direct condition disagrees with elements-category verdict"
-    if system.directed and not cone_compatible(system, cone):
+    if system.directed:
         rep = check_associated(system, cone)
         if rep.associated:
             sm2_ok = isinstance(check_sm2(system, cone), SM2Witness)
@@ -329,16 +330,19 @@ class CampaignReport:
 def run_campaign(
     theorem: str, seeds: range, params: Optional[GenParams] = None
 ) -> CampaignReport:
-    """Run one law over a seed range."""
+    """Run one law over a seed range of step 1; any other step raises
+    ParamsOutOfRange, since the report names the range by its ends."""
     if theorem not in THEOREMS:
         raise UnknownTheorem(theorem)
+    if seeds.step != 1:
+        raise ParamsOutOfRange(f"seed range step {seeds.step}, not 1")
     params = params or GenParams()
     _check_params(params)
     start = time.monotonic()
     report = CampaignReport(
         theorem, seeds.start, seeds.stop, params, instances=len(seeds)
     )
-    for seed in sorted(seeds):
+    for seed in seeds:
         doc = generate_campaign_instance(theorem, seed, params)
         ok, detail = evaluate_instance(theorem, doc)
         if ok:

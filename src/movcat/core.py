@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    NotComposable,
     InvalidCopresheaf,
     SizeBoundExceeded,
     SourceTargetMismatch,
@@ -88,7 +87,6 @@ class FiniteCategory:
         n = len(self.object_names)
         object.__setattr__(self, "_into", tuple(map(tuple, group_by(self.mor_cod, n))))
         object.__setattr__(self, "_out", tuple(map(tuple, group_by(self.mor_dom, n))))
-        object.__setattr__(self, "_ids", frozenset(self.identity))
 
     @property
     def n_objects(self) -> int:
@@ -99,19 +97,11 @@ class FiniteCategory:
         return len(self.mor_names)
 
     def is_identity(self, m: int) -> bool:
-        return m in self._ids
+        return self.identity[self.mor_dom[m]] == m
 
     def hom(self, a: int, b: int) -> tuple[int, ...]:
         """All morphisms a -> b in ascending ref order."""
         return self._hom.get((a, b), ())
-
-    def compose(self, g: int, f: int) -> int:
-        """g after f.  Raises NotComposable when cod(f) != dom(g)."""
-        if self.mor_cod[f] != self.mor_dom[g]:
-            raise NotComposable(
-                f"cod({self.mor_names[f]}) != dom({self.mor_names[g]})"
-            )
-        return self.comp[(g, f)]
 
     def mors_into(self, x: int) -> tuple[int, ...]:
         """All morphisms with codomain x, ascending."""
@@ -396,21 +386,6 @@ class Copresheaf:
                     break
         if bad:
             raise InvalidCopresheaf(bad)
-
-    def apply(self, m: int, x: int) -> int:
-        return self.action[m][x]
-
-    def fiber_size(self, q: int) -> int:
-        return len(self.fibers[q])
-
-
-def validate_copresheaf(
-    base: FiniteCategory,
-    fibers: Sequence[Sequence[str]],
-    action: Sequence[Sequence[int]],
-) -> Copresheaf:
-    """The copresheaf of these tables, checked as ``Copresheaf`` checks it."""
-    return Copresheaf(base, fibers, action)
 
 
 @dataclass(frozen=True, eq=True)

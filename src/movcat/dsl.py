@@ -46,7 +46,6 @@ from .core import (
     check_size,
     make_poset,
     validate_category,
-    validate_copresheaf,
     validate_functor,
     validate_nat_trans,
 )
@@ -627,7 +626,7 @@ def _parse_copresheaf(p: _Parser, doc: Document) -> CopresheafEntity:
         action.append([element(c, act[e]) if e in act else 0 for e in fibers[d]])
     if bad:
         raise ValidationFailed("copresheaf", bad)
-    cop = validate_copresheaf(base, fibers, action)
+    cop = Copresheaf(base, fibers, action)
     return CopresheafEntity(name, base_name, cop)
 
 

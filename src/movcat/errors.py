@@ -35,10 +35,6 @@ class ValidationFailed(MovcatError):
         return {v.code for v in self.violations}
 
 
-class NotComposable(MovcatError):
-    pass
-
-
 class SourceTargetMismatch(MovcatError):
     pass
 

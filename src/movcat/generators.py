@@ -32,7 +32,6 @@ from .core import (
     MAX_MORPHISMS,
     MAX_OBJECTS,
     make_poset,
-    validate_copresheaf,
 )
 from .errors import NoDesignatedCoproducts, ParamsOutOfRange
 from .search import CoproductDesignation, validate_designation
@@ -243,7 +242,7 @@ def terminal_copresheaf(base: FiniteCategory) -> Copresheaf:
     """All fibers a single point; every action trivial."""
     fibers = [["x0"] for _ in range(base.n_objects)]
     action = [[0] for _ in range(base.n_mors)]
-    return validate_copresheaf(base, fibers, action)
+    return Copresheaf(base, fibers, action)
 
 
 def collapse_copresheaf(
@@ -262,7 +261,7 @@ def collapse_copresheaf(
     for m in range(base.n_mors):
         d, c = base.mor_dom[m], base.mor_cod[m]
         action.append([min(x, size[c] - 1) for x in range(size[d])])
-    return validate_copresheaf(base, fibers, action)
+    return Copresheaf(base, fibers, action)
 
 
 def sum_of_representables(
@@ -283,7 +282,7 @@ def sum_of_representables(
             [h1.action[m][x] for x in range(len(h1.fibers[d]))]
             + [off + h2.action[m][x] for x in range(len(h2.fibers[d]))]
         )
-    return validate_copresheaf(base, fibers, action)
+    return Copresheaf(base, fibers, action)
 
 
 def random_copresheaf_doc(rng: random.Random, params: GenParams) -> Document:

@@ -511,9 +511,6 @@ class CoproductDesignation:
             )
         return self.table[(a, b)]
 
-    def fold(self, a: int, b: int, f: int, g: int) -> int:
-        return self.copair[(a, b, f, g)]
-
 
 def validate_designation(
     base: FiniteCategory, table: Mapping[tuple[int, int], tuple[int, int, int]]
@@ -558,9 +555,6 @@ class CosliceDominationResult:
     coslice_sum: CommaResult
     product: ProductResult
     coslice_factors: tuple[CommaResult, CommaResult]
-
-    def __iter__(self):
-        return iter((self.f, self.g, self.phi))
 
 
 def coproduct_coslice_domination(
@@ -615,7 +609,7 @@ def coproduct_coslice_domination(
         f1 = l1.objects[o1]
         f2 = l2.objects[o2]
         _, j1, j2 = designation.pair(q1s[o1], q2s[o2])
-        glued = designation.fold(x1, x2, c.comp[(j1, f1)], c.comp[(j2, f2)])
+        glued = designation.copair[(x1, x2, c.comp[(j1, f1)], c.comp[(j2, f2)])]
         return k_res.object_index(glued)
 
     g_obj = [g_object(o1, o2) for o1, o2 in prod.objects]
@@ -624,9 +618,9 @@ def coproduct_coslice_domination(
         s1, t1, eta1 = l1.morphism_triples[m1]
         s2, t2, eta2 = l2.morphism_triples[m2]
         _, jr1, jr2 = designation.pair(q1s[t1], q2s[t2])
-        eta = designation.fold(
-            q1s[s1], q2s[s2], c.comp[(jr1, eta1)], c.comp[(jr2, eta2)]
-        )
+        eta = designation.copair[
+            (q1s[s1], q2s[s2], c.comp[(jr1, eta1)], c.comp[(jr2, eta2)])
+        ]
         g_mor.append(
             k_res.morphism_index(g_obj[p.mor_dom[m]], g_obj[p.mor_cod[m]], eta)
         )
@@ -637,7 +631,7 @@ def coproduct_coslice_domination(
     comps = []
     for o, fm in enumerate(k_res.objects):
         q = c.mor_cod[fm]
-        fold = designation.fold(q, q, c.identity[q], c.identity[q])
+        fold = designation.copair[(q, q, c.identity[q], c.identity[q])]
         comps.append(k_res.morphism_index(gf.obj_map[o], o, fold))
     phi = validate_nat_trans(comps, gf, identity_functor(k))
 

@@ -143,7 +143,7 @@ def make_cone(
     if len(elements) != system.index.n:
         raise ValidationFailed("cone", [Violation("BadRef", "element count")])
     for a, x in enumerate(elements):
-        if not 0 <= x < h.fiber_size(system.at[a]):
+        if not 0 <= x < len(h.fibers[system.at[a]]):
             bad.append(
                 Violation("BadRef", f"element at {system.index.elements[a]}")
             )
@@ -158,7 +158,7 @@ def cone_compatible(system: InverseSystem, cone: SystemCone) -> list[tuple[int, 
     for a in range(system.index.n):
         for a2 in system.index.up_set(a):
             if (
-                cone.copresheaf.apply(system.bond[(a, a2)], cone.elements[a2])
+                cone.copresheaf.action[system.bond[(a, a2)]][cone.elements[a2]]
                 != cone.elements[a]
             ):
                 out.append((a, a2))
@@ -253,7 +253,7 @@ def check_sm2(system: InverseSystem, cone: SystemCone) -> SM2Result:
     h, el = cone.copresheaf, cone.elements
 
     def pick(a1: int, a2: int, rs: list[int]):
-        return next((r for r in rs if h.apply(r, el[a1]) == el[a2]), None)
+        return next((r for r in rs if h.action[r][el[a1]] == el[a2]), None)
 
     return _check_sm(system, pick, SM2Witness)
 
@@ -297,11 +297,11 @@ def check_associated(system: InverseSystem, cone: SystemCone) -> AssociatedRepor
     c1 = cone_compatible(system, cone)
 
     reached = {
-        (amb.mor_cod[f], h.apply(f, cone.elements[a]))
+        (amb.mor_cod[f], h.action[f][cone.elements[a]])
         for a in range(idx.n)
         for f in amb.mors_out_of(system.at[a])
     }
-    points = ((q, x) for q in range(amb.n_objects) for x in range(h.fiber_size(q)))
+    points = ((q, x) for q in range(amb.n_objects) for x in range(len(h.fibers[q])))
     c2 = [pt for pt in points if pt not in reached]
 
     c3: list[tuple[int, int, int, int]] = []
@@ -309,7 +309,7 @@ def check_associated(system: InverseSystem, cone: SystemCone) -> AssociatedRepor
         xa = system.at[a]
         for q in range(amb.n_objects):
             for f, g in itertools.combinations(amb.hom(xa, q), 2):
-                if h.apply(f, cone.elements[a]) != h.apply(g, cone.elements[a]):
+                if h.action[f][cone.elements[a]] != h.action[g][cone.elements[a]]:
                     continue
                 equalized = any(
                     amb.comp[(f, system.bond[(a, a1)])]
@@ -352,12 +352,12 @@ def check_star(h: Copresheaf) -> StarResult:
     building it.
     """
     base = h.base
-    points = [(q, x) for q in range(base.n_objects) for x in range(h.fiber_size(q))]
+    points = [(q, x) for q in range(base.n_objects) for x in range(len(h.fibers[q]))]
     # over[(q, x)]: every (q2, x2, eta2: q2 -> q) with action(eta2)(x2) = x.
     over = {pt: [] for pt in points}
     for q2, x2 in points:
         for eta2 in base.mors_out_of(q2):
-            over[(base.mor_cod[eta2], h.apply(eta2, x2))].append((q2, x2, eta2))
+            over[(base.mor_cod[eta2], h.action[eta2][x2])].append((q2, x2, eta2))
 
     def respond(pt, cand, ch):
         (q1, x1, eta), (q2, x2, eta2) = cand, ch
@@ -365,7 +365,7 @@ def check_star(h: Copresheaf) -> StarResult:
             (
                 e
                 for e in base.hom(q1, q2)
-                if base.comp[(eta2, e)] == eta and h.apply(e, x1) == x2
+                if base.comp[(eta2, e)] == eta and h.action[e][x1] == x2
             ),
             None,
         )

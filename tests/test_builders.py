@@ -16,9 +16,9 @@ from movcat.builders import (
     representable_copresheaf,
 )
 from movcat.core import (
+    Copresheaf,
     make_poset,
     validate_category,
-    validate_copresheaf,
     validate_functor,
 )
 from movcat.dsl import (
@@ -118,7 +118,7 @@ def test_product_size_bound(monkeypatch):
     arrows = " ".join(f"arrows f{i} : A -> B ;" for i in range(n))
     doc = parse_document(f"category C {{ objects A B ; {arrows} }}")
     parallel = doc.category_of("C")
-    wide = validate_copresheaf(chain(1), [[f"x{i}" for i in range(n)]], [range(n)])
+    wide = Copresheaf(chain(1), [[f"x{i}" for i in range(n)]], [range(n)])
     c9, c8, flat = chain(9), chain(8), antichain(64)
     over = [
         lambda: product_category([c9, c8]),
@@ -216,7 +216,7 @@ def test_elements_of_representable_iso_to_coslice():
 
 def test_elements_discrete_on_singleton_fibers_over_antichain():
     c = antichain(3)
-    h = validate_copresheaf(c, [["x"], ["y"], ["z"]], [[0], [0], [0]])
+    h = Copresheaf(c, [["x"], ["y"], ["z"]], [[0], [0], [0]])
     cat = elements_category(h).category
     assert (cat.n_objects, cat.n_mors) == (3, 3)
 
@@ -225,7 +225,7 @@ def test_elements_of_lambda_copresheaf():
     # V-poset base, singleton fibers, both actions land in the top fiber:
     # two non-identity arrows into one object.
     c = v_poset_category()
-    h = validate_copresheaf(
+    h = Copresheaf(
         c, [["x"], ["y"], ["z"]], [[0], [0], [0], [0], [0]]
     )
     cat = elements_category(h).category
@@ -260,8 +260,8 @@ def test_canonical_category_idempotent_and_normal():
 def test_representable_copresheaf_valid():
     c = v_poset_category()
     h = representable_copresheaf(c, 0)
-    validate_copresheaf(c, h.fibers, h.action)
-    assert h.fiber_size(2) == 1 and h.fiber_size(1) == 0
+    Copresheaf(c, h.fibers, h.action)
+    assert len(h.fibers[2]) == 1 and len(h.fibers[1]) == 0
 
 
 def _tables(cat):

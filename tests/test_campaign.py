@@ -34,6 +34,8 @@ from movcat.systems import (
     SMCounterexample,
     StarCounterexample,
     StarWitness,
+    check_sm1,
+    cone_compatible,
 )
 from util import fail_every_verdict
 
@@ -280,6 +282,16 @@ def test_unknown_theorem_rejected():
         run_campaign("no-such-law", range(0, 1), PARAMS)
     with pytest.raises(UnknownTheorem):
         evaluate_instance("no-such-law", parse_document("poset P { elements a }"))
+    with pytest.raises(UnknownTheorem):
+        generate_campaign_instance("no-such-law", 0)
+
+
+def test_seed_range_of_other_step_rejected():
+    # The report names its window by the range's ends, which describe the
+    # seeds run only for a step of 1.
+    for seeds in (range(0, 10, 3), range(5, 0, -1)):
+        with pytest.raises(ParamsOutOfRange):
+            run_campaign("poset-oracle", seeds, PARAMS)
 
 
 def test_transfer_law_sometimes_exercised():
@@ -588,4 +600,31 @@ def test_sm_bridge_law_decides_sm2_at_most_once(monkeypatch):
         )[0]
         assert calls["associated"] == 0 and calls["sm2"] <= 1, (s, calls)
         asked += calls["sm2"]
+    assert asked > 0
+
+
+def test_bridge_laws_decide_compatibility_at_most_once(monkeypatch):
+    # star-bridge leaves cone compatibility to check_associated, whose cond1
+    # it is; sm-bridge asks it once, and only where SM1 holds.
+    seen = {"compatible": 0, "sm1": False}
+
+    def compatible(*args):
+        seen["compatible"] += 1
+        return cone_compatible(*args)
+
+    def sm1(system):
+        res = check_sm1(system)
+        seen["sm1"] = isinstance(res, SM1Witness)
+        return res
+
+    monkeypatch.setattr(campaign, "cone_compatible", compatible)
+    monkeypatch.setattr(campaign, "check_sm1", sm1)
+    asked = 0
+    for law in ("star-bridge", "sm-bridge"):
+        for s in range(300):
+            seen.update(compatible=0, sm1=False)
+            assert evaluate_instance(law, generate_campaign_instance(law, s))[0]
+            limit = int(seen["sm1"]) if law == "sm-bridge" else 0
+            assert seen["compatible"] <= limit, (law, s, seen)
+            asked += seen["compatible"]
     assert asked > 0

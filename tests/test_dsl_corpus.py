@@ -264,10 +264,9 @@ DERANDOMIZED = settings(
 
 def test_drawn_texts_scan_like_tokenizer():
     """Texts drawn from `PIECES` scan as the tokenizer scans them.  The
-    ``@given`` function is called from a plain test: when a ``@given`` test
-    fails, the Hypothesis plugin imports libcst to suggest a patch, and that
-    import's DeprecationWarning, an error under this suite's filter, stops
-    the whole run."""
+    ``@given`` function is nested in a plain test so that it can collect
+    the outcome of every drawn text for the final assert, which checks that
+    the draws reach both outcomes."""
     outcomes = set()
 
     @DERANDOMIZED

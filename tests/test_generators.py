@@ -3,7 +3,7 @@ import random
 import pytest
 
 from movcat.builders import build_poset_category
-from movcat.core import make_poset, validate_category, validate_copresheaf
+from movcat.core import Copresheaf, make_poset, validate_category
 from movcat.dsl import serialize_document
 from movcat.errors import NoDesignatedCoproducts, ParamsOutOfRange
 from movcat.generators import (
@@ -74,7 +74,7 @@ def test_copresheaf_documents_valid():
         doc = generate_instance("copresheaf", seed, PARAMS)
         ent = doc["H"]
         h = ent.copresheaf
-        validate_copresheaf(h.base, h.fibers, h.action)
+        Copresheaf(h.base, h.fibers, h.action)
 
 
 def test_system_documents_valid():

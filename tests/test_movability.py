@@ -10,10 +10,10 @@ from movcat.builders import (
     representable_copresheaf,
 )
 from movcat.core import (
+    Copresheaf,
     identity_functor,
     identity_nat_trans,
     make_poset,
-    validate_copresheaf,
     validate_functor,
     validate_nat_trans,
 )
@@ -139,7 +139,7 @@ def test_space_movability_counterexample():
     # Lambda-shaped copresheaf over the V poset: the top element of the
     # elements category is hit from both legs with no common mover.
     v = v_poset_category()
-    h = validate_copresheaf(v, [["x"], ["y"], ["z"]], [[0], [0], [0], [0], [0]])
+    h = Copresheaf(v, [["x"], ["y"], ["z"]], [[0], [0], [0], [0], [0]])
     res = space_movability(h)
     assert isinstance(res, Counterexample)
 

@@ -271,7 +271,7 @@ def test_semilattice_designation_on_diamond():
     # fold of the cocone (a -> top, b -> top) is the identity on top
     f = cat.hom(1, 3)[0]
     g = cat.hom(2, 3)[0]
-    assert des.fold(1, 2, f, g) == cat.identity[3]
+    assert des.copair[(1, 2, f, g)] == cat.identity[3]
 
 
 def test_designation_trivial_on_terminal():
@@ -306,7 +306,7 @@ def test_coproduct_coslice_domination_on_diamond():
     cat, poset = diamond()
     des = semilattice_designation(cat, poset)
     res = coproduct_coslice_domination(cat, des, 1, 2)
-    f, g, phi = res
+    f, g, phi = res.f, res.g, res.phi
     gf = compose_functors(g, f)
     assert phi.source == gf
     assert phi.target == identity_functor(res.coslice_sum.category)

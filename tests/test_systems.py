@@ -5,7 +5,7 @@ from movcat.builders import (
     elements_category,
     representable_copresheaf,
 )
-from movcat.core import make_poset, validate_copresheaf
+from movcat.core import Copresheaf, make_poset
 from movcat.errors import ConeIncompatible, ValidationFailed
 from movcat.generators import terminal_copresheaf
 from movcat.movability import MovabilityWitness, check_movable_wrt
@@ -137,7 +137,7 @@ def test_sm2_rejects_incompatible_cone():
     at = [1, 0]
     sys = validate_system(amb, idx, at, _thin_bonds(amb, idx, at))
     # the comparison sends u to z, never to w
-    h = validate_copresheaf(amb, [["u"], ["z", "w"]], [[0], [0, 1], [0]])
+    h = Copresheaf(amb, [["u"], ["z", "w"]], [[0], [0, 1], [0]])
     cone = make_cone(sys, h, [1, 0])  # claims w over i0, but bond gives z
     assert cone_compatible(sys, cone) == [(0, 1)]
     with pytest.raises(ConeIncompatible):
@@ -176,7 +176,7 @@ def test_associated_cond1_violation_reported():
     idx = make_poset(["i0", "i1"], [(0, 1)])
     at = [1, 0]
     sys = validate_system(amb, idx, at, _thin_bonds(amb, idx, at))
-    h = validate_copresheaf(amb, [["u"], ["z", "w"]], [[0], [0, 1], [0]])
+    h = Copresheaf(amb, [["u"], ["z", "w"]], [[0], [0, 1], [0]])
     cone = make_cone(sys, h, [1, 0])
     rep = check_associated(sys, cone)
     assert not rep.cond1 and rep.cond1_failures == ((0, 1),)
@@ -188,7 +188,7 @@ def test_associated_cond2_unreachable_element():
     amb = chain(2)
     idx = make_poset(["i0"], [])
     sys = validate_system(amb, idx, [1], {})
-    h = validate_copresheaf(amb, [["u"], ["z", "w"]], [[0], [0, 1], [0]])
+    h = Copresheaf(amb, [["u"], ["z", "w"]], [[0], [0, 1], [0]])
     cone = make_cone(sys, h, [0])  # picks z in the top fiber
     rep = check_associated(sys, cone)
     assert not rep.cond2
@@ -205,7 +205,7 @@ def test_star_representable_witness():
 
 def test_star_lambda_counterexample():
     v = v_poset_category()
-    h = validate_copresheaf(v, [["x"], ["y"], ["z"]], [[0], [0], [0], [0], [0]])
+    h = Copresheaf(v, [["x"], ["y"], ["z"]], [[0], [0], [0], [0], [0]])
     res = check_star(h)
     assert isinstance(res, StarCounterexample)
     assert res.at == (2, 0)  # the top element is hit from both legs
@@ -221,7 +221,7 @@ def test_star_agrees_with_elements_category_movability():
         representable_copresheaf(v_poset_category(), 0),
         terminal_copresheaf(v_poset_category()),
         terminal_copresheaf(chain(3)),
-        validate_copresheaf(
+        Copresheaf(
             v_poset_category(), [["x"], ["y"], ["z"]], [[0], [0], [0], [0], [0]]
         ),
     ]
