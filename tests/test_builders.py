@@ -15,6 +15,7 @@ from movcat.builders import (
     product_category,
     representable_copresheaf,
 )
+from movcat.campaign import generate_campaign_instance
 from movcat.core import (
     Copresheaf,
     make_poset,
@@ -317,6 +318,40 @@ def test_builders_match_definition_reference():
         assert res.morphism_triples == ref_triples
 
 
+def _drawn_posets():
+    """Seeded posets of 1..48 elements in the shapes the check-cap bench
+    reads: forests (each element has at most one lower cover) and sparse
+    random orders (each i < j kept with probability 0.08), both under a
+    random labelling, given as bare edges and as their sorted closed
+    strict pairs."""
+    rng = random.Random("poset-category-reference")
+    for n in list(range(1, 13)) + [16, 24, 33, 40, 47, 48]:
+        forest = [(p, i) for i in range(1, n) if (p := rng.randint(-1, i - 1)) >= 0]
+        sparse = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08
+        ]
+        for edges in (forest, sparse):
+            label = list(range(n))
+            rng.shuffle(label)
+            edges = [(label[i], label[j]) for i, j in edges]
+            names = [f"p{i}" for i in range(n)]
+            poset = make_poset(names, edges)
+            yield poset
+            yield make_poset(names, poset.strict_pairs())
+
+
+def test_poset_category_matches_reference_on_drawn_posets():
+    # Every table and the insertion order of comp, on the poset shapes
+    # that the reader builds most.
+    count = 0
+    for poset in _drawn_posets():
+        assert _tables(build_poset_category(poset)) == _tables(
+            naive_poset_category(poset)
+        ), poset
+        count += 1
+    assert count == 72
+
+
 def _mixed_factors():
     """Z/2 as a monoid (its identity is the last ref), the one-object
     category, chain(3), V, and four ``random_category`` outputs: two thin
@@ -425,18 +460,42 @@ def test_written_categories_pinned():
     )
 
 
+def _law_categories(seeds):
+    """The categories that the ``coslice`` and ``product`` laws build: each
+    generated category with its coslice under every object, and both
+    factors with their product."""
+    for s in seeds:
+        k = generate_campaign_instance("coslice", s).category_of("K")
+        yield k
+        for x in range(k.n_objects):
+            yield coslice_category(k, x).category
+        doc = generate_campaign_instance("product", s)
+        factors = [doc.category_of("K1"), doc.category_of("K2")]
+        yield from factors
+        yield product_category(factors).category
+
+
 def test_mors_into_matches_scan():
+    # mors_into, mors_out_of and hom(a, b) for every pair of objects,
+    # empty hom-sets included, against one scan over the morphisms.
     cats = _written_categories()
     cats += [add_initial_object(c) for c in (chain(3), v_poset_category())]
     cats += [canonical_category(c)[0] for c in cats[-2:]]
+    cats += _law_categories(range(50))
     for cat in cats:
-        for x in range(cat.n_objects):
-            assert cat.mors_into(x) == tuple(
-                m for m in range(cat.n_mors) if cat.mor_cod[m] == x
-            )
-            assert cat.mors_out_of(x) == tuple(
-                m for m in range(cat.n_mors) if cat.mor_dom[m] == x
-            )
+        into = [[] for _ in range(cat.n_objects)]
+        out = [[] for _ in range(cat.n_objects)]
+        hom = {}
+        for m in range(cat.n_mors):
+            d, c = cat.mor_dom[m], cat.mor_cod[m]
+            into[c].append(m)
+            out[d].append(m)
+            hom.setdefault((d, c), []).append(m)
+        for a in range(cat.n_objects):
+            assert cat.mors_into(a) == tuple(into[a])
+            assert cat.mors_out_of(a) == tuple(out[a])
+            for b in range(cat.n_objects):
+                assert cat.hom(a, b) == tuple(hom.get((a, b), ()))
 
 
 def test_elements_built_once_per_copresheaf(monkeypatch):

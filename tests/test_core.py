@@ -28,6 +28,7 @@ from movcat.errors import (
 from movcat.generators import MONOID_CATALOG, GenParams, random_category, random_poset
 from util import (
     chain,
+    cyclic,
     finset_retract,
     naive_category_violations,
     naive_poset_relation,
@@ -372,3 +373,38 @@ def test_validator_matches_all_triples_reference():
         assert _validator_outcome(objs, mors, identity, comp) == want, (objs, mors)
         codes.update(code for code, _ in want)
     assert codes == {"IdentityLawBroken", "AssocBroken"}
+
+
+def test_validator_count_shortcut_falls_back_to_the_scan():
+    # Dropping one composite of the 3-chain and adding one key that is not
+    # a composable pair keeps the key count equal to the number of
+    # composable pairs, so only the stray key can tell the validator to
+    # look for the missing one.  Each list must equal the all-pairs
+    # reference: MissingComposite first, then IllegalComposite.
+    objs, mors, identity, comp = _raw(chain(3))
+    assert len(comp) == 10
+    strays = [(3, 4), (4, 3), (5, 0), (0, 5), (9, 9), (-1, 0)]
+    for key, value in comp.items():
+        for stray in strays:
+            mutant = {k: v for k, v in comp.items() if k != key}
+            mutant[stray] = value
+            want = naive_category_violations(objs, mors, identity, mutant)
+            assert [code for code, _ in want] == [
+                "MissingComposite", "IllegalComposite",
+            ]
+            assert _validator_outcome(objs, mors, identity, mutant) == want
+    # Counts match and every key is composable, but le1_2 . le0_1 is
+    # given le0_1, a morphism of the wrong type.
+    mutant = {**comp, (5, 3): 3}
+    want = naive_category_violations(objs, mors, identity, mutant)
+    assert want == [("IllegalComposite", "comp(le1_2, le0_1) mistyped")]
+    assert _validator_outcome(objs, mors, identity, mutant) == want
+    # Z/3 with r1 . r1 = identity instead of r2: one hom-set of three
+    # morphisms, so the associativity pass runs and reports the triples
+    # the reference finds.
+    objs, mors, identity, comp = _raw(cyclic(3))
+    r1 = mors.index(("r1", 0, 0))
+    comp[(r1, r1)] = identity[0]
+    want = naive_category_violations(objs, mors, identity, comp)
+    assert want and {code for code, _ in want} == {"AssocBroken"}
+    assert _validator_outcome(objs, mors, identity, comp) == want
