@@ -52,24 +52,28 @@ def build_poset_category(poset: FinitePoset) -> FiniteCategory:
     """The thin category of a poset: one morphism a -> b iff a <= b.
 
     Morphism order: identities (object order) first, then strict pairs in
-    (i, j) order, named ``le{i}_{j}``.
+    (i, j) order, named ``le{i}_{j}``.  Each object a keeps one row, the
+    dict b -> ref of a -> b, and the composite of f: a -> b with each g out
+    of b is read from a's row at cod(g); ``comp`` lists f ascending and, per
+    f, g ascending.
     """
     n = poset.n
     names = [f"id_{poset.elements[i]}" for i in range(n)]
     dom = list(range(n))
     cod = list(range(n))
-    ref: dict[tuple[int, int], int] = {(i, i): i for i in range(n)}
+    # to[a][b]: the ref of a -> b.
+    to: list[dict[int, int]] = [{i: i} for i in range(n)]
     for i, j in poset.strict_pairs():
-        ref[(i, j)] = len(names)
+        to[i][j] = len(names)
         names.append(f"le{i}_{j}")
         dom.append(i)
         cod.append(j)
     by_dom = group_by(dom, n)
-    comp = {
-        (g, f): ref[(dom[f], cod[g])]
-        for f in range(len(names))
-        for g in by_dom[cod[f]]
-    }
+    comp = {}
+    for f in range(len(names)):
+        row = to[dom[f]]
+        for g in by_dom[cod[f]]:
+            comp[g, f] = row[cod[g]]
     return FiniteCategory(
         tuple(poset.elements), tuple(names), tuple(dom), tuple(cod),
         tuple(range(n)), comp,

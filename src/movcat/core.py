@@ -7,7 +7,8 @@ category's tables; refs are only meaningful relative to that one category
 value.  Canonical ordering is construction order, and all searches iterate
 in ascending ref order, so reported witnesses are reproducible.  A category
 groups its morphisms by codomain and by domain once, when it is built
-(``mors_into``, ``mors_out_of``); callers read these lists rather than
+(``mors_into``, ``mors_out_of``), and into hom-sets by (domain, codomain)
+in one pass over its morphisms (``hom``); callers read these rather than
 rescan its morphisms.
 
 ``check_size`` is the one comparison against the size caps; the reader and
@@ -15,9 +16,13 @@ every derived construction in ``builders`` call it before they build.
 
 The validators skip only work whose outcome their earlier checks fix, so
 they report the same violations in the same order as scans over every
-pair and triple: ``validate_category`` compares a composable triple only
-where its two composites can differ (a hom-set of two or more morphisms),
-and ``make_poset`` closes its relation by walking successors while adding
+pair and triple.  ``validate_category`` counts the composites before it
+scans for missing ones: when every key of the table is a composable pair
+and there are as many keys as composable pairs, none can be missing, so it
+scans for them only when a stray key or a count gap could hide one.  It
+compares a composable triple only where its two composites can differ (a
+hom-set of two or more morphisms), so a thin category skips that pass.
+``make_poset`` closes its relation by walking successors while adding
 pairs in the order that probing every element would.
 
 All values are immutable after validation and safe to share across
@@ -80,10 +85,10 @@ class FiniteCategory:
     comp: dict = field(hash=False)
 
     def __post_init__(self):
-        homs: dict[tuple[int, int], list[int]] = {}
-        for m in range(len(self.mor_names)):
-            homs.setdefault((self.mor_dom[m], self.mor_cod[m]), []).append(m)
-        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in homs.items()})
+        hom: dict[tuple[int, int], tuple[int, ...]] = {}
+        for m, key in enumerate(zip(self.mor_dom, self.mor_cod)):
+            hom[key] = hom[key] + (m,) if key in hom else (m,)
+        object.__setattr__(self, "_hom", hom)
         n = len(self.object_names)
         object.__setattr__(self, "_into", tuple(map(tuple, group_by(self.mor_cod, n))))
         object.__setattr__(self, "_out", tuple(map(tuple, group_by(self.mor_dom, n))))
@@ -157,17 +162,31 @@ def validate_category(
         tuple(object_names), tuple(names), tuple(dom), tuple(cod),
         tuple(identity), dict(comp),
     )
-    composable = [(g, f) for g in range(n_mor) for f in cat.mors_into(dom[g])]
-    for g, f in composable:
-        if (g, f) not in comp:
-            bad.append(Violation("MissingComposite", f"(g, f)=({names[g]}, {names[f]})"))
+    illegal: list[Violation] = []
+    stray = False
     for (g, f), h in comp.items():
         if not (0 <= g < n_mor and 0 <= f < n_mor and cod[f] == dom[g]):
-            bad.append(Violation("IllegalComposite", f"(g, f)=({g}, {f}) not composable"))
+            stray = True
+            illegal.append(
+                Violation("IllegalComposite", f"(g, f)=({g}, {f}) not composable")
+            )
         elif not (0 <= h < n_mor) or dom[h] != dom[f] or cod[h] != cod[g]:
-            bad.append(
+            illegal.append(
                 Violation("IllegalComposite", f"comp({names[g]}, {names[f]}) mistyped")
             )
+    # When every key is a composable pair, the keys are all of them exactly
+    # when there are as many keys as pairs (g, f) meeting at some object x;
+    # only otherwise can a composite be missing.
+    n_pairs = sum(
+        len(cat.mors_into(x)) * len(cat.mors_out_of(x)) for x in range(n_obj)
+    )
+    if stray or len(comp) != n_pairs:
+        for g in range(n_mor):
+            for f in cat.mors_into(dom[g]):
+                if (g, f) not in comp:
+                    detail = f"(g, f)=({names[g]}, {names[f]})"
+                    bad.append(Violation("MissingComposite", detail))
+    bad += illegal
     if bad:
         raise ValidationFailed("category", bad)
 
@@ -179,19 +198,23 @@ def validate_category(
     for (a, b), ms in cat._hom.items():
         if len(ms) > 1:
             multi[a].add(b)
-    for g, f in composable:
-        targets = multi[dom[f]]
-        if not targets:
-            continue
-        gf = comp[(g, f)]
-        for h in cat.mors_out_of(cod[g]):
-            if cod[h] in targets and comp[(h, gf)] != comp[(comp[(h, g)], f)]:
-                bad.append(
-                    Violation(
-                        "AssocBroken",
-                        f"(h, g, f)=({names[h]}, {names[g]}, {names[f]})",
-                    )
-                )
+    # A thin category has nothing to compare.
+    if any(multi):
+        for g in range(n_mor):
+            out = cat.mors_out_of(cod[g])
+            for f in cat.mors_into(dom[g]):
+                targets = multi[dom[f]]
+                if not targets:
+                    continue
+                gf = comp[(g, f)]
+                for h in out:
+                    if cod[h] in targets and comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                        bad.append(
+                            Violation(
+                                "AssocBroken",
+                                f"(h, g, f)=({names[h]}, {names[g]}, {names[f]})",
+                            )
+                        )
     if bad:
         raise ValidationFailed("category", bad)
     return cat
