@@ -61,7 +61,6 @@ def build_poset_category(poset: FinitePoset) -> FiniteCategory:
     names = [f"id_{poset.elements[i]}" for i in range(n)]
     dom = list(range(n))
     cod = list(range(n))
-    # to[a][b]: the ref of a -> b.
     to: list[dict[int, int]] = [{i: i} for i in range(n)]
     for i, j in poset.strict_pairs():
         to[i][j] = len(names)
