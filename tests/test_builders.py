@@ -30,10 +30,12 @@ from movcat.dsl import (
 )
 from movcat.errors import NotAMonoid, SizeBoundExceeded
 from movcat.generators import (
+    MONOID_CATALOG,
     GenParams,
     generate_instance,
     random_category,
     random_copresheaf_doc,
+    sum_of_representables,
 )
 from movcat.movability import (
     check_movable_wrt,
@@ -50,6 +52,7 @@ from util import (
     naive_elements,
     naive_poset_category,
     naive_product,
+    naive_representable,
     v_poset_category,
 )
 
@@ -263,6 +266,46 @@ def test_representable_copresheaf_valid():
     h = representable_copresheaf(c, 0)
     Copresheaf(c, h.fibers, h.action)
     assert len(h.fibers[2]) == 1 and len(h.fibers[1]) == 0
+
+
+def _multi_hom_categories():
+    """Categories with hom-sets of two or more morphisms: the catalogued
+    monoids, products with a monoid factor, and the categories of elements
+    of sums of two representables on some of those products."""
+    monoids = [build_monoid_category(*m) for m in MONOID_CATALOG]
+    products = [
+        product_category([m, c]).category
+        for m in monoids[1:]
+        for c in (chain(2), v_poset_category())
+    ]
+    products += [
+        product_category([monoids[4], monoids[5]]).category,
+        product_category([chain(2), cyclic(2), chain(2)]).category,
+    ]
+    elements = [
+        elements_category(sum_of_representables(base, p1, p2)).category
+        for base in products[::3]
+        for p1, p2 in ((0, 0), (0, base.n_objects - 1))
+    ]
+    return monoids + products + elements
+
+
+def test_representable_matches_definition_on_multi_morphism_homs():
+    # Fibers and action of hom(P, -) at every object P, against the scan
+    # of its definition, where post-composition must find a position among
+    # several parallel morphisms.
+    cats = _multi_hom_categories()
+    multi = [c for c in cats if any(len(c.hom(a, b)) > 1 for a, b in c._hom)]
+    assert (len(cats), len(multi)) == (36, 29)
+    count = 0
+    for cat in cats:
+        for p in range(cat.n_objects):
+            h = representable_copresheaf(cat, p)
+            fibers, action = naive_representable(cat, p)
+            assert h.fibers == tuple(map(tuple, fibers))
+            assert h.action == tuple(map(tuple, action))
+            count += 1
+    assert count == 172
 
 
 def _tables(cat):
@@ -541,3 +584,30 @@ def test_result_indices_match_their_tables():
         cos.morphism_index(0, 0, prod.category.n_mors)
     with pytest.raises(ValueError):
         el.object_index((0, 0))
+
+
+def test_comma_morphism_index_rejects_keys_that_name_nothing():
+    # On a coslice and on a category of elements: every triple round-trips,
+    # and a source out of range, an eta that does not leave the source's
+    # base object, an eta out of range, or a wrong target raises
+    # ValueError naming the key.
+    base = product_category([cyclic(2), chain(3)]).category
+    results = [
+        coslice_category(base, 0),
+        elements_category(sum_of_representables(base, 0, 1)),
+    ]
+    for res in results:
+        n, over = res.category.n_objects, res.forgetful.obj_map
+        for r, t in enumerate(res.morphism_triples):
+            assert res.morphism_index(*t) == r
+        misses = [(-1, 0, 0), (n, 0, 0), (n, n, base.identity[0])]
+        for i, b in enumerate(over):
+            misses += [(i, i, -1), (i, i, base.n_mors)]
+            misses += [(i, 0, e) for e in range(base.n_mors) if base.mor_dom[e] != b]
+        for i, j, e in res.morphism_triples:
+            misses += [(i, k, e) for k in (-1, j + 1, j - 1, n) if k != j]
+        assert len(misses) > 10 * n
+        for key in misses:
+            with pytest.raises(ValueError) as miss:
+                res.morphism_index(*key)
+            assert str(miss.value) == f"{key!r} is not in the result"

@@ -9,6 +9,7 @@ from movcat.builders import (
     build_poset_category,
     coslice_category,
     product_category,
+    representable_copresheaf,
 )
 from movcat.core import (
     Copresheaf,
@@ -25,12 +26,19 @@ from movcat.errors import (
     ValidationFailed,
     Violation,
 )
-from movcat.generators import MONOID_CATALOG, GenParams, random_category, random_poset
+from movcat.generators import (
+    MONOID_CATALOG,
+    GenParams,
+    random_category,
+    random_poset,
+    sum_of_representables,
+)
 from util import (
     chain,
     cyclic,
     finset_retract,
     naive_category_violations,
+    naive_copresheaf_violations,
     naive_poset_relation,
     pointed_sets_2,
     v_poset_category,
@@ -170,6 +178,90 @@ def test_copresheaf_constructor_checks_its_tables():
     good = Copresheaf(c3, fibers, [[0], [0, 1], [0, 1], [0], [0], [0, 1]])
     assert good == Copresheaf(c3, tuple(fibers), good.action)
     assert good.fibers == (("x",), ("y", "z"), ("w", "v"))
+
+
+def _broken_copresheaves(n, seed):
+    """``n`` raw copresheaf tables, each a valid one (a representable or a
+    sum of two representables, on a chain, V, a monoid or a product with a
+    monoid factor) with one to three mutations: an entry made negative or
+    too large, a map shortened or lengthened, a fiber emptied together with
+    the maps out of it, an entry changed within range, an identity broken,
+    a duplicate name, or a fiber or map dropped from the tables."""
+    rng = random.Random(seed)
+    cats = [chain(3), v_poset_category()]
+    cats += [build_monoid_category(*m) for m in MONOID_CATALOG[1:6]]
+    cats.append(product_category([cyclic(2), chain(2)]).category)
+    valid = []
+    for cat in cats:
+        for p in range(cat.n_objects):
+            valid.append(representable_copresheaf(cat, p))
+        valid.append(sum_of_representables(cat, 0, cat.n_objects - 1))
+    for _ in range(n):
+        h = rng.choice(valid)
+        base = h.base
+        fibers = [list(f) for f in h.fibers]
+        action = [list(a) for a in h.action]
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(9)
+            m = rng.randrange(base.n_mors)
+            size = len(fibers[base.mor_cod[m]])
+            if kind in (0, 1, 2) and action[m]:
+                x = rng.randrange(len(action[m]))
+                if kind == 0:
+                    action[m][x] = -rng.randint(1, 3)
+                elif kind == 1:
+                    action[m][x] = size + rng.randrange(3)
+                elif size > 1:
+                    action[m][x] = (action[m][x] + rng.randrange(1, size)) % size
+            elif kind == 3:
+                if action[m] and rng.random() < 0.5:
+                    action[m].pop()
+                else:
+                    action[m].append(0)
+            elif kind == 4:
+                q = rng.randrange(base.n_objects)
+                fibers[q] = []
+                for e in base.mors_out_of(q):
+                    action[e] = []
+            elif kind == 5:
+                a = rng.randrange(base.n_objects)
+                row = action[base.identity[a]]
+                if len(row) > 1:
+                    row[0], row[-1] = row[-1], row[0]
+            elif kind == 6:
+                q = rng.randrange(base.n_objects)
+                if len(fibers[q]) > 1:
+                    fibers[q][-1] = fibers[q][0]
+            elif kind == 7 and rng.random() < 0.2:
+                (fibers if rng.random() < 0.5 else action).pop()
+                break
+        yield base, fibers, action
+
+
+def test_copresheaf_violations_match_reference_on_drawn_tables():
+    # The whole violation list, in order, against one scan per check.
+    seen = set()
+    for base, fibers, action in _broken_copresheaves(600, "copresheaf-violations"):
+        expected = naive_copresheaf_violations(base, fibers, action)
+        for code, detail in expected:
+            words = detail.split(" ")
+            seen.add((code, words[-1] if code == "BadRef" else words[0]))
+        if not expected:
+            seen.add(("valid", ""))
+            Copresheaf(base, fibers, action)
+            continue
+        with pytest.raises(InvalidCopresheaf) as built:
+            Copresheaf(base, fibers, action)
+        assert built.value.violations == [Violation(*v) for v in expected]
+    assert seen == {
+        ("valid", ""),
+        ("BadRef", "mismatch"),
+        ("BadRef", "partial"),
+        ("BadRef", "range"),
+        ("DuplicateName", "fiber"),
+        ("FunctorialityBroken", "id"),
+        ("FunctorialityBroken", "(g,"),
+    }
 
 
 def test_poset_antisymmetry():

@@ -773,3 +773,54 @@ def naive_category_violations(object_names, morphisms, identity, comp) -> list:
                     ("AssocBroken", f"(h, g, f)=({names[h]}, {names[g]}, {names[f]})")
                 )
     return bad
+
+
+def naive_representable(cat: FiniteCategory, p: int) -> tuple[list, list]:
+    """hom(P, -) from its definition, as (fibers, action): fiber q names the
+    morphisms P -> q found by a scan, and ``action[m][i]`` is the position
+    of m . hom(P, dom m)[i] in hom(P, cod m)."""
+    homs = [
+        [f for f in range(cat.n_mors) if (cat.mor_dom[f], cat.mor_cod[f]) == (p, q)]
+        for q in range(cat.n_objects)
+    ]
+    fibers = [[cat.mor_names[f] for f in h] for h in homs]
+    action = [
+        [homs[cat.mor_cod[m]].index(cat.comp[(m, f)]) for f in homs[cat.mor_dom[m]]]
+        for m in range(cat.n_mors)
+    ]
+    return fibers, action
+
+
+def naive_copresheaf_violations(base: FiniteCategory, fibers, action) -> list:
+    """The (code, detail) violations that building ``Copresheaf(base,
+    fibers, action)`` reports, in its order, by one scan per check: table
+    sizes, duplicate names, partial and out-of-range maps, then identities
+    and every composable pair, each pair reported at its first failing
+    element.  ``[]`` for valid tables."""
+    if len(fibers) != base.n_objects or len(action) != base.n_mors:
+        return [("BadRef", "table size mismatch")]
+    bad = []
+    for q in range(base.n_objects):
+        if len(set(fibers[q])) != len(fibers[q]):
+            bad.append(("DuplicateName", f"fiber of {base.object_names[q]}"))
+    for m in range(base.n_mors):
+        name = base.mor_names[m]
+        if len(action[m]) != len(fibers[base.mor_dom[m]]):
+            bad.append(("BadRef", f"action of {name} partial"))
+            continue
+        for y in action[m]:
+            if not 0 <= y < len(fibers[base.mor_cod[m]]):
+                bad.append(("BadRef", f"action of {name} out of range"))
+                break
+    if bad:
+        return bad
+    for a in range(base.n_objects):
+        if list(action[base.identity[a]]) != list(range(len(fibers[a]))):
+            bad.append(("FunctorialityBroken", f"id of {base.object_names[a]}"))
+    for (g, f), gf in base.comp.items():
+        for x in range(len(action[f])):
+            if action[g][action[f][x]] != action[gf][x]:
+                detail = f"(g, f)=({base.mor_names[g]}, {base.mor_names[f]})"
+                bad.append(("FunctorialityBroken", detail))
+                break
+    return bad
