@@ -19,11 +19,17 @@ Coslices and categories of elements share one comma construction (the
 coslice under X is the category of elements of hom(X, -)), with morphisms
 (i, j, eta) in lexicographic order, and one result type, ``CommaResult``,
 which keeps the object and morphism indices that the construction builds.
-Both result types answer ``object_index`` and ``morphism_index`` by dict
-lookup and raise ValueError on a key that names nothing.  The comma
-construction reads the arrows out of each base object from
-``FiniteCategory.mors_out_of``.  Every builder fills its composition table
-per composable pair, never by scanning all pairs of morphisms.
+A comma morphism is fixed by its source object and eta, so the construction
+keeps one row per object, the dict eta -> ref, and reads each composite and
+each identity from the source's row; ``morphism_index`` reads the same row.
+A product answers ``object_index`` and ``morphism_index``, and a comma
+result ``object_index``, by dict lookup; both result types raise ValueError
+on a key that names nothing.  The comma construction reads the
+arrows out of each base object from ``FiniteCategory.mors_out_of``.  Every
+builder fills its composition table per composable pair, never by scanning
+all pairs of morphisms.  ``representable_copresheaf`` finds the position of
+each arrow out of P through one index over all its hom-sets, since each
+arrow lies in exactly one.
 
 A copresheaf is checked when it is built, so elements_category trusts its
 input; the copresheaf carries its category of elements once that is built,
@@ -243,7 +249,10 @@ class CommaResult:
 
     Object i is ``objects[i]``: a morphism f out of X for the coslice under
     X, a pair (Q, x in H(Q)) for the category of elements of H.  Morphism r
-    is ``morphism_triples[r]`` = (src_obj, tgt_obj, eta).
+    is ``morphism_triples[r]`` = (src_obj, tgt_obj, eta).  Since src_obj
+    and eta fix tgt_obj, each object keeps one row, the dict eta -> ref of
+    its morphism over eta; ``morphism_index`` reads the row and checks the
+    target against the triple.
     """
 
     category: FiniteCategory
@@ -251,13 +260,17 @@ class CommaResult:
     objects: tuple
     morphism_triples: tuple[tuple[int, int, int], ...]
     _object_refs: dict = field(repr=False, compare=False)
-    _morphism_refs: dict = field(repr=False, compare=False)
+    _rows: list = field(repr=False, compare=False)
 
     def object_index(self, obj) -> int:
         return _index(self._object_refs, obj)
 
     def morphism_index(self, src: int, tgt: int, eta: int) -> int:
-        return _index(self._morphism_refs, (src, tgt, eta))
+        if 0 <= src < len(self._rows):
+            r = self._rows[src].get(eta)
+            if r is not None and self.morphism_triples[r][1] == tgt:
+                return r
+        raise ValueError(f"{(src, tgt, eta)!r} is not in the result")
 
 
 def _index(refs: dict, key) -> int:
@@ -298,20 +311,24 @@ def _comma(
             for eta in base.mors_out_of(b)
         )
     )
-    ref = {t: r for r, t in enumerate(triples)}
+    # row[i]: eta -> ref of (i, j, eta); i and eta fix j.
+    row: list[dict[int, int]] = [{} for _ in over]
+    for r, (i, _, eta) in enumerate(triples):
+        row[i][eta] = r
     dom = tuple(i for i, _, _ in triples)
     cod = tuple(j for _, j, _ in triples)
-    identity = tuple(ref[(i, i, base.identity[b])] for i, b in enumerate(over))
+    identity = tuple(row[i][base.identity[b]] for i, b in enumerate(over))
     out = group_by(dom, len(over))
+    bcomp = base.comp
     comp = {}
     for r1, (i, j, e1) in enumerate(triples):
+        ri = row[i]
         for r2 in out[j]:
-            _, k, e2 = triples[r2]
-            comp[(r2, r1)] = ref[(i, k, base.comp[(e2, e1)])]
+            comp[r2, r1] = ri[bcomp[triples[r2][2], e1]]
     mor_names = tuple(f"{tag}{i}_{j}_{base.mor_names[e]}" for i, j, e in triples)
     cat = FiniteCategory(tuple(obj_names), mor_names, dom, cod, identity, comp)
     forgetful = Functor(cat, base, tuple(over), tuple(e for _, _, e in triples))
-    return CommaResult(cat, forgetful, tuple(objects), triples, index, ref)
+    return CommaResult(cat, forgetful, tuple(objects), triples, index, row)
 
 
 def coslice_category(cat: FiniteCategory, x: int) -> CommaResult:
@@ -355,16 +372,12 @@ def elements_category(h: Copresheaf) -> CommaResult:
 
 def representable_copresheaf(cat: FiniteCategory, p: int) -> Copresheaf:
     """hom(P, -) with action by post-composition."""
-    fibers = [
-        [cat.mor_names[m] for m in cat.hom(p, q)] for q in range(cat.n_objects)
-    ]
-    index = [
-        {m: i for i, m in enumerate(cat.hom(p, q))} for q in range(cat.n_objects)
-    ]
-    action = []
-    for m in range(cat.n_mors):
-        d, c = cat.mor_dom[m], cat.mor_cod[m]
-        action.append([index[c][cat.comp[(m, f)]] for f in cat.hom(p, d)])
+    homs = [cat.hom(p, q) for q in range(cat.n_objects)]
+    # Each arrow out of P lies in exactly one hom-set.
+    index = {m: i for h in homs for i, m in enumerate(h)}
+    names, comp = cat.mor_names, cat.comp
+    fibers = [[names[m] for m in h] for h in homs]
+    action = [[index[comp[m, f]] for f in homs[d]] for m, d in enumerate(cat.mor_dom)]
     return Copresheaf(cat, fibers, action)
 
 
@@ -414,13 +427,14 @@ def canonical_category(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, 
     perm = [0] * cat.n_mors
     for new, old in enumerate(order):
         perm[old] = new
+    n_obj, obj_names, mor_names = cat.n_objects, cat.object_names, cat.mor_names
     names = []
     used = set()
     for new, old in enumerate(order):
-        if new < cat.n_objects:
-            nm = f"id_{cat.object_names[new]}"
+        if new < n_obj:
+            nm = f"id_{obj_names[new]}"
         else:
-            nm = cat.mor_names[old]
+            nm = mor_names[old]
             if nm in used or nm.startswith("id_"):
                 nm = f"f{new}"
         while nm in used:

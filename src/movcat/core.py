@@ -8,8 +8,9 @@ value.  Canonical ordering is construction order, and all searches iterate
 in ascending ref order, so reported witnesses are reproducible.  A category
 groups its morphisms by codomain and by domain once, when it is built
 (``mors_into``, ``mors_out_of``), and into hom-sets by (domain, codomain)
-in one pass over its morphisms (``hom``); callers read these rather than
-rescan its morphisms.
+in one pass over its morphisms (``hom``; the morphisms after the first of a
+hom-set wait in a list, so a hom-set of k morphisms costs time linear in
+k); callers read these rather than rescan its morphisms.
 
 ``check_size`` is the one comparison against the size caps; the reader and
 every derived construction in ``builders`` call it before they build.
@@ -86,8 +87,21 @@ class FiniteCategory:
 
     def __post_init__(self):
         hom: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Morphisms after the first of their hom-set, in lists, so that a
+        # large hom-set is not copied once per morphism.
+        more = None
         for m, key in enumerate(zip(self.mor_dom, self.mor_cod)):
-            hom[key] = hom[key] + (m,) if key in hom else (m,)
+            if key not in hom:
+                hom[key] = (m,)
+            elif more is None:
+                more = {key: [m]}
+            elif key in more:
+                more[key].append(m)
+            else:
+                more[key] = [m]
+        if more:
+            for key, ms in more.items():
+                hom[key] += tuple(ms)
         object.__setattr__(self, "_hom", hom)
         n = len(self.object_names)
         object.__setattr__(self, "_into", tuple(map(tuple, group_by(self.mor_cod, n))))
@@ -354,7 +368,10 @@ class Copresheaf:
     ``fibers[q]`` lists the element names over object q; ``action[m]`` maps
     element indices of the dom fiber to element indices of the cod fiber.
     Building one checks the element tables and functoriality of the action,
-    raising InvalidCopresheaf naming the offending morphism or pair.  The
+    raising InvalidCopresheaf naming the offending morphism or pair: table
+    sizes first, then duplicate names, partial maps and maps out of range,
+    then identities and each composable pair, reported once at its first
+    failing element (a pair out of an empty fiber has none).  The
     first ``builders.elements_category`` call stores its category of
     elements in ``_elements``, so each value builds it once.
     """
@@ -385,7 +402,7 @@ class Copresheaf:
                     Violation("BadRef", f"action of {base.mor_names[m]} partial")
                 )
                 continue
-            if any(not 0 <= y < len(fibers[c]) for y in mapping):
+            if mapping and (min(mapping) < 0 or max(mapping) >= len(fibers[c])):
                 bad.append(
                     Violation("BadRef", f"action of {base.mor_names[m]} out of range")
                 )
@@ -397,9 +414,12 @@ class Copresheaf:
                     Violation("FunctorialityBroken", f"id of {base.object_names[a]}")
                 )
         for (g, f), gf in base.comp.items():
-            af, ag, agf = action[f], action[g], action[gf]
-            for x in range(len(af)):
-                if ag[af[x]] != agf[x]:
+            af = action[f]
+            if not af:
+                continue
+            ag, agf = action[g], action[gf]
+            for x, y in enumerate(af):
+                if ag[y] != agf[x]:
                     bad.append(
                         Violation(
                             "FunctorialityBroken",

@@ -359,16 +359,14 @@ def check_star(h: Copresheaf) -> StarResult:
         for eta2 in base.mors_out_of(q2):
             over[(base.mor_cod[eta2], h.action[eta2][x2])].append((q2, x2, eta2))
 
+    hom, comp, action = base.hom, base.comp, h.action
+
     def respond(pt, cand, ch):
         (q1, x1, eta), (q2, x2, eta2) = cand, ch
-        return next(
-            (
-                e
-                for e in base.hom(q1, q2)
-                if base.comp[(eta2, e)] == eta and h.action[e][x1] == x2
-            ),
-            None,
-        )
+        for e in hom(q1, q2):
+            if comp[eta2, e] == eta and action[e][x1] == x2:
+                return e
+        return None
 
     won, stuck = _first_winners(points, over.get, over.get, respond)
     if stuck:

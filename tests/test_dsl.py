@@ -340,6 +340,18 @@ def test_cap_size_grid_parses():
     assert (grid.n_objects, grid.n_mors) == (64, 1296)
 
 
+def test_cap_size_hom_set_reads():
+    # One hom-set of 4094 parallel arrows A -> B, the most the morphism cap
+    # leaves beside the two identities.
+    arrows = " ".join(f"arrows f{i} : A -> B ;" for i in range(MAX_MORPHISMS - 2))
+    cat = parse_document(f"category C {{ objects A B ; {arrows} }}").category_of("C")
+    assert cat.n_mors == MAX_MORPHISMS
+    ends = list(zip(cat.mor_dom, cat.mor_cod))
+    for key in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        assert cat.hom(*key) == tuple(m for m, e in enumerate(ends) if e == key)
+    assert len(cat.hom(0, 1)) == MAX_MORPHISMS - 2
+
+
 def test_act_source_outside_domain_fiber_rejected():
     with pytest.raises(UnresolvedReference) as e:
         parse_document(
