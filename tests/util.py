@@ -824,3 +824,63 @@ def naive_copresheaf_violations(base: FiniteCategory, fibers, action) -> list:
                 bad.append(("FunctorialityBroken", detail))
                 break
     return bad
+
+
+def reference_canonical(cat: FiniteCategory) -> FiniteCategory:
+    """The DSL normal form as the eager writer built it: identities first,
+    in object order, then the other morphisms in ascending ref order; an
+    identity is named ``id_<object>``, any other morphism keeps its name
+    unless that name is taken or starts with ``id_``, when it is named
+    ``f<new ref>``; a name still taken gets ``_`` appended until free."""
+    order = list(cat.identity) + [
+        m for m in range(cat.n_mors) if not cat.is_identity(m)
+    ]
+    perm = [0] * cat.n_mors
+    for new, old in enumerate(order):
+        perm[old] = new
+    names = []
+    used = set()
+    for new, old in enumerate(order):
+        if new < cat.n_objects:
+            nm = f"id_{cat.object_names[new]}"
+        else:
+            nm = cat.mor_names[old]
+            if nm in used or nm.startswith("id_"):
+                nm = f"f{new}"
+        while nm in used:
+            nm = nm + "_"
+        used.add(nm)
+        names.append(nm)
+    return FiniteCategory(
+        cat.object_names,
+        tuple(names),
+        tuple(cat.mor_dom[old] for old in order),
+        tuple(cat.mor_cod[old] for old in order),
+        tuple(range(cat.n_objects)),
+        {(perm[g], perm[f]): perm[h] for (g, f), h in cat.comp.items()},
+    )
+
+
+def reference_written_category(name: str, cat: FiniteCategory) -> str:
+    """The text of a document holding only ``cat`` under ``name``, written
+    as the eager writer wrote it: the normal form first, then its objects,
+    its non-identities in ref order, and a compose line for each composable
+    pair of non-identities (g, f), g ascending and f ascending within g."""
+    c = reference_canonical(cat)
+    ids = set(c.identity)
+    arrows = [m for m in range(c.n_mors) if m not in ids]
+    out = [f"category {name} {{", "  objects " + " ".join(c.object_names) + " ;"]
+    for m in arrows:
+        out.append(
+            f"  arrows {c.mor_names[m]}: {c.object_names[c.mor_dom[m]]} -> "
+            f"{c.object_names[c.mor_cod[m]]} ;"
+        )
+    for g in arrows:
+        for f in c.mors_into(c.mor_dom[g]):
+            if f not in ids:
+                out.append(
+                    f"  compose {c.mor_names[g]} {c.mor_names[f]} = "
+                    f"{c.mor_names[c.comp[(g, f)]]} ;"
+                )
+    out.append("}")
+    return "\n".join(out) + "\n"
