@@ -415,20 +415,21 @@ def add_initial_object(cat: FiniteCategory) -> FiniteCategory:
     )
 
 
-def canonical_category(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, ...]]:
-    """Reorder morphisms so identities come first (object order) and rename
-    identities ``id_{object}``; the DSL's normal form.
+def normal_names(cat: FiniteCategory) -> tuple[list[int], list[str]]:
+    """The DSL normal form's morphism order and names, as (order, names).
 
-    Returns (category, mor_perm) where mor_perm[old_ref] = new_ref.
+    ``order[new]`` is the ref in ``cat`` of the normal form's ref ``new``:
+    identities first, in object order, then the other morphisms in
+    ascending ref order.  ``names[old]`` is the normal name of ref ``old``:
+    ``id_<object>`` for an identity; for any other morphism its own name,
+    or ``f<new>`` when that is taken or starts with ``id_``; a name still
+    taken gets ``_`` appended until it is free.
     """
     order = list(cat.identity) + [
         m for m in range(cat.n_mors) if not cat.is_identity(m)
     ]
-    perm = [0] * cat.n_mors
-    for new, old in enumerate(order):
-        perm[old] = new
     n_obj, obj_names, mor_names = cat.n_objects, cat.object_names, cat.mor_names
-    names = []
+    names = [""] * cat.n_mors
     used = set()
     for new, old in enumerate(order):
         if new < n_obj:
@@ -440,12 +441,28 @@ def canonical_category(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, 
         while nm in used:
             nm = nm + "_"
         used.add(nm)
-        names.append(nm)
+        names[old] = nm
+    return order, names
+
+
+def canonical_category(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, ...]]:
+    """Reorder morphisms so identities come first (object order) and rename
+    identities ``id_{object}``; the DSL's normal form.  The order and the
+    names come from ``normal_names``, which the DSL writer shares.
+
+    Returns (category, mor_perm) where mor_perm[old_ref] = new_ref.
+    """
+    order, names = normal_names(cat)
+    perm = [0] * cat.n_mors
+    for new, old in enumerate(order):
+        perm[old] = new
     dom = tuple(cat.mor_dom[old] for old in order)
     cod = tuple(cat.mor_cod[old] for old in order)
     identity = tuple(range(cat.n_objects))
     comp = {
         (perm[g], perm[f]): perm[h] for (g, f), h in cat.comp.items()
     }
-    out = FiniteCategory(cat.object_names, tuple(names), dom, cod, identity, comp)
+    out = FiniteCategory(
+        cat.object_names, tuple(map(names.__getitem__, order)), dom, cod, identity, comp
+    )
     return out, tuple(perm)

@@ -19,8 +19,14 @@ raises that scanner's error before anything else.
 
 Canonical serialization: entities in document order (which is a dependency
 order), members in ref order, one declaration per line.  Categories are
-stored in normal form (identities first, named ``id_<object>``), which is
-what makes parse . serialize the identity on tables.
+read and written in normal form (identities first, named ``id_<object>``),
+which is what makes parse . serialize the identity on tables.  A category
+entity keeps the category it was made from, its source, and builds the
+normal form only when ``.category`` is first read; that normal form is the
+one field an entity stores after construction.  The writer reads the
+source under the normal form's names (``builders.normal_names``), so
+writing a made category builds no second category.  A parsed category is
+already in normal form and is its entity's source and normal form both.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .builders import (
     build_monoid_category,
     build_poset_category,
     canonical_category,
+    normal_names,
 )
 from .core import (
     Copresheaf,
@@ -87,10 +94,33 @@ class MonoidEntity:
         object.__setattr__(self, "category", category)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoryEntity:
+    """A named category.  ``source`` is the category the entity was made
+    from, and ``category`` is its DSL normal form,
+    ``canonical_category(source)[0]``, built on the first read and stored
+    in ``_category``: the one field an entity stores after construction.
+    A parsed entity is already in normal form and holds its validated
+    category as both.  Two entities are equal when their names and normal
+    forms are."""
+
     name: str
-    category: FiniteCategory
+    source: FiniteCategory
+    _category: Optional[FiniteCategory] = field(default=None, repr=False)
+
+    @property
+    def category(self) -> FiniteCategory:
+        if self._category is None:
+            object.__setattr__(self, "_category", canonical_category(self.source)[0])
+        return self._category
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.category) == (other.name, other.category)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.category))
 
 
 @dataclass(frozen=True)
@@ -198,9 +228,9 @@ class Document:
 
 
 def make_category_entity(name: str, category: FiniteCategory) -> CategoryEntity:
-    """Wrap a category for a document, normalizing it to DSL form."""
-    canon, _ = canonical_category(category)
-    return CategoryEntity(name, canon)
+    """Wrap a category for a document with ``category`` as its source; its
+    DSL normal form is built only when ``.category`` is first read."""
+    return CategoryEntity(name, category)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +572,7 @@ def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:
         comp.setdefault((c, m), m)  # id after m (identity of cod has ref cod)
         comp.setdefault((m, d), m)
     cat = validate_category(objs, mors, list(range(len(objs))), comp)
-    return CategoryEntity(name, cat)
+    return CategoryEntity(name, cat, cat)
 
 
 def _parse_functor(p: _Parser, doc: Document) -> FunctorEntity:
@@ -738,8 +768,13 @@ def _ser_monoid(e: MonoidEntity, out: list[str]) -> None:
 
 
 def _ser_category(e: CategoryEntity, out: list[str]) -> None:
-    c = e.category
-    names, objects, comp = c.mor_names, c.object_names, c.comp
+    # Written from the source under its normal names.  The normal form only
+    # moves identities to the front, so the source's non-identities, and the
+    # pairs of them, ascend in the normal form's order.  A parsed source is
+    # its own normal form, so its names are already normal.
+    c = e.source
+    names = c.mor_names if e._category is c else normal_names(c)[1]
+    objects, comp = c.object_names, c.comp
     ids = set(c.identity)
     arrows = [m for m in range(c.n_mors) if m not in ids]
     out.append(f"category {e.name} {{")

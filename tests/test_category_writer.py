@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from movcat import dsl
 from movcat.builders import (
     canonical_category,
     coslice_category,
@@ -158,6 +159,58 @@ def test_made_entity_equals_its_parsed_text():
         assert made != make_category_entity("L", cat)
     made = {make_category_entity("K", c) for c in _handmade()}
     assert len(made) == len(_handmade())
+
+
+def _count_canonical(monkeypatch) -> list:
+    """Record each argument of every canonical form that ``dsl`` builds."""
+    calls = []
+
+    def counted(cat):
+        calls.append(cat)
+        return canonical_category(cat)
+
+    monkeypatch.setattr(dsl, "canonical_category", counted)
+    return calls
+
+
+def test_writing_a_made_entity_builds_no_normal_form(monkeypatch):
+    calls = _count_canonical(monkeypatch)
+    for cat in _handmade() + _cap_categories():
+        made = make_category_entity("K", cat)
+        assert made.source is cat
+        assert _written(made) == reference_written_category("K", cat)
+    assert calls == []
+
+
+def test_normal_form_built_once_on_first_read(monkeypatch):
+    calls = _count_canonical(monkeypatch)
+    cat = _handmade()[0]
+    made = make_category_entity("K", cat)
+    first = made.category
+    assert calls == [cat]
+    assert made.category is first and calls == [cat]
+    # Writing after the read still matches and builds nothing more.
+    assert _written(made) == reference_written_category("K", cat)
+    assert len(calls) == 1
+
+
+def test_parsed_entity_holds_its_validated_category(monkeypatch):
+    validated = []
+    validate = dsl.validate_category
+
+    def recorded(*args):
+        validated.append(validate(*args))
+        return validated[-1]
+
+    monkeypatch.setattr(dsl, "validate_category", recorded)
+    calls = _count_canonical(monkeypatch)
+    text = _written(make_category_entity("K", _cap_categories()[0]))
+    doc = parse_document(text)
+    entity = doc["K"]
+    assert entity.category is validated[0] and entity.source is validated[0]
+    assert doc.category_of("K") is validated[0]
+    assert serialize_document(doc) == text
+    assert calls == []
 
 
 # A drawn generator seed and one of three constructions on the random
