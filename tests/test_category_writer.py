@@ -156,7 +156,7 @@ def test_made_entity_equals_its_parsed_text():
         parsed = parse_document(_written(made))["K"]
         assert made == parsed and parsed == made
         assert hash(made) == hash(parsed)
-        assert made != make_category_entity("L", cat)
+        assert made != make_category_entity("L", cat) and made != cat
     made = {make_category_entity("K", c) for c in _handmade()}
     assert len(made) == len(_handmade())
 
