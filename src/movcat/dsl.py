@@ -99,10 +99,10 @@ class CategoryEntity:
     """A named category.  ``source`` is the category the entity was made
     from, and ``category`` is its DSL normal form,
     ``canonical_category(source)[0]``, built on the first read and stored
-    in ``_category``: the one field an entity stores after construction.
-    A parsed entity is already in normal form and holds its validated
-    category as both.  Two entities are equal when their names and normal
-    forms are."""
+    in ``_category``: the one field an entity stores after construction
+    (readers racing on it store equal values).  A parsed entity is already
+    in normal form and holds its validated category as both.  Two entities
+    are equal when their names and normal forms are."""
 
     name: str
     source: FiniteCategory
