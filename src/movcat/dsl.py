@@ -35,7 +35,6 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .builders import (
@@ -100,9 +99,10 @@ class CategoryEntity:
     from, and ``category`` is its DSL normal form,
     ``canonical_category(source)[0]``, built on the first read and stored
     in ``_category``: the one field an entity stores after construction
-    (readers racing on it store equal values).  A parsed entity is already
-    in normal form and holds its validated category as both.  Two entities
-    are equal when their names and normal forms are."""
+    (readers racing on it store equal values).  A source already in normal
+    form is its own normal form; so a parsed entity holds its validated
+    category as both.  Two entities are equal when their names and normal
+    forms are."""
 
     name: str
     source: FiniteCategory
@@ -283,6 +283,12 @@ _PUNCT = frozenset(("->", "=>", ";", "{", "}", ":", "="))
 _NOT_IDENT = _PUNCT | {""}
 _COMMENT = re.compile(r"#[^\n]*")
 _IDENT = re.compile(r"\w+")
+# The characters other than the scanner's blanks (space, tab, CR, LF) for
+# which `str.isspace` holds: `str.split` drops them, the scanner refuses them.
+_SPLIT_BLANKS = (
+    "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 def _words(text: str) -> list[str]:
@@ -291,17 +297,16 @@ def _words(text: str) -> list[str]:
 
     The words come from one `str.split` of the text with its comments
     removed and ``;``, ``{``, ``}`` and ``:`` set apart by spaces (none of
-    them occurs inside a longer lexeme).  That split holds when it consumed
-    only the scanner's blanks (space, tab, CR, LF; `str.split` also takes
-    the likes of U+000B and U+00A0, which the scanner refuses) and each
-    distinct word is a lexeme; otherwise the words are `_tokenize`'s, which
-    raises at the first bad lexeme."""
+    them occurs inside a longer lexeme).  That split holds when the text
+    holds none of `_SPLIT_BLANKS`, so that the split consumed only the
+    scanner's blanks, and each distinct word is a lexeme; otherwise the
+    words are `_tokenize`'s, which raises at the first bad lexeme.  One
+    substring search per such blank costs far less than counting blanks."""
     t = _COMMENT.sub("", text) if "#" in text else text
     for c in ";{}:":
         t = t.replace(c, f" {c} ")
     words = t.split()
-    blanks = t.count(" ") + t.count("\t") + t.count("\r") + t.count("\n")
-    if len(t) - sum(map(len, words)) != blanks or not all(
+    if any(c in t for c in _SPLIT_BLANKS) or not all(
         w in _PUNCT or (w[0].isalpha() or w[0] == "_") and _IDENT.fullmatch(w)
         for w in set(words)
     ):
@@ -329,12 +334,18 @@ class _Parser:
     column, and stops at the first statement that does not match, which
     `read` then reads; a table whose run repeats a key is read again by
     `read`.  So every result, every error, its position and its precedence
-    are those of reading each statement with `read`."""
+    are those of reading each statement with `read`.
+
+    ``end`` is the index of the first ``}`` at or after the word where `run`
+    last looked it up (the eof word when there is none), which bounds the
+    current block.  The cursor never moves back before that word, so the
+    lookup is repeated only once the cursor has passed ``end``."""
 
     def __init__(self, text: str):
         self.text = text
         self.words = _words(text)
         self.i = 0
+        self.end = -1
 
     @cached_property
     def tokens(self) -> list[_Token]:
@@ -400,30 +411,37 @@ class _Parser:
             )
         return out
 
-    def run(self, *shape) -> list[tuple]:
-        """The values of the longest run of statements at the cursor that
-        each match ``shape`` word for word, with every ref known; the cursor
-        moves past them.  ``shape`` holds fixed words, ``"_"`` and `_Ref`s
-        only, and its ``";"`` must be present.
+    def run(self, *shape) -> list[list]:
+        """The value columns of the longest run of statements at the cursor
+        that each match ``shape`` word for word, with every ref known: one
+        list per ``"_"`` or `_Ref` entry, in shape order, entry k of
+        statement j at ``[k][j]``.  The cursor moves past the run.
+        ``shape`` holds fixed words, ``"_"`` and `_Ref`s only, and its
+        ``";"`` must be present.
 
         The run is read by column: ``words[i + k :: len(shape)]`` holds
         entry k of every statement, and the first statement with a word
-        that does not match, or with an unknown name, ends the run.  That
-        statement is left to `read`, so every error, its position and its
-        precedence come from `read`.  No statement reaches past the next
-        ``}``, which bounds the columns."""
+        that does not match, or with an unknown name, ends the run.  A ref
+        column is looked up whole, and only a lookup that fails finds the
+        first unknown name.  The statement that ends the run is left to
+        `read`, so every error, its position and its precedence come from
+        `read`.  No statement reaches past ``end``, the next ``}``, which
+        bounds the columns."""
         words, i, n = self.words, self.i, len(shape)
-        try:
-            end = words.index("}", i)
-        except ValueError:
-            end = len(words) - 1
-        m = (end - i) // n  # statements that fit before `end`
+        if self.end < i:
+            try:
+                self.end = words.index("}", i)
+            except ValueError:
+                self.end = len(words) - 1
+        m = (self.end - i) // n  # statements that fit before `end`
         values = []
         for k, part in enumerate(shape):
             column = words[i + k : i + k + m * n : n]
             if isinstance(part, _Ref):
-                column = list(map(part.get, column))
-                if None in column:
+                try:
+                    column = list(map(part.__getitem__, column))
+                except KeyError:
+                    column = list(map(part.get, column))
                     m = column.index(None)
             elif part == "_":
                 if not _NOT_IDENT.isdisjoint(column):
@@ -434,13 +452,15 @@ class _Parser:
                 continue  # a fixed word gives no value
             values.append(column)
         self.i = i + m * n
-        return list(zip(*(column[:m] for column in values)))
+        for column in values:
+            del column[m:]
+        return values
 
     def clauses(self, *shape) -> Iterator:
         """Yield the values of each consecutive statement that starts with
-        ``shape[0]`` (``"_"``: any identifier): a `run` of them, then
-        ``read(*shape)`` for each that the run left."""
-        yield from self.run(*shape)
+        ``shape[0]`` (``"_"``: any identifier): the rows of a `run` of
+        them, then ``read(*shape)`` for each that the run left."""
+        yield from zip(*self.run(*shape))
         while self.at(shape[0]):
             yield self.read(*shape)
 
@@ -449,18 +469,23 @@ class _Parser:
         ``shape`` statement to the rest (a single value or key unwrapped);
         a key stated twice raises ValidationFailed naming the repeated line.
         A callable last entry reads the block that ends a statement, after
-        the refs before it are resolved, and gives the block's value."""
+        the refs before it are resolved, and gives the block's value.
+        Without one, the statements at the cursor are first read as a `run`,
+        whose key and value columns give the map; if they repeat a key, the
+        cursor goes back and `read` reads them one by one."""
         block = shape[-1] if callable(shape[-1]) else None
         head = shape[:-1] if block else shape
         table: dict = {}
         if block is None and "*" not in shape:
             start = self.i
-            rows = self.run(*shape)
-            if rows:
-                key_of = itemgetter(*range(n_key))
-                rest_of = itemgetter(*range(n_key, len(rows[0])))
-                table = dict(zip(map(key_of, rows), map(rest_of, rows)))
-                if len(table) < len(rows):  # a repeated key: `read` reports it
+            columns = self.run(*shape)
+            if columns[0]:
+                keys, rest = columns[:n_key], columns[n_key:]
+                table = dict(zip(
+                    keys[0] if n_key == 1 else zip(*keys),
+                    rest[0] if len(rest) == 1 else zip(*rest),
+                ))
+                if len(table) < len(keys[0]):  # a repeated key: `read` reports it
                     table, self.i = {}, start
         while self.at(shape[0]):
             start = self.i

@@ -8,15 +8,18 @@ import hashlib
 import random
 import re
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movcat.builders import product_category
+from movcat import dsl
 from movcat.campaign import THEOREMS, generate_campaign_instance
 from movcat.dsl import (
     Document,
+    _SPLIT_BLANKS,
     _tokenize,
     _words,
     make_category_entity,
@@ -248,6 +251,26 @@ def test_split_scanner_matches_tokenizer():
     assert (len(texts), accepted) == (SCANNER_TEXTS, SCANNER_ACCEPTED)
 
 
+def test_split_blanks_are_the_other_isspace_characters():
+    """The reader's split blanks are every character that `str.split`
+    drops but the scanner refuses, and each of them, in a text, in a
+    comment and in the grid, scans as the tokenizer scans it."""
+    others = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    others -= {" ", "\t", "\r", "\n"}
+    assert len(_SPLIT_BLANKS) == len(set(_SPLIT_BLANKS)) == 25
+    assert set(_SPLIT_BLANKS) == others
+    base = base_texts()[3]
+    grid = grid_text()
+    # Near the grid's start, so that the tokenizer, which scans the grid
+    # three times per text here, refuses it early; the reader still splits
+    # the whole grid first.
+    k, g = len(base) // 2, 40
+    for blank in _SPLIT_BLANKS:
+        assert not scans_alike(base[:k] + blank + base[k:])
+        assert scans_alike(base[:k] + f" # note{blank} x\n" + base[k:])
+        assert not scans_alike(grid[:g] + blank + grid[g:])
+
+
 # Single lexemes, pieces of lexemes, blanks, comment starts and characters
 # outside ASCII, drawn into texts of up to 40 pieces.
 PIECES = (
@@ -305,6 +328,120 @@ def test_error_messages_pinned():
     messages = [message(t) for t in mutants(5000, 0) + token_texts()]
     assert sum(m != "ok" for m in messages) == 5148
     assert _sha(messages) == MESSAGES_SHA
+
+
+def _parsed(text: str) -> tuple:
+    """The parsed entities, by value and by `repr` (so that the order of
+    every table counts), or the error's type, message and position."""
+    try:
+        entities = parse_document(text).entities
+    except MovcatError as e:
+        return type(e).__name__, str(e), getattr(e, "line", 0), getattr(e, "col", 0)
+    return entities, repr(entities)
+
+
+def _statements_only(monkeypatch) -> None:
+    """Make `_Parser.run` take no statement, so that `read` reads every
+    statement of a run."""
+    monkeypatch.setattr(
+        dsl._Parser, "run",
+        lambda self, *shape: [
+            [] for part in shape if part == "_" or isinstance(part, dsl._Ref)
+        ],
+    )
+
+
+# Runs of every kind the reader reads by column: arrows, compose, leq, mul
+# and bond statements, the second category's runs after the first's `}`.
+COLUMNS_DOC = """\
+category A { objects x y ; arrows f : x -> y }
+category B { objects p q ; arrows g : p -> q ; arrows h : p -> q ;
+  arrows k : q -> q ; compose k g = h ; compose k h = h ; compose k k = k }
+poset P { elements a b c ; leq a b ; leq b c ; leq a c }
+monoid M { elements e t ; unit e ; mul e e = e ; mul e t = t ; mul t e = t ; mul t t = t }
+system S in P over P { object a => c ; object b => b ; object c => a ;
+  bond a b => le1_2 ; bond b c => le0_1 ; bond a c => le0_2 }
+"""
+_RUN_STATEMENT = re.compile(r"(?:arrows|compose|leq|mul|bond) [^;}]*[^;} ]")
+_NOT_NAMES = {"arrows", "compose", "leq", "mul", "bond", ":", "->", "=", "=>"}
+
+
+def column_texts() -> list[str]:
+    """`COLUMNS_DOC`, and for each statement of its runs a copy with one
+    of its names unknown, and one with the statement repeated."""
+    texts = [COLUMNS_DOC]
+    for m in _RUN_STATEMENT.finditer(COLUMNS_DOC):
+        head, stmt, tail = COLUMNS_DOC[: m.start()], m.group(), COLUMNS_DOC[m.end():]
+        words = stmt.split()
+        for i, w in enumerate(words):
+            if w not in _NOT_NAMES:
+                unknown = " ".join(words[:i] + ["ghost"] + words[i + 1:])
+                texts.append(head + unknown + tail)
+        texts.append(head + stmt + " ; " + stmt + tail)
+    return texts
+
+
+def test_column_texts_reach_every_outcome():
+    outcomes = [_parsed(t)[0] for t in column_texts()]
+    assert isinstance(outcomes[0], list) and len(outcomes[0]) == 5
+    assert {o if isinstance(o, str) else "ok" for o in outcomes} == {
+        "ok", "UnresolvedReference", "ValidationFailed"
+    }
+    # The document, one text per name of a statement (48) and one per
+    # repeated statement (17).
+    assert len(outcomes) == 1 + 48 + 17
+
+
+def test_columns_match_statements(monkeypatch):
+    """Every corpus and scanner text parses to equal entities, with tables
+    in the same order, or raises the same error at the same place, whether
+    runs of statements are read by column or one statement at a time."""
+    texts = (
+        mutants(5000, 0) + token_texts() + scanner_texts() + roundtrip_texts()
+        + column_texts()
+    )
+    by_columns = list(map(_parsed, texts))
+    _statements_only(monkeypatch)
+    assert list(map(_parsed, texts)) == by_columns
+
+
+def test_run_columns_end_with_the_run():
+    """Each column `run` returns holds one value per statement of the run,
+    wherever the statement that ends it fails to match."""
+    mor = dsl._Ref("arrow", ["e", "f"])
+    shape = ("compose", mor, mor, "=", mor, ";")
+    for stmt, at in [
+        ("compose ghost e = e", 1), ("compose e ghost = e", 2),
+        ("compose e e = ghost", 4), ("compose e e => e", 3),
+        ("compose e e = e :", 5), ("leq e e = e", 0),
+    ]:
+        p = dsl._Parser(f"compose e f = f ; compose f e = e ; {stmt} ; compose f f = f }}")
+        assert p.run(*shape) == [[0, 1], [1, 0], [1, 0]], stmt
+        assert p.i == 12 and p.words[p.i + at] == stmt.split()[at]
+
+
+def test_second_block_runs_are_read_by_column(monkeypatch):
+    """The runs of a block after an earlier block's `}` are read by column:
+    more statements there take no more `read` calls."""
+    reads = []
+    read = dsl._Parser.read
+
+    def counted(self, *shape):
+        reads.append(shape)
+        return read(self, *shape)
+
+    monkeypatch.setattr(dsl._Parser, "read", counted)
+    calls = []
+    for n in (1, 4):
+        arrows = " ".join(f"arrows g{i} : p -> q ;" for i in range(n))
+        reads.clear()
+        doc = parse_document(
+            "category A { objects x y ; arrows f : x -> y }\n"
+            f"category B {{ objects p q ; {arrows} }}\n"
+        )
+        assert doc["B"].category.n_mors == 2 + n
+        calls.append(len(reads))
+    assert calls[0] == calls[1]
 
 
 # One entity of every kind, the system with a copresheaf and a cone.
