@@ -450,9 +450,13 @@ def canonical_category(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, 
     identities ``id_{object}``; the DSL's normal form.  The order and the
     names come from ``normal_names``, which the DSL writer shares.
 
-    Returns (category, mor_perm) where mor_perm[old_ref] = new_ref.
+    Returns (category, mor_perm) where mor_perm[old_ref] = new_ref.  A
+    category already in normal form (identities at refs 0..n-1 and no name
+    changed) is returned itself, with the identity permutation.
     """
     order, names = normal_names(cat)
+    if cat.identity == tuple(range(cat.n_objects)) and tuple(names) == cat.mor_names:
+        return cat, tuple(range(cat.n_mors))
     perm = [0] * cat.n_mors
     for new, old in enumerate(order):
         perm[old] = new

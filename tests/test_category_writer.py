@@ -148,6 +148,31 @@ def test_normal_form_matches_eager_reference():
         assert _fields(canonical_category(cat)[0]) == ref
 
 
+def test_source_in_normal_form_is_its_own_normal_form():
+    """A source equal to its normal form field by field is returned as it
+    is, with the identity permutation; any other source, one with an
+    identity out of place or a name to change, gets a new normal form."""
+    same = moved = renamed = 0
+    for cat in _all_categories():
+        ref = reference_canonical(cat)
+        made = make_category_entity("K", cat)
+        normal = made.category
+        assert _fields(normal) == _fields(ref)
+        assert _written(made) == reference_written_category("K", cat)
+        if _fields(cat) == _fields(ref):
+            same += 1
+            assert normal is cat and normal is made.source
+            assert list(normal.comp.items()) == list(ref.comp.items())
+            assert canonical_category(cat) == (cat, tuple(range(cat.n_mors)))
+        else:
+            assert normal is not cat
+            if cat.identity == tuple(range(cat.n_objects)):
+                renamed += 1
+            else:
+                moved += 1
+    assert min(same, moved, renamed) > 500
+
+
 def test_made_entity_equals_its_parsed_text():
     # The reader refuses duplicate object names, so those are left out.
     readable = [c for c in _handmade() if len(set(c.object_names)) == c.n_objects]
