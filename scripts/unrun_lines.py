@@ -7,7 +7,12 @@ default the ``testpaths`` of pyproject.toml) under a ``sys.settrace`` line
 tracer, then prints, per module of ``src/movcat``, the statement lines that
 no test ran, and a last line ``unrun N of M``.  A statement line is the
 ``lineno`` of an ``ast.stmt``, docstrings excepted; several statements on
-one line count once.  Only the standard library and pytest are used.
+one line count once.  A statement counts as run when any line of its own
+gets a line event: every line of a simple statement, or the header lines
+of a compound one (its decorators, and every line up to its body that no
+nested statement holds), since Python emits no event for the first line of
+a condition that spans several lines.  Only the standard library and
+pytest are used.
 
 Code that runs in another process is not traced: tests that start the CLI
 or the benchmark in a subprocess add nothing here, so their lines may be
@@ -26,8 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "movcat"
 
 
-def statement_lines(path: Path) -> set[int]:
-    """Line numbers of the statements of one module, docstrings excepted."""
+def statement_lines(path: Path) -> dict[int, set[int]]:
+    """Map the first line of each statement of one module, docstrings
+    excepted, to the lines of its own that may get a line event: all of
+    its lines, decorators included, but those of the statements nested in
+    it."""
     tree = ast.parse(path.read_text(), str(path))
     docstrings = set()
     for node in ast.walk(tree):
@@ -41,15 +49,29 @@ def statement_lines(path: Path) -> set[int]:
                 and isinstance(first.value.value, str)
             ):
                 docstrings.add(id(first))
-    return {
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.stmt) and id(node) not in docstrings
-    }
+    own: dict[int, set[int]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or id(node) in docstrings:
+            continue
+        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        lines = set(range(start, node.end_lineno + 1))
+        for child in ast.walk(node):
+            if child is not node and isinstance(child, ast.stmt):
+                lines -= set(range(child.lineno, child.end_lineno + 1))
+        own.setdefault(node.lineno, set()).update(lines)
+    return own
 
 
-def main(argv: list[str]) -> int:
-    files = {str(p): p for p in sorted(SRC.glob("*.py"))}
+def unrun_lines(own: dict[int, set[int]], ran: set[int]) -> list[int]:
+    """The first lines, in order, of the statements none of whose own
+    lines (``statement_lines``) is in ``ran``."""
+    return sorted(first for first, lines in own.items() if ran.isdisjoint(lines))
+
+
+def traced(files, call):
+    """Run ``call()`` under a line tracer of the files named in ``files``;
+    return its result and the lines that got a line event, per file.  The
+    tracer set before is restored."""
     ran: dict[str, set[int]] = {name: set() for name in files}
 
     def local(frame, event, arg):
@@ -60,20 +82,27 @@ def main(argv: list[str]) -> int:
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename in ran else None
 
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = call()
+    finally:
+        sys.settrace(before)
+    return result, ran
+
+
+def main(argv: list[str]) -> int:
+    files = {str(p): p for p in sorted(SRC.glob("*.py"))}
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
-    sys.settrace(tracer)
-    try:
-        status = pytest.main(["-q", *argv])
-    finally:
-        sys.settrace(None)
+    status, ran = traced(files, lambda: pytest.main(["-q", *argv]))
     unrun_total = total = 0
     for name, path in files.items():
-        lines = statement_lines(path)
-        unrun = sorted(lines - ran[name])
-        total += len(lines)
+        own = statement_lines(path)
+        unrun = unrun_lines(own, ran[name])
+        total += len(own)
         unrun_total += len(unrun)
         if unrun:
             print(f"{path.relative_to(ROOT)}: {', '.join(map(str, unrun))}")
