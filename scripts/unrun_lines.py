@@ -53,7 +53,8 @@ def statement_lines(path: Path) -> dict[int, set[int]]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.stmt) or id(node) in docstrings:
             continue
-        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        decorators = getattr(node, "decorator_list", ())
+        start = min([node.lineno] + [d.lineno for d in decorators])
         lines = set(range(start, node.end_lineno + 1))
         for child in ast.walk(node):
             if child is not node and isinstance(child, ast.stmt):

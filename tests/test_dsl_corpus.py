@@ -415,7 +415,9 @@ def test_run_columns_end_with_the_run():
         ("compose e e = ghost", 4), ("compose e e => e", 3),
         ("compose e e = e :", 5), ("leq e e = e", 0),
     ]:
-        p = dsl._Parser(f"compose e f = f ; compose f e = e ; {stmt} ; compose f f = f }}")
+        p = dsl._Parser(
+            f"compose e f = f ; compose f e = e ; {stmt} ; compose f f = f }}"
+        )
         assert p.run(*shape) == [[0, 1], [1, 0], [1, 0]], stmt
         assert p.i == 12 and p.words[p.i + at] == stmt.split()[at]
 
