@@ -15,6 +15,8 @@ is the contract: the ref of (c1, ..., ck) is the radix number
 ((c1*n2 + c2)*n3 + ...)*nk + ck in the factors' object or morphism counts,
 so each product table, and each table of a product witness
 (``movability.product_transport``), is a fold of the factors' tables.
+The tables that the factors' sizes alone fix (the tuples, the names, the
+ref dicts and the projection maps) are built once per shape and shared.
 Coslices and categories of elements share one comma construction (the
 coslice under X is the category of elements of hom(X, -)), with morphisms
 (i, j, eta) in lexicographic order, and one result type, ``CommaResult``,
@@ -38,6 +40,7 @@ and later calls on the same value return it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -125,6 +128,13 @@ class ProductResult:
     the radix number ((c1*n2 + c2)*n3 + ...)*nk + ck, where ni is the i-th
     factor's object count for an object and its morphism count for a
     morphism.
+
+    Products of one shape (the factors' object and morphism counts) share
+    ``objects``, ``morphisms``, the category's names, the ref dicts and the
+    projections' maps: tuples plus two dicts that nothing writes, kept for
+    at most 32 shapes (about 0.9 MB for a cap-size shape of two factors, 64
+    objects and 4096 morphisms; see ``_shape_tables``).  Dom, cod,
+    identities and ``comp`` are each product's own.
     """
 
     category: FiniteCategory
@@ -175,27 +185,68 @@ def _comp_rows(cat: FiniteCategory, scale: int = 1) -> list[list[tuple[int, int]
     ]
 
 
+#: The most product shapes whose tables ``_shape_tables`` keeps.
+_SHAPES = 32
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _shape_tables(n_objs: tuple[int, ...], n_mors: tuple[int, ...]) -> tuple:
+    """The tables of a product that the factors' object counts ``n_objs``
+    and morphism counts ``n_mors`` alone fix: the ``objects`` and
+    ``morphisms`` tuples, the morphism refs (one int object per ref, shared
+    by every entry of ``comp`` that names it), the object and morphism
+    names, the two ref dicts and the projection columns, one per factor, of
+    objects and of morphisms.
+
+    Products of one shape share these values, so they are tuples plus two
+    dicts that nothing writes.  They are kept for at most 32 shapes, the
+    least recently used leaving first.  A cap-size shape of two factors
+    (64 objects, 4096 morphisms) holds about 0.9 MB, so 32 of them hold
+    about 28 MB; each further factor widens every tuple (1.6 MB for twelve
+    factors of 1 object and 2 morphisms).
+    """
+    objects = tuple(itertools.product(*map(range, n_objs)))
+    morphisms = tuple(itertools.product(*map(range, n_mors)))
+    refs = tuple(range(len(morphisms)))
+    # Projection i maps each tuple to its i-th component: the i-th column,
+    # which zip gives for every factor unless some factor is empty.
+    empty = ((),) * len(n_objs)
+    return (
+        objects,
+        morphisms,
+        refs,
+        _radix_names("o", n_objs),
+        _radix_names("m", n_mors),
+        dict(zip(objects, range(len(objects)))),
+        dict(zip(morphisms, refs)),
+        tuple(zip(*objects)) or empty,
+        tuple(zip(*morphisms)) or empty,
+    )
+
+
 def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
     """Product of categories: tuple objects/morphisms, componentwise tables.
 
     Objects and morphisms are ordered lexicographically by component refs,
-    so every table is a radix fold of the factors' tables.  The composites
-    of g are read from each factor's composition row for its component
-    (the pairs (f, g.f)): the rows of the factors before the last are
-    folded into one row per morphism of their product, and the last
-    factor's rows expand those straight into ``comp``, which lists g
-    ascending and, within g, f ascending.  Raises SizeBoundExceeded when
-    the result would exceed the caps.
+    so every table is a radix fold of the factors' tables.  The tables that
+    the factors' sizes alone fix come from ``_shape_tables``, once per shape;
+    dom, cod, identities and ``comp`` are built per call.  The composites of
+    g are read from each factor's composition row for its component (the
+    pairs (f, g.f)): the rows of the factors before the last are folded into
+    one row per morphism of their product, and the last factor's rows expand
+    those straight into ``comp``, which lists g ascending and, within g, f
+    ascending.  Raises SizeBoundExceeded, before it builds anything, when the
+    result would exceed the caps.
     """
     if not factors:
         raise ValueError("need at least one factor")
-    n_objs = [c.n_objects for c in factors]
-    n_mors = [c.n_mors for c in factors]
+    n_objs = tuple(c.n_objects for c in factors)
+    n_mors = tuple(c.n_mors for c in factors)
     check_size("product", math.prod(n_objs), math.prod(n_mors))
-    objects = tuple(itertools.product(*map(range, n_objs)))
-    morphisms = tuple(itertools.product(*map(range, n_mors)))
-    # One int object per ref, shared by every entry of comp that names it.
-    refs = list(range(len(morphisms)))
+    (
+        objects, morphisms, refs, obj_names, mor_names,
+        object_refs, morphism_refs, obj_columns, mor_columns,
+    ) = _shape_tables(n_objs, n_mors)
     dom = tuple(_radix_refs([c.mor_dom for c in factors], n_objs))
     cod = tuple(_radix_refs([c.mor_cod for c in factors], n_objs))
     identity = tuple(_radix_refs([c.identity for c in factors], n_mors))
@@ -219,27 +270,14 @@ def product_category(factors: Sequence[FiniteCategory]) -> ProductResult:
             for f2, h2 in r:
                 comp[g, refs[f + f2]] = refs[h + h2]
 
-    cat = FiniteCategory(
-        _radix_names("o", n_objs), _radix_names("m", n_mors),
-        dom, cod, identity, comp,
-    )
-    # Projection i maps each tuple to its i-th component: the i-th column,
-    # which zip gives for every factor unless some factor is empty.
-    empty = [()] * len(factors)
+    cat = FiniteCategory(obj_names, mor_names, dom, cod, identity, comp)
     projections = tuple(
         Functor(cat, c, obj_map, mor_map)
-        for c, obj_map, mor_map in zip(
-            factors, list(zip(*objects)) or empty, list(zip(*morphisms)) or empty
-        )
+        for c, obj_map, mor_map in zip(factors, obj_columns, mor_columns)
     )
     return ProductResult(
-        cat,
-        projections,
-        tuple(factors),
-        objects,
-        morphisms,
-        dict(zip(objects, range(len(objects)))),
-        dict(zip(morphisms, refs)),
+        cat, projections, tuple(factors), objects, morphisms,
+        object_refs, morphism_refs,
     )
 
 

@@ -18,6 +18,7 @@ from movcat.builders import (
 from movcat.campaign import generate_campaign_instance
 from movcat.core import (
     Copresheaf,
+    FiniteCategory,
     make_poset,
     validate_category,
     validate_functor,
@@ -170,14 +171,53 @@ def test_product_codecs_roundtrip():
         assert prod.object_index(prod.objects[o]) == o
 
 
+def _cold_and_warm(factors):
+    """The product of ``factors`` built with no shape tables kept, then
+    built again from the kept ones."""
+    builders._shape_tables.cache_clear()
+    cold = product_category(factors)
+    hits = builders._shape_tables.cache_info().hits
+    warm = product_category(factors)
+    assert builders._shape_tables.cache_info().hits == hits + 1
+    return cold, warm
+
+
 def test_product_indices_reject_tuples_that_name_nothing():
-    prod = product_category([chain(2), chain(2)])
-    for bad in ([5, 0], [0, -1], [0], [0, 0, 0]):
-        with pytest.raises(ValueError):
-            prod.object_index(bad)
-    for bad in ([3, 0], [0, 3], [0], [0, 0, 0]):
-        with pytest.raises(ValueError):
-            prod.morphism_index(bad)
+    # Both from freshly built shape tables and from kept ones.
+    for prod in _cold_and_warm([chain(2), chain(2)]):
+        for bad in ([5, 0], [0, -1], [0], [0, 0, 0]):
+            with pytest.raises(ValueError):
+                prod.object_index(bad)
+        for bad in ([3, 0], [0, 3], [0], [0, 0, 0]):
+            with pytest.raises(ValueError):
+                prod.morphism_index(bad)
+
+
+def test_product_checks_its_size_before_it_reads_shape_tables():
+    builders._shape_tables.cache_clear()
+    before = builders._shape_tables.cache_info()
+    with pytest.raises(SizeBoundExceeded):
+        product_category([chain(9), chain(8)])
+    assert builders._shape_tables.cache_info() == before
+
+
+def test_shape_tables_bound_is_the_documented_one():
+    maxsize = builders._shape_tables.cache_info().maxsize
+    assert maxsize == builders._SHAPES
+    for doc in (builders._shape_tables.__doc__, builders.ProductResult.__doc__):
+        assert f"at most {maxsize} shapes" in " ".join(doc.split())
+
+
+def test_products_of_one_shape_share_only_shape_tables():
+    # cyclic(2) and the two-element semilattice each have one object and
+    # two morphisms, so both products have the same shape.
+    semilattice = build_monoid_category(["e", "a"], 0, [[0, 1], [1, 1]])
+    a = product_category([cyclic(2), chain(2)])
+    b = product_category([semilattice, chain(2)])
+    assert a.objects is b.objects and a.morphisms is b.morphisms
+    assert a.category.mor_names is b.category.mor_names
+    assert a.category.comp is not b.category.comp
+    assert a.category.comp != b.category.comp
 
 
 def test_coslice_chain2_under_bottom():
@@ -427,6 +467,35 @@ def test_product_matches_reference_on_mixed_factors():
             assert prod.object_index(t) == o
         for m, t in enumerate(prod.morphisms):
             assert prod.morphism_index(t) == m
+
+
+def _written(cat):
+    doc = Document()
+    doc.add(make_category_entity("C", cat))
+    return serialize_document(doc)
+
+
+def test_product_from_kept_shape_tables_matches_fresh_build():
+    # Products of one, two and three factors, one with an object-less
+    # factor, and those of test_product_matches_reference_on_mixed_factors:
+    # the same result, comp order, names, projections and written text
+    # whether the shape tables are built for it or kept from before.
+    pool = _mixed_factors()
+    empty = FiniteCategory((), (), (), (), (), {})
+    products = [[chain(2)], [chain(2), chain(3)], [chain(2), cyclic(2), chain(3)]]
+    products += [[chain(3), empty], [empty, cyclic(2)]]
+    products += [[c] for c in pool]
+    products += [list(p) for p in itertools.product(pool, repeat=2)]
+    products += [list(p) for p in itertools.product(pool[:4], repeat=3)]
+    products += [[pool[i] for i in pick] for pick in [(2, 5, 6), (7, 0, 5), (4, 3, 0)]]
+    for factors in products:
+        cold, warm = _cold_and_warm(factors)
+        assert warm == cold
+        assert _tables(warm.category) == _tables(cold.category)
+        assert [_maps(p) for p in warm.projections] == [
+            _maps(p) for p in cold.projections
+        ]
+        assert _written(warm.category) == _written(cold.category)
 
 
 def test_cap_size_builder_outputs_revalidate():

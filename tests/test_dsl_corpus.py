@@ -492,3 +492,31 @@ OUTCOMES_SHA = "12498b67f4791c743a46492ae21fbe2566f74b7083a607c1dba01f2fa14a9429
 MESSAGES_SHA = "32c490c8dfc5f2efbb20ad6cf02e1022c2eef0930814778b37a43cab3966d46b"
 ROUNDTRIP_SHA = "183f8ac0c8b7dacb6e5c241db064c815626d59040813854b616bf98912b11c84"
 SCANNER_TEXTS, SCANNER_ACCEPTED = 329, 232
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_coproduct_coslice_documents_round_trip(seed):
+    """A ``coproduct-coslice`` document (a poset entity and a coproducts
+    entity) reads back from its text to equal entities, and every
+    truncation of that text either raises a MovcatError or reads to the
+    document's first j entities."""
+    doc = generate_campaign_instance("coproduct-coslice", seed)
+    assert [type(e).__name__ for e in doc.entities] == [
+        "PosetEntity", "CoproductsEntity",
+    ]
+    text = serialize_document(doc)
+    read = parse_document(text)
+    assert serialize_document(read) == text
+    assert read.entities == doc.entities
+    kept = set()
+    for k in range(len(text)):
+        try:
+            entities = parse_document(text[:k]).entities
+        except MovcatError:
+            continue
+        assert entities == doc.entities[: len(entities)]
+        kept.add(len(entities))
+    # The empty text, a text that ends after the poset's block and one that
+    # ends at the last brace.
+    assert kept == {0, 1, 2}
