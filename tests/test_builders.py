@@ -491,6 +491,7 @@ def test_product_from_kept_shape_tables_matches_fresh_build():
     for factors in products:
         cold, warm = _cold_and_warm(factors)
         assert warm == cold
+        assert len(warm.projections) == len(factors)
         assert _tables(warm.category) == _tables(cold.category)
         assert [_maps(p) for p in warm.projections] == [
             _maps(p) for p in cold.projections
