@@ -114,7 +114,7 @@ def check(file: str, entity: str, via: str | None) -> None:
         phi = doc.get(via, FunctorEntity).functor
         if phi.source != k:
             _fail_input(f"--via {via} is not a functor out of {entity}")
-        prop, res = "movable", check_movable_wrt(k, phi.target, phi)
+        prop, res = "movable", check_movable_wrt(phi)
     names = k.object_names
     if isinstance(res, MovabilityWitness):
         lines = [f"{entity}: {prop} (witness found)"] + [

@@ -4,7 +4,8 @@ constructive witness transport.
 A category K is movable w.r.t. (L, Phi) when for every object X there are
 M(X) and m_X: M(X) -> X such that every p: Y -> X admits u in
 hom_L(Phi(M(X)), Phi(Y)) with Phi(p) . u = Phi(m_X).  Strong movability is
-the special case L = K, Phi = 1_K.
+the special case L = K, Phi = 1_K.  Phi: K -> L carries K and L as its
+source and target, so the relative functions take Phi alone.
 
 Searches iterate candidates in ascending ref order, so reported witnesses
 are the lexicographically least ones.  ``check_movable_wrt`` reads an
@@ -72,11 +73,6 @@ class Counterexample:
 MovabilityResult = Union[MovabilityWitness, Counterexample]
 
 
-def _check_phi(k: FiniteCategory, l: FiniteCategory, phi: Functor) -> None:
-    if phi.source != k or phi.target != l:
-        raise SourceTargetMismatch("functor does not map K to L")
-
-
 def _first_winners(points, candidates, challenges, respond):
     """The exists-forall-exists search behind every decider.
 
@@ -107,12 +103,9 @@ def _first_winners(points, candidates, challenges, respond):
     return won, None
 
 
-def check_movable_wrt(
-    k: FiniteCategory, l: FiniteCategory, phi: Functor
-) -> MovabilityResult:
+def check_movable_wrt(phi: Functor) -> MovabilityResult:
     """Decide movability of K w.r.t. L and phi: K -> L, exhaustively."""
-    _check_phi(k, l, phi)
-
+    k, l = phi.source, phi.target
     hom, comp, mor_dom = l.hom, l.comp, k.mor_dom
 
     def candidates(x):
@@ -148,22 +141,18 @@ def check_movable_wrt(
 
 def check_strongly_movable(k: FiniteCategory) -> MovabilityResult:
     """Decide strong movability: movability w.r.t. K itself and 1_K."""
-    return check_movable_wrt(k, k, identity_functor(k))
+    return check_movable_wrt(identity_functor(k))
 
 
 def space_movability(h: Copresheaf) -> MovabilityResult:
     """Finite model of space movability: movability of the category of
     elements of H w.r.t. its base and the projection functor."""
-    elems = elements_category(h)
-    return check_movable_wrt(elems.category, h.base, elems.forgetful)
+    return check_movable_wrt(elements_category(h).forgetful)
 
 
-def witness_valid_wrt(
-    k: FiniteCategory, l: FiniteCategory, phi: Functor, w: MovabilityWitness
-) -> bool:
+def witness_valid_wrt(phi: Functor, w: MovabilityWitness) -> bool:
     """Exhaustively re-check every witness equation."""
-    _check_phi(k, l, phi)
-    return _witness_valid(k, l, phi.obj_map, phi.mor_map, w)
+    return _witness_valid(phi.source, phi.target, phi.obj_map, phi.mor_map, w)
 
 
 def witness_valid(k: FiniteCategory, w: MovabilityWitness) -> bool:
@@ -195,22 +184,19 @@ def _witness_valid(k, l, obj_map, mor_map, w) -> bool:
 
 
 def postcompose_transfer(
-    k: FiniteCategory,
-    l: FiniteCategory,
-    phi: Functor,
-    w: MovabilityWitness,
-    f: Functor,
+    phi: Functor, w: MovabilityWitness, f: Functor
 ) -> MovabilityWitness:
     """Push a relative witness along F: L -> L', certifying movability
-    w.r.t. (L', F . phi).  Re-verifies; raises VerificationFailed on bugs."""
-    if f.source != l:
-        raise SourceTargetMismatch("F must start at L")
-    if not witness_valid_wrt(k, l, phi, w):
+    w.r.t. (L', F . phi).  Raises SourceTargetMismatch when F does not start
+    at L, before any witness is checked.  Re-verifies; raises
+    VerificationFailed on bugs."""
+    f_phi = compose_functors(f, phi)
+    if not witness_valid_wrt(phi, w):
         raise VerificationFailed("input witness does not verify")
     out = MovabilityWitness(
         w.movers, w.mover_mors, tuple(f.mor_map[u] for u in w.lifts)
     )
-    if not witness_valid_wrt(k, f.target, compose_functors(f, phi), out):
+    if not witness_valid_wrt(f_phi, out):
         raise VerificationFailed("post-composed witness does not verify")
     return out
 
@@ -309,6 +295,9 @@ def factor_transport(
     This is a weak-domination transfer: F pads each object X of the factor
     to a tuple with object 0 in every other slot, and each p: Y -> X to a
     tuple with identities elsewhere; G is the projection and phi = 1.
+    A factor with no objects includes into the product by the empty functor.
+    A factor with objects has no inclusion into an empty product, and
+    projecting onto it raises SourceTargetMismatch.
     """
     fac = product.factors[i0]
 
@@ -317,14 +306,19 @@ def factor_transport(
         out[i0] = v
         return out
 
-    zeros = [0] * len(product.factors)
-    ids = [c.identity[0] for c in product.factors]
-    inclusion = Functor(
-        fac,
-        product.category,
-        tuple(product.object_index(pad(zeros, x)) for x in range(fac.n_objects)),
-        tuple(product.morphism_index(pad(ids, p)) for p in range(fac.n_mors)),
-    )
+    obj_map = mor_map = ()
+    if fac.n_objects:
+        if not product.category.n_objects:
+            raise SourceTargetMismatch(
+                "a factor with objects has no inclusion into an empty product"
+            )
+        zeros = [0] * len(product.factors)
+        ids = [c.identity[0] for c in product.factors]
+        obj_map = tuple(
+            product.object_index(pad(zeros, x)) for x in range(fac.n_objects)
+        )
+        mor_map = tuple(product.morphism_index(pad(ids, p)) for p in range(fac.n_mors))
+    inclusion = Functor(fac, product.category, obj_map, mor_map)
     return weak_domination_transfer(
         inclusion,
         product.projections[i0],

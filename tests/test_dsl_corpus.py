@@ -494,17 +494,35 @@ ROUNDTRIP_SHA = "183f8ac0c8b7dacb6e5c241db064c815626d59040813854b616bf98912b11c8
 SCANNER_TEXTS, SCANNER_ACCEPTED = 329, 232
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_coproduct_coslice_documents_round_trip(seed):
-    """A ``coproduct-coslice`` document (a poset entity and a coproducts
-    entity) reads back from its text to equal entities, and every
-    truncation of that text either raises a MovcatError or reads to the
-    document's first j entities."""
-    doc = generate_campaign_instance("coproduct-coslice", seed)
-    assert [type(e).__name__ for e in doc.entities] == [
-        "PosetEntity", "CoproductsEntity",
-    ]
+# The entity kinds of each law's document, in order: a poset and its
+# coproducts; or an ambient poset or monoid, the index poset, a copresheaf
+# and a system with a cone.
+_BRIDGE_KINDS = [
+    {"PosetEntity", "MonoidEntity"}, {"PosetEntity"}, {"CopresheafEntity"},
+    {"SystemEntity"},
+]
+ROUND_TRIP_KINDS = {
+    "coproduct-coslice": [{"PosetEntity"}, {"CoproductsEntity"}],
+    "sm-bridge": _BRIDGE_KINDS,
+    "star-bridge": _BRIDGE_KINDS,
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=45)
+@given(
+    st.sampled_from(sorted(ROUND_TRIP_KINDS)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_coproduct_coslice_documents_round_trip(law, seed):
+    """A ``coproduct-coslice``, ``sm-bridge`` or ``star-bridge`` document
+    reads back from its text to equal entities, and every truncation of
+    that text either raises a MovcatError or reads to the document's first
+    j entities."""
+    doc = generate_campaign_instance(law, seed)
+    kinds = ROUND_TRIP_KINDS[law]
+    assert len(doc.entities) == len(kinds)
+    for entity, allowed in zip(doc.entities, kinds):
+        assert type(entity).__name__ in allowed
     text = serialize_document(doc)
     read = parse_document(text)
     assert serialize_document(read) == text
@@ -517,6 +535,6 @@ def test_coproduct_coslice_documents_round_trip(seed):
             continue
         assert entities == doc.entities[: len(entities)]
         kept.add(len(entities))
-    # The empty text, a text that ends after the poset's block and one that
-    # ends at the last brace.
-    assert kept == {0, 1, 2}
+    # The empty text, a text that ends after each block but the last, and
+    # one that ends at the last brace.
+    assert kept == set(range(len(kinds) + 1))

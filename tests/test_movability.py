@@ -6,11 +6,14 @@ import pytest
 from movcat.builders import (
     build_monoid_category,
     build_poset_category,
+    coslice_category,
     product_category,
     representable_copresheaf,
 )
+from movcat.campaign import generate_campaign_instance
 from movcat.core import (
     Copresheaf,
+    FiniteCategory,
     identity_functor,
     identity_nat_trans,
     make_poset,
@@ -18,7 +21,7 @@ from movcat.core import (
     validate_nat_trans,
 )
 from movcat.errors import SourceTargetMismatch, VerificationFailed
-from movcat.generators import GenParams, random_category
+from movcat.generators import GenParams, generate_instance, random_category
 from movcat.movability import (
     Counterexample,
     MovabilityWitness,
@@ -32,6 +35,7 @@ from movcat.movability import (
     witness_valid,
     witness_valid_wrt,
 )
+from movcat.search import find_weak_domination
 from util import (
     chain,
     cyclic,
@@ -86,7 +90,7 @@ def test_pointed_sets_movable():
 def test_movable_wrt_identity_matches_strong():
     for cat in (chain(3), v_poset_category(), pointed_sets_2()):
         strong = check_strongly_movable(cat)
-        rel = check_movable_wrt(cat, cat, identity_functor(cat))
+        rel = check_movable_wrt(identity_functor(cat))
         assert type(strong) is type(rel)
         if isinstance(strong, MovabilityWitness):
             assert strong == rel
@@ -96,14 +100,27 @@ def test_movable_wrt_terminal_target_always_witness():
     term = chain(1)
     for cat in (v_poset_category(), chain(3)):
         phi = validate_functor(cat, term, [0] * cat.n_objects, [0] * cat.n_mors)
-        res = check_movable_wrt(cat, term, phi)
+        res = check_movable_wrt(phi)
         assert isinstance(res, MovabilityWitness)
-        assert witness_valid_wrt(cat, term, phi, res)
+        assert witness_valid_wrt(phi, res)
 
 
 def test_movable_wrt_requires_matching_functor():
+    # Phi carries K and L, so the mismatches left are those of a second
+    # functor or transformation.  F must start at Phi's target; the type
+    # check comes before the (here bad) witness is looked at.
+    c3 = chain(3)
+    one = identity_functor(c3)
+    w = check_strongly_movable(c3)
+    bad = MovabilityWitness(w.movers, w.mover_mors, tuple(0 for _ in w.lifts))
     with pytest.raises(SourceTargetMismatch):
-        check_movable_wrt(chain(2), chain(3), identity_functor(chain(2)))
+        postcompose_transfer(one, bad, identity_functor(chain(2)))
+    # G maps L back to K, but phi is 1_L, not a transformation G.F => 1_K.
+    k, l = chain(2), c3
+    f = validate_functor(k, l, [0, 1], [0, 1, 3])
+    g = validate_functor(l, k, [0, 1, 1], [0, 1, 1, 2, 2, 1])
+    with pytest.raises(SourceTargetMismatch, match="G.F => 1_K"):
+        weak_domination_transfer(f, g, identity_nat_trans(one), w)
 
 
 def test_naive_oracle_agreement():
@@ -122,9 +139,33 @@ def test_naive_relative_oracle_agreement():
         rng = random.Random(f"rel:{seed}")
         cat = random_category(rng, params)
         phi = validate_functor(cat, term, [0] * cat.n_objects, [0] * cat.n_mors)
-        got = isinstance(check_movable_wrt(cat, term, phi), MovabilityWitness)
+        got = isinstance(check_movable_wrt(phi), MovabilityWitness)
         want = isinstance(naive_movable_wrt(cat, term, phi), MovabilityWitness)
         assert got == want, f"seed {seed}"
+
+
+def test_naive_relative_oracle_agreement_on_projections_coslices_dominations():
+    # Functors that are neither identities nor maps to a point: the two
+    # projections of a product, the forgetful functor of every coslice and
+    # the F and G of a weak domination.  The whole result must match the
+    # reference, defeat tables included, and every witness must verify.
+    outcomes = set()
+    for seed in range(60):
+        a = generate_instance("category", 2 * seed).category_of("K")
+        b = generate_instance("category", 2 * seed + 1).category_of("K")
+        phis = list(product_category([a, b]).projections)
+        phis += [coslice_category(a, x).forgetful for x in range(a.n_objects)]
+        doc = generate_campaign_instance("transfer", seed)
+        found = find_weak_domination(doc.category_of("K"), doc.category_of("L")).found
+        if found is not None:
+            phis += found[:2]
+        for phi in phis:
+            got = check_movable_wrt(phi)
+            assert got == naive_movable_wrt(phi.source, phi.target, phi), seed
+            if isinstance(got, MovabilityWitness):
+                assert witness_valid_wrt(phi, got)
+            outcomes.add(type(got))
+    assert outcomes == {MovabilityWitness, Counterexample}
 
 
 def test_space_movability_of_representable():
@@ -156,7 +197,7 @@ def test_witness_valid_rejects_corruption():
     c2, pt = chain(2), chain(1)
     collapse = validate_functor(c2, pt, (0, 0), (0, 0, 0))
     mistyped = MovabilityWitness((0, 0), (0, 0), (0, 0, 0))
-    assert not witness_valid_wrt(c2, pt, collapse, mistyped)
+    assert not witness_valid_wrt(collapse, mistyped)
     # In the two-element group the lift e of a lies in its hom-set, but
     # a . e = a is not e, so only the lift equation rejects it.
     z2 = build_monoid_category(["e", "a"], 0, [[0, 1], [1, 0]])
@@ -168,7 +209,7 @@ def test_witness_valid_rejects_corruption():
 def test_postcompose_transfer_identity_keeps_witness():
     c3 = chain(3)
     w = check_strongly_movable(c3)
-    out = postcompose_transfer(c3, c3, identity_functor(c3), w, identity_functor(c3))
+    out = postcompose_transfer(identity_functor(c3), w, identity_functor(c3))
     assert out == w
 
 
@@ -177,8 +218,8 @@ def test_postcompose_transfer_to_terminal():
     term = chain(1)
     w = check_strongly_movable(c3)
     f = validate_functor(c3, term, [0, 0, 0], [0] * c3.n_mors)
-    out = postcompose_transfer(c3, c3, identity_functor(c3), w, f)
-    assert witness_valid_wrt(c3, term, f, out)
+    out = postcompose_transfer(identity_functor(c3), w, f)
+    assert witness_valid_wrt(f, out)
     assert all(u == 0 for u in out.lifts)
 
 
@@ -187,7 +228,7 @@ def test_postcompose_transfer_rejects_bad_witness():
     w = check_strongly_movable(c3)
     bad = MovabilityWitness(w.movers, w.mover_mors, tuple(0 for _ in w.lifts))
     with pytest.raises(VerificationFailed):
-        postcompose_transfer(c3, c3, identity_functor(c3), bad, identity_functor(c3))
+        postcompose_transfer(identity_functor(c3), bad, identity_functor(c3))
 
 
 def _corrupt(w: MovabilityWitness) -> MovabilityWitness:
@@ -265,6 +306,20 @@ def test_factor_transport_recovers_valid_factor_witnesses():
     for i, fac in enumerate(prod.factors):
         wf = factor_transport(prod, wp, i)
         assert witness_valid(fac, wf)
+
+
+def test_factor_transport_with_an_object_less_factor():
+    # chain(2) x (empty) is empty, and strongly movable with the empty
+    # witness.  Its object-less factor gets the empty witness back; chain(2)
+    # has no inclusion into the empty product.
+    empty = FiniteCategory((), (), (), (), (), {})
+    prod = product_category([chain(2), empty])
+    w = check_strongly_movable(prod.category)
+    assert w == MovabilityWitness((), (), ())
+    assert factor_transport(prod, w, 1) == w
+    assert witness_valid(empty, factor_transport(prod, w, 1))
+    with pytest.raises(SourceTargetMismatch, match="empty product"):
+        factor_transport(prod, w, 0)
 
 
 def test_product_with_v_factor_not_movable():

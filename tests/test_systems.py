@@ -227,7 +227,7 @@ def test_star_agrees_with_elements_category_movability():
     ]
     for h in cases:
         el = elements_category(h)
-        mov = check_movable_wrt(el.category, h.base, el.forgetful)
+        mov = check_movable_wrt(el.forgetful)
         assert isinstance(check_star(h), StarWitness) == isinstance(
             mov, MovabilityWitness
         )
