@@ -306,19 +306,20 @@ def factor_transport(
         out[i0] = v
         return out
 
-    obj_map = mor_map = ()
-    if fac.n_objects:
-        if not product.category.n_objects:
-            raise SourceTargetMismatch(
-                "a factor with objects has no inclusion into an empty product"
-            )
-        zeros = [0] * len(product.factors)
-        ids = [c.identity[0] for c in product.factors]
-        obj_map = tuple(
-            product.object_index(pad(zeros, x)) for x in range(fac.n_objects)
+    if fac.n_objects and not product.category.n_objects:
+        raise SourceTargetMismatch(
+            "a factor with objects has no inclusion into an empty product"
         )
-        mor_map = tuple(product.morphism_index(pad(ids, p)) for p in range(fac.n_mors))
-    inclusion = Functor(fac, product.category, obj_map, mor_map)
+    zeros = [0] * len(product.factors)
+    # Nothing is padded when fac has no objects, so an object-less factor's
+    # missing identity is never read.
+    ids = [c.identity[0] if c.n_objects else None for c in product.factors]
+    inclusion = Functor(
+        fac,
+        product.category,
+        tuple(product.object_index(pad(zeros, x)) for x in range(fac.n_objects)),
+        tuple(product.morphism_index(pad(ids, p)) for p in range(fac.n_mors)),
+    )
     return weak_domination_transfer(
         inclusion,
         product.projections[i0],

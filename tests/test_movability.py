@@ -112,9 +112,8 @@ def test_movable_wrt_requires_matching_functor():
     c3 = chain(3)
     one = identity_functor(c3)
     w = check_strongly_movable(c3)
-    bad = MovabilityWitness(w.movers, w.mover_mors, tuple(0 for _ in w.lifts))
     with pytest.raises(SourceTargetMismatch):
-        postcompose_transfer(one, bad, identity_functor(chain(2)))
+        postcompose_transfer(one, _corrupt(w), identity_functor(chain(2)))
     # G maps L back to K, but phi is 1_L, not a transformation G.F => 1_K.
     k, l = chain(2), c3
     f = validate_functor(k, l, [0, 1], [0, 1, 3])
