@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .builders import (
@@ -105,7 +105,7 @@ def _star_bridge_doc(rng: random.Random, params: GenParams) -> Document:
 def _semilattice_doc(rng: random.Random, params: GenParams) -> Document:
     sl = PosetEntity("P", random_join_semilattice(rng))
     designation = semilattice_designation(sl.category, sl.poset)
-    return Document([sl, CoproductsEntity("coproducts_P", "P", designation)])
+    return Document([sl, CoproductsEntity("P", designation)])
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +295,23 @@ def evaluate_instance(theorem: str, doc: Document) -> tuple[bool, str]:
 @dataclass
 class CampaignReport:
     """Outcome of one campaign.  ``failures`` holds replayable documents;
-    ``wall_time`` is informational and excluded from the JSON form so that
-    reports are byte-identical across re-runs."""
+    ``instances`` and ``passes`` are read from the seeds and the failures.
+    ``wall_time`` is excluded from the JSON so that reruns are identical."""
 
     theorem: str
     seed_start: int
     seed_stop: int
     params: GenParams
-    instances: int = 0
-    passes: int = 0
     failures: list = field(default_factory=list)
     wall_time: float = 0.0
+
+    @property
+    def instances(self) -> int:
+        return len(range(self.seed_start, self.seed_stop))
+
+    @property
+    def passes(self) -> int:
+        return self.instances - len(self.failures)
 
     @property
     def clean(self) -> bool:
@@ -315,11 +321,7 @@ class CampaignReport:
         payload = {
             "theorem": self.theorem,
             "seeds": [self.seed_start, self.seed_stop],
-            "params": {
-                "max_objects": self.params.max_objects,
-                "max_morphisms": self.params.max_morphisms,
-                "max_fiber": self.params.max_fiber,
-            },
+            "params": asdict(self.params),
             "instances": self.instances,
             "passes": self.passes,
             "failures": self.failures,
@@ -339,15 +341,11 @@ def run_campaign(
     params = params or GenParams()
     _check_params(params)
     start = time.monotonic()
-    report = CampaignReport(
-        theorem, seeds.start, seeds.stop, params, instances=len(seeds)
-    )
+    report = CampaignReport(theorem, seeds.start, seeds.stop, params)
     for seed in seeds:
         doc = generate_campaign_instance(theorem, seed, params)
         ok, detail = evaluate_instance(theorem, doc)
-        if ok:
-            report.passes += 1
-        else:
+        if not ok:
             report.failures.append(
                 {
                     "seed": seed,

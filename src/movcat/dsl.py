@@ -158,9 +158,15 @@ class SystemEntity:
 
 @dataclass(frozen=True)
 class CoproductsEntity:
-    name: str
+    """Designated coproducts on ``base_name``.  The writer never writes the
+    name; it is the one the reader gives, ``coproducts_<base_name>``."""
+
     base_name: str
     designation: CoproductDesignation
+
+    @property
+    def name(self) -> str:
+        return f"coproducts_{self.base_name}"
 
 
 Entity = Union[
@@ -182,17 +188,17 @@ def _kind(cls: type) -> str:
 
 @dataclass
 class Document:
-    """Ordered, name-resolved collection of entities.  ``_by_name`` maps
-    each name to the first entity with it; `add` is the only code that
-    appends to ``entities``, and it keeps the map up to date."""
+    """Ordered, name-resolved collection of entities with unique names.  The
+    constructor copies its entities into a list of its own through `add`,
+    the only code that appends to ``entities`` and refuses a repeated name."""
 
     entities: list = field(default_factory=list)
     _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_name = {}
-        for e in self.entities:
-            self._by_name.setdefault(e.name, e)
+        given, self.entities, self._by_name = self.entities, [], {}
+        for e in given:
+            self.add(e)
 
     def __getitem__(self, name: str) -> Entity:
         try:
@@ -738,7 +744,7 @@ def _parse_coproducts(p: _Parser, doc: Document) -> CoproductsEntity:
     )
     p.read("}")
     designation = validate_designation(base, table)
-    return CoproductsEntity(f"coproducts_{base_name}", base_name, designation)
+    return CoproductsEntity(base_name, designation)
 
 
 _PARSERS = {

@@ -297,8 +297,13 @@ def factor_transport(
     tuple with identities elsewhere; G is the projection and phi = 1.
     A factor with no objects includes into the product by the empty functor.
     A factor with objects has no inclusion into an empty product, and
-    projecting onto it raises SourceTargetMismatch.
+    projecting onto it raises SourceTargetMismatch, as does an i0 that
+    indexes no factor.
     """
+    if i0 not in range(len(product.factors)):
+        raise SourceTargetMismatch(
+            f"no factor {i0} in a product of {len(product.factors)}"
+        )
     fac = product.factors[i0]
 
     def pad(fill, v):

@@ -22,18 +22,19 @@ each F, and the weak phase walks the same slots unpinned.
 
 The weak domination search walks the functors F: K -> L and G: L -> K once
 each per call.  As the strict phase walks the F, it appends each F's row to
-one flat array of L refs (``array("H")``); the weak phase replays the rows
-in the same order, and each F spends one unit in each phase.  The first F
-of the weak phase walks the G lazily and appends each G's row to one flat
-array of K refs; each G spends a unit as it is stored, so no array holds
-more rows than the budget, and nothing outlives the call.  When the G walk
-ends, one bitset per (L-object o, K-object x) marks the G with
-hom_K(G(o), x) non-empty.  Each later F ANDs the bitsets at (F(x), x) over
-the objects x of K: what is left are exactly the G for which every
-component of a phi: G.F => 1_K has somewhere to go.  Only those G, and only
-the F with some G left, are built as ``Functor`` values and searched for a
-phi; the units of the skipped G are spent in bulk, so emission order and
-budget stops are those of the plain nested walk.
+one flat array of L refs; the weak phase replays the rows in the same
+order, and each F spends one unit in each phase.  The first F of the weak
+phase walks the G lazily and appends each G's row to one flat array of K
+refs (both ``array("H")``: every ref is below MAX_MORPHISMS < 2**16); each
+G spends a unit as it is stored, so no array holds more rows than the
+budget, and nothing outlives the call.  When the G walk ends, one bitset
+per (L-object o, K-object x) marks the G with hom_K(G(o), x) non-empty.
+Each later F ANDs the bitsets at (F(x), x) over the objects x of K: what is
+left are exactly the G for which every component of a phi: G.F => 1_K has
+somewhere to go.  Only those G, and only the F with some G left, are built
+as ``Functor`` values and searched for a phi; the units of the skipped G
+are spent in bulk, so emission order and budget stops are those of the
+plain nested walk.
 """
 
 from __future__ import annotations
@@ -381,13 +382,6 @@ def find_functorial_domination(
     return _first(_retractions(k, l, *slots, _Budget(budget)))
 
 
-def _ref_array(cat: FiniteCategory) -> array:
-    """An empty array for refs of ``cat``, all below ``cat.n_mors`` (every
-    object has an identity); two bytes each fit any category within
-    MAX_MORPHISMS."""
-    return array("H" if cat.n_mors <= 1 << 16 else "L")
-
-
 def _weak_dominations(
     k: FiniteCategory, l: FiniteCategory, budget: _Budget
 ) -> Iterator[tuple[Functor, Functor, NaturalTransformation]]:
@@ -409,7 +403,7 @@ def _weak_dominations(
     """
     one_k = identity_functor(k)
     f_slots, g_slots = _functor_slots(k, l), _functor_slots(l, k)
-    fs = _ref_array(l)
+    fs = array("H")
     # A strict pair has G . F = 1_K, checked by ``_retractions``.
     for f, g in _retractions(k, l, f_slots, g_slots, budget, fs):
         yield f, g, validate_nat_trans(k.identity, one_k, one_k)
@@ -423,7 +417,7 @@ def _weak_dominations(
     f_pick, g_pick = f_slots[3], g_slots[3]
     # A row has one slot per morphism of its functor's source.
     f_width, g_width = k.n_mors, l.n_mors
-    gs, n_g = _ref_array(k), 0
+    gs = array("H")
     objects = range(k.n_objects)
     # The strict phase walked every F; the empty K has one, with an empty row.
     n_f = len(fs) // f_width if f_width else 1
@@ -434,10 +428,11 @@ def _weak_dominations(
             f = _functor(k, l, f_pick, fs[:f_width])
             for g_row in _fill_slots(g_slots):
                 budget.spend()
-                n_g += 1
                 gs.extend(g_row)
                 if all(k.hom(g_row[fs[x]], x) for x in objects):
                     yield from phis(f, _functor(l, k, g_pick, g_row))
+            # Every G was walked; the empty L has one, with an empty row.
+            n_g = len(gs) // g_width if g_width else 1
             reach = _reach_bitsets(k, l, gs)
             continue
         live = (1 << n_g) - 1

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from movcat import campaign, movability, search
-from movcat.builders import coslice_category, product_category
+from movcat.builders import add_initial_object, coslice_category, product_category
 from movcat.campaign import (
     THEOREMS,
     evaluate_instance,
@@ -13,10 +13,22 @@ from movcat.campaign import (
     run_campaign,
 )
 from movcat.cli import main
-from movcat.core import MAX_MORPHISMS, MAX_OBJECTS
-from movcat.dsl import parse_document, serialize_document
-from movcat.errors import ParamsOutOfRange, UnknownTheorem
-from movcat.generators import KINDS, GenParams, generate_instance
+from movcat.core import MAX_MORPHISMS, MAX_OBJECTS, make_poset
+from movcat.dsl import (
+    CoproductsEntity,
+    Document,
+    PosetEntity,
+    parse_document,
+    serialize_document,
+)
+from movcat.errors import NoDesignatedCoproducts, ParamsOutOfRange, UnknownTheorem
+from movcat.generators import (
+    KINDS,
+    GenParams,
+    generate_instance,
+    poset_has_downset_minima,
+    semilattice_designation,
+)
 from movcat.movability import (
     Counterexample,
     MovabilityWitness,
@@ -37,7 +49,7 @@ from movcat.systems import (
     check_sm1,
     cone_compatible,
 )
-from util import fail_every_verdict
+from util import fail_every_verdict, posets_up_to_iso
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
 
@@ -275,6 +287,38 @@ def test_coproduct_coslice_law_builds_and_checks_once(monkeypatch):
             "domination": n * n,
         }, (s, n)
     assert len(sizes) > 1
+
+
+def test_every_poset_on_at_most_five_elements():
+    # One poset per isomorphism class: the class counts are OEIS A000112,
+    # and the join-semilattices among them OEIS A006966 shifted by one (a
+    # lattice less its bottom), so an enumerator that lists fewer fails.
+    def movable(cat):
+        return isinstance(check_strongly_movable(cat), MovabilityWitness)
+
+    classes, semilattices, n_movable = [], [], 0
+    for n in range(1, 6):
+        relations = posets_up_to_iso(n)
+        classes.append(len(relations))
+        semilattices.append(0)
+        for rel in relations:
+            entity = PosetEntity("P", make_poset([f"p{i}" for i in range(n)], rel))
+            cat = entity.category
+            verdict = movable(cat)
+            assert verdict == poset_has_downset_minima(entity.poset), rel
+            n_movable += verdict
+            assert all(movable(coslice_category(cat, x).category) for x in range(n))
+            assert movable(add_initial_object(cat))
+            try:
+                designation = semilattice_designation(cat, entity.poset)
+            except NoDesignatedCoproducts:
+                continue
+            semilattices[-1] += 1
+            doc = Document([entity, CoproductsEntity("P", designation)])
+            assert evaluate_instance("coproduct-coslice", doc)[0], rel
+    assert classes == [1, 2, 5, 16, 63]
+    assert semilattices == [1, 1, 2, 5, 15]
+    assert n_movable == 45
 
 
 def test_unknown_theorem_rejected():

@@ -245,18 +245,27 @@ def test_document_lookup_errors():
     assert doc.category_of("P").n_objects == 1
 
 
-def test_document_names_resolve_to_the_first_entity():
+def test_document_names_are_unique():
+    # The constructor, `add` and the reader refuse a repeated name alike, so
+    # the writer never emits two blocks of one name.
     a = parse_document("poset x { elements a }")["x"]
     a_again = parse_document("poset x { elements b }")["x"]
-    doc = Document([a, a_again])
+    with pytest.raises(ValidationFailed) as e:
+        Document([a, a_again])
+    assert str(e.value) == "document: DuplicateName: x"
+    lst = [a]
+    doc = Document(lst)
     assert doc["x"] is a and "x" in doc and "y" not in doc
     with pytest.raises(ValidationFailed) as e:
         doc.add(a_again)
     assert str(e.value) == "document: DuplicateName: x"
-    assert doc.entities == [a, a_again]
     with pytest.raises(ValidationFailed) as e:
         parse_document("poset x { elements a }\nposet x { elements b }")
     assert str(e.value) == "document: DuplicateName: x"
+    # The document keeps a list of its own.
+    b = parse_document("poset y { elements b }")["y"]
+    doc.add(b)
+    assert lst == [a] and doc.entities == [a, b]
 
 
 # One document with every fixed word that is not an entity or statement

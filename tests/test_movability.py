@@ -321,6 +321,15 @@ def test_factor_transport_with_an_object_less_factor():
         factor_transport(prod, w, 0)
 
 
+@pytest.mark.parametrize("i0", [-1, 2])
+def test_factor_transport_refuses_an_index_outside_the_factors(i0):
+    prod = product_category([chain(2), chain(3)])
+    wp = check_strongly_movable(prod.category)
+    message = f"^no factor {i0} in a product of 2$"
+    with pytest.raises(SourceTargetMismatch, match=message):
+        factor_transport(prod, wp, i0)
+
+
 def test_product_with_v_factor_not_movable():
     # The V poset is not movable, and neither is any product containing it:
     # the factor transport direction is contrapositive evidence.

@@ -884,3 +884,41 @@ def reference_written_category(name: str, cat: FiniteCategory) -> str:
                 )
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive small cases
+
+
+@functools.lru_cache(maxsize=None)
+def posets_up_to_iso(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One reflexive order relation on range(n) per isomorphism class of
+    posets, ascending.  Each is its canonical form: the least sorted
+    relation over all relabelings.  A class on n elements extends one on
+    n - 1 by an element n - 1 above a down-set D and below an up-set U,
+    with D and U disjoint and every d <= u; removing any element of a
+    poset leaves one on n - 1 in this way, so every class is reached."""
+    if n == 0:
+        return ((),)
+    top = n - 1
+    subsets = [
+        set(s) for r in range(n) for s in itertools.combinations(range(top), r)
+    ]
+    classes = set()
+    for rel in posets_up_to_iso(top):
+        leq = set(rel)
+        downs = [s for s in subsets if all(i in s for i, j in leq if j in s)]
+        ups = [s for s in subsets if all(j in s for i, j in leq if i in s)]
+        for d in downs:
+            for u in ups:
+                if d & u or any((x, y) not in leq for x in d for y in u):
+                    continue
+                new = leq | {(x, top) for x in d} | {(top, y) for y in u}
+                new.add((top, top))
+                classes.add(
+                    min(
+                        tuple(sorted((p[i], p[j]) for i, j in new))
+                        for p in itertools.permutations(range(n))
+                    )
+                )
+    return tuple(sorted(classes))
