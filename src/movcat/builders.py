@@ -6,6 +6,8 @@ valid by construction; validate_category is only needed for foreign input.
 Every derived construction (product, coslice, category of elements, added
 initial object) checks the exact size of its result with ``core.check_size``
 before it builds anything, so none returns a category too large to read.
+A coslice and a representable refuse an object ref outside
+``range(n_objects)`` with ``core.check_ref`` before they build anything.
 Object and morphism order is the documented construction sequence, which is
 what makes witnesses reproducible.
 
@@ -51,6 +53,7 @@ from .core import (
     FiniteCategory,
     FinitePoset,
     Functor,
+    check_ref,
     check_size,
     group_by,
 )
@@ -373,6 +376,7 @@ def coslice_category(cat: FiniteCategory, x: int) -> CommaResult:
     """Coslice of ``cat`` under object ``x`` and its forgetful functor: the
     objects are the morphisms f out of x, ascending, and a morphism from f''
     to f' is each eta with eta . f'' = f'."""
+    check_ref(x, cat.n_objects, "object", "a category")
     fs = cat.mors_out_of(x)
     return _comma(
         cat,
@@ -410,6 +414,7 @@ def elements_category(h: Copresheaf) -> CommaResult:
 
 def representable_copresheaf(cat: FiniteCategory, p: int) -> Copresheaf:
     """hom(P, -) with action by post-composition."""
+    check_ref(p, cat.n_objects, "object", "a category")
     homs = [cat.hom(p, q) for q in range(cat.n_objects)]
     # Each arrow out of P lies in exactly one hom-set.
     index = {m: i for h in homs for i, m in enumerate(h)}

@@ -61,6 +61,14 @@ def check_size(what: str, n_objects: int, n_mors: int) -> None:
         )
 
 
+def check_ref(ref: int, n: int, what: str, among: str) -> None:
+    """Raise SourceTargetMismatch, naming ``what`` and ``among``, unless
+    ``ref`` is in ``range(n)``; a negative ref, which would index from the
+    end, is refused too."""
+    if ref not in range(n):
+        raise SourceTargetMismatch(f"no {what} {ref} in {among} of {n}")
+
+
 def group_by(ends: Sequence[int], n: int) -> list[list[int]]:
     """Refs ``0..len(ends)-1`` grouped by ``ends[ref]`` in ``range(n)``,
     each group ascending."""

@@ -17,8 +17,14 @@ When the reader raises, the line and column it names come from `_tokenize`,
 which scans the text again with positions; a text with a bad character
 raises that scanner's error before anything else.
 
+Each entity kind is stated once, as one entry of ``_KINDS``: its class, its
+reader and its writer.  The keyword is the class name without ``Entity``,
+lower-cased; the `Entity` union is read from the table, and
+`serialize_document` closes every block the writers open.
+
 Canonical serialization: entities in document order (which is a dependency
-order), members in ref order, one declaration per line.  Categories are
+order), members in ref order, one declaration per line.  A monoid is kept
+once, as its one-object category, and written from it.  Categories are
 read and written in normal form (identities first, named ``id_<object>``),
 which is what makes parse . serialize the identity on tables.  A category
 entity keeps the category it was made from, its source, and builds the
@@ -32,10 +38,10 @@ already in normal form and is its entity's source and normal form both.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import count
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .builders import (
     build_monoid_category,
@@ -81,15 +87,21 @@ class PosetEntity:
 
 @dataclass(frozen=True)
 class MonoidEntity:
-    name: str
-    elements: tuple[str, ...]
-    unit: int
-    table: tuple[tuple[int, ...], ...]
-    category: FiniteCategory = field(init=False, compare=False, repr=False)
+    """A named monoid, kept once, as its one-object category.  The
+    constructor takes the ``elements``, the ``unit`` ref and the ``table``
+    (``table[a][b]`` is a*b) and builds the category with
+    `build_monoid_category`, so a table that is not a monoid's is refused
+    here.  The elements are then ``category.mor_names``, the unit is
+    ``mor_names[category.identity[0]]`` and a*b is ``category.comp[(a, b)]``."""
 
-    def __post_init__(self) -> None:
-        # Built at construction, so a non-monoid table is rejected here.
-        category = build_monoid_category(self.elements, self.unit, self.table)
+    name: str
+    elements: InitVar[Sequence[str]]
+    unit: InitVar[int]
+    table: InitVar[Sequence[Sequence[int]]]
+    category: FiniteCategory = field(init=False)
+
+    def __post_init__(self, elements, unit, table) -> None:
+        category = build_monoid_category(elements, unit, table)
         object.__setattr__(self, "category", category)
 
 
@@ -167,18 +179,6 @@ class CoproductsEntity:
     @property
     def name(self) -> str:
         return f"coproducts_{self.base_name}"
-
-
-Entity = Union[
-    PosetEntity,
-    MonoidEntity,
-    CategoryEntity,
-    FunctorEntity,
-    NatTransEntity,
-    CopresheafEntity,
-    SystemEntity,
-    CoproductsEntity,
-]
 
 
 def _kind(cls: type) -> str:
@@ -574,8 +574,8 @@ def _parse_monoid(p: _Parser, doc: Document) -> MonoidEntity:
         "monoid", "TableNotTotal", {i * k + j: v for (i, j), v in mul.items()},
         range(k * k), lambda ij: f"missing mul {elems[ij // k]} {elems[ij % k]}",
     )
-    full = tuple(tuple(cells[i * k : (i + 1) * k]) for i in range(k))
-    return MonoidEntity(name, tuple(elems), unit, full)
+    rows = [cells[i * k : (i + 1) * k] for i in range(k)]
+    return MonoidEntity(name, elems, unit, rows)
 
 
 def _parse_category(p: _Parser, doc: Document) -> CategoryEntity:
@@ -747,32 +747,6 @@ def _parse_coproducts(p: _Parser, doc: Document) -> CoproductsEntity:
     return CoproductsEntity(base_name, designation)
 
 
-_PARSERS = {
-    "poset": _parse_poset,
-    "monoid": _parse_monoid,
-    "category": _parse_category,
-    "functor": _parse_functor,
-    "nattrans": _parse_nattrans,
-    "copresheaf": _parse_copresheaf,
-    "system": _parse_system,
-    "coproducts": _parse_coproducts,
-}
-_KEYWORDS = tuple(_PARSERS)
-
-
-def parse_document(text: str) -> Document:
-    """Parse and validate a `.cat` document."""
-    p = _Parser(text)
-    doc = Document()
-    while p.words[p.i]:
-        parse = _PARSERS.get(p.words[p.i])
-        if parse is None:
-            raise p.error(p.i, "one of " + ", ".join(_KEYWORDS))
-        p.i += 1
-        doc.add(parse(p, doc))
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Serializer
 
@@ -782,21 +756,18 @@ def _ser_poset(e: PosetEntity, out: list[str]) -> None:
     out.append("  elements " + " ".join(e.poset.elements) + " ;")
     for i, j in e.poset.strict_pairs():
         out.append(f"  leq {e.poset.elements[i]} {e.poset.elements[j]} ;")
-    out.append("}")
 
 
 def _ser_monoid(e: MonoidEntity, out: list[str]) -> None:
+    c = e.category
+    names = c.mor_names
     out.append(f"monoid {e.name} {{")
-    out.append("  elements " + " ".join(e.elements) + " ;")
-    out.append(f"  unit {e.elements[e.unit]} ;")
-    k = len(e.elements)
-    for i in range(k):
-        for j in range(k):
-            out.append(
-                f"  mul {e.elements[i]} {e.elements[j]} = "
-                f"{e.elements[e.table[i][j]]} ;"
-            )
-    out.append("}")
+    out.append("  elements " + " ".join(names) + " ;")
+    out.append(f"  unit {names[c.identity[0]]} ;")
+    # `build_monoid_category` fills comp in (i, j) order.
+    out.extend([
+        f"  mul {names[i]} {names[j]} = {names[v]} ;" for (i, j), v in c.comp.items()
+    ])
 
 
 def _ser_category(e: CategoryEntity, out: list[str]) -> None:
@@ -824,7 +795,6 @@ def _ser_category(e: CategoryEntity, out: list[str]) -> None:
         out.extend([
             f"{prefix}{names[f]} = {names[comp[(g, f)]]} ;" for f in into[c.mor_dom[g]]
         ])
-    out.append("}")
 
 
 def _ser_functor(e: FunctorEntity, out: list[str]) -> None:
@@ -842,7 +812,6 @@ def _ser_functor(e: FunctorEntity, out: list[str]) -> None:
             f"  arrow {f.source.mor_names[m]} => "
             f"{f.target.mor_names[f.mor_map[m]]} ;"
         )
-    out.append("}")
 
 
 def _ser_nattrans(e: NatTransEntity, out: list[str]) -> None:
@@ -854,7 +823,6 @@ def _ser_nattrans(e: NatTransEntity, out: list[str]) -> None:
         out.append(
             f"  at {src.object_names[a]} = {tgt.mor_names[nt.components[a]]} ;"
         )
-    out.append("}")
 
 
 def _ser_copresheaf(e: CopresheafEntity, out: list[str]) -> None:
@@ -879,7 +847,6 @@ def _ser_copresheaf(e: CopresheafEntity, out: list[str]) -> None:
             for x in range(len(h.fibers[d]))
         )
         out.append(f"  act {base.mor_names[m]} {{ {inner} }}")
-    out.append("}")
 
 
 def _ser_system(e: SystemEntity, out: list[str]) -> None:
@@ -905,7 +872,6 @@ def _ser_system(e: SystemEntity, out: list[str]) -> None:
                 f"  cone {s.index.elements[a]} => "
                 f"{h.fibers[s.at[a]][e.cone.elements[a]]} ;"
             )
-    out.append("}")
 
 
 def _ser_coproducts(e: CoproductsEntity, out: list[str]) -> None:
@@ -919,19 +885,40 @@ def _ser_coproducts(e: CoproductsEntity, out: list[str]) -> None:
             f"{base.object_names[j]} with inj1 {base.mor_names[i1]} "
             f"inj2 {base.mor_names[i2]} ;"
         )
-    out.append("}")
 
 
-_SERIALIZERS = {
-    PosetEntity: _ser_poset,
-    MonoidEntity: _ser_monoid,
-    CategoryEntity: _ser_category,
-    FunctorEntity: _ser_functor,
-    NatTransEntity: _ser_nattrans,
-    CopresheafEntity: _ser_copresheaf,
-    SystemEntity: _ser_system,
-    CoproductsEntity: _ser_coproducts,
+# ---------------------------------------------------------------------------
+# Kinds
+
+
+#: Each entity class with its reader and its writer, in the order in which
+#: the reader's "one of ..." error lists the keywords.  A reader starts after
+#: the keyword; a writer writes the block's lines up to its `}`.
+_KINDS = {
+    PosetEntity: (_parse_poset, _ser_poset),
+    MonoidEntity: (_parse_monoid, _ser_monoid),
+    CategoryEntity: (_parse_category, _ser_category),
+    FunctorEntity: (_parse_functor, _ser_functor),
+    NatTransEntity: (_parse_nattrans, _ser_nattrans),
+    CopresheafEntity: (_parse_copresheaf, _ser_copresheaf),
+    SystemEntity: (_parse_system, _ser_system),
+    CoproductsEntity: (_parse_coproducts, _ser_coproducts),
 }
+_READERS = {_kind(cls): read for cls, (read, _) in _KINDS.items()}
+Entity = Union[tuple(_KINDS)]
+
+
+def parse_document(text: str) -> Document:
+    """Parse and validate a `.cat` document."""
+    p = _Parser(text)
+    doc = Document()
+    while p.words[p.i]:
+        read = _READERS.get(p.words[p.i])
+        if read is None:
+            raise p.error(p.i, "one of " + ", ".join(_READERS))
+        p.i += 1
+        doc.add(read(p, doc))
+    return doc
 
 
 def serialize_document(doc: Document) -> str:
@@ -939,6 +926,6 @@ def serialize_document(doc: Document) -> str:
     for documents in normal form (all parser output is)."""
     out: list[str] = []
     for e in doc.entities:
-        _SERIALIZERS[type(e)](e, out)
-        out.append("")
+        _KINDS[type(e)][1](e, out)
+        out += ("}", "")
     return "\n".join(out)

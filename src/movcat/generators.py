@@ -54,6 +54,11 @@ class GenParams:
     adjoins an object; ``max_fiber`` is at most (MAX_OBJECTS + 6) // 4 = 17,
     since the category of elements that ``star-bridge`` builds can have
     4 * max_fiber - 6 objects.
+
+    Every category that ``random_category`` draws is within ``max_objects``
+    and ``max_morphisms``.  A poset drawn as a poset (the ``poset`` kind,
+    and the ambient poset of a system document) is bounded by
+    ``max_objects`` alone.
     """
 
     max_objects: int = 5
@@ -197,21 +202,35 @@ def random_category(
     Bias: 50% thin (posets), 25% monoids, 25% composites.  With
     ``movable_bias`` thin categories are drawn from forests (guaranteed
     strongly movable) more often.
+
+    Every draw is within ``max_objects`` and ``max_morphisms``: a draw over
+    either cap is drawn again, and after 20 draws the one-object category
+    is returned.
     """
-    roll = rng.random()
-    if roll < 0.5:
-        forest = movable_bias and rng.random() < 0.8
-        poset = random_poset(rng, params.max_objects, forest=forest)
-        return build_poset_category(poset)
-    if roll < 0.75:
-        elements, unit, table = random_monoid(rng)
-        return build_monoid_category(elements, unit, table)
-    return _random_composite(rng, params, movable_bias=movable_bias)
+    for _ in range(20):
+        roll = rng.random()
+        if roll < 0.5:
+            forest = movable_bias and rng.random() < 0.8
+            poset = random_poset(rng, params.max_objects, forest=forest)
+            cat = build_poset_category(poset)
+        elif roll < 0.75:
+            cat = build_monoid_category(*random_monoid(rng))
+        else:
+            cat = _random_composite(rng, params, movable_bias=movable_bias)
+        if _within_caps(cat, params):
+            return cat
+    return build_poset_category(make_poset(["e0"], []))
+
+
+def _within_caps(cat: FiniteCategory, params: GenParams) -> bool:
+    return cat.n_objects <= params.max_objects and cat.n_mors <= params.max_morphisms
 
 
 def _random_composite(
     rng: random.Random, params: GenParams, *, movable_bias: bool = False
 ) -> FiniteCategory:
+    """A product, coslice or category of elements, drawn again while it is
+    over a cap, up to 20 draws; the last draw is returned either way."""
     for _ in range(20):
         sub = rng.randrange(3)
         if sub == 0:
@@ -226,12 +245,9 @@ def _random_composite(
             base = build_poset_category(base_poset)
             h = representable_copresheaf(base, rng.randrange(base.n_objects))
             cat = elements_category(h).category
-        if (
-            cat.n_objects <= params.max_objects
-            and cat.n_mors <= params.max_morphisms
-        ):
-            return cat
-    return build_poset_category(make_poset(["e0", "e1"], [(0, 1)]))
+        if _within_caps(cat, params):
+            break
+    return cat
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .core import (
     Copresheaf,
     FiniteCategory,
     Functor,
+    check_ref,
     compose_functors,
     identity_functor,
     identity_nat_trans,
@@ -300,10 +301,7 @@ def factor_transport(
     projecting onto it raises SourceTargetMismatch, as does an i0 that
     indexes no factor.
     """
-    if i0 not in range(len(product.factors)):
-        raise SourceTargetMismatch(
-            f"no factor {i0} in a product of {len(product.factors)}"
-        )
+    check_ref(i0, len(product.factors), "factor", "a product")
     fac = product.factors[i0]
 
     def pad(fill, v):

@@ -54,6 +54,7 @@ from .core import (
     FiniteCategory,
     Functor,
     NaturalTransformation,
+    check_ref,
     compose_functors,
     identity_functor,
     validate_functor,
@@ -499,7 +500,14 @@ class CoproductDesignation:
     copair: dict = field(hash=False)
 
     def pair(self, a: int, b: int) -> tuple[int, int, int]:
+        """The designated ``(j, inj1, inj2)`` for objects ``a`` and ``b``.
+        Raises SourceTargetMismatch when either is no object ref, and
+        NoDesignatedCoproducts when the pair has no designated coproduct.
+        Every key of a validated table is a pair of object refs, so only a
+        pair that is not a key is checked."""
         if (a, b) not in self.table:
+            for x in (a, b):
+                check_ref(x, self.base.n_objects, "object", "a category")
             raise NoDesignatedCoproducts(
                 f"no designated coproduct for ({self.base.object_names[a]}, "
                 f"{self.base.object_names[b]})"

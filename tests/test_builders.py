@@ -29,7 +29,7 @@ from movcat.dsl import (
     parse_document,
     serialize_document,
 )
-from movcat.errors import NotAMonoid, SizeBoundExceeded
+from movcat.errors import NotAMonoid, SizeBoundExceeded, SourceTargetMismatch
 from movcat.generators import (
     MONOID_CATALOG,
     GenParams,
@@ -233,6 +233,15 @@ def test_coslice_chain2_under_bottom():
     for other in range(cat.n_objects):
         assert len(cat.hom(initial, other)) == 1
     validate_functor(cat, c2, res.forgetful.obj_map, res.forgetful.mor_map)
+
+
+@pytest.mark.parametrize("build", [coslice_category, representable_copresheaf])
+@pytest.mark.parametrize("x", [-1, 3])
+def test_builders_refuse_an_object_outside_the_category(build, x):
+    # -1 would index the last object, and 3 is one past the end.
+    message = f"^no object {x} in a category of 3$"
+    with pytest.raises(SourceTargetMismatch, match=message):
+        build(chain(3), x)
 
 
 def test_coslice_of_terminal_is_terminal():

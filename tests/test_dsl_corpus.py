@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 from movcat.builders import product_category
 from movcat import dsl
 from movcat.campaign import THEOREMS, generate_campaign_instance
+from movcat.core import compose_functors, identity_functor
 from movcat.dsl import (
     Document,
+    FunctorEntity,
+    NatTransEntity,
     _SPLIT_BLANKS,
     _tokenize,
     _words,
@@ -28,6 +31,7 @@ from movcat.dsl import (
 )
 from movcat.errors import DslSyntaxError, MovcatError, ValidationFailed
 from movcat.generators import KINDS, GenParams, generate_instance
+from movcat.search import find_weak_domination
 from util import chain
 
 PARAMS = GenParams(max_objects=4, max_morphisms=16, max_fiber=3)
@@ -538,3 +542,36 @@ def test_coproduct_coslice_documents_round_trip(law, seed):
     # The empty text, a text that ends after each block but the last, and
     # one that ends at the last brace.
     assert kept == set(range(len(kinds) + 1))
+
+
+def test_domination_functor_and_transformation_entities_round_trip():
+    """The F, G, G.F, 1_K and phi of the weak domination found on each
+    ``transfer`` document of seeds 0..59 that has one, added to that
+    document as entities, are written to a text that reads back to equal
+    functors and an equal phi, and that is written again unchanged."""
+    dominated = 0
+    for seed in range(60):
+        doc = generate_campaign_instance("transfer", seed)
+        k = doc.category_of("K")
+        found = find_weak_domination(k, doc.category_of("L")).found
+        if found is None:
+            continue
+        dominated += 1
+        f, g, phi = found
+        functors = {
+            "F": ("K", "L", f),
+            "G": ("L", "K", g),
+            "GF": ("K", "K", compose_functors(g, f)),
+            "idK": ("K", "K", identity_functor(k)),
+        }
+        for name, (source, target, functor) in functors.items():
+            doc.add(FunctorEntity(name, source, target, functor))
+        doc.add(NatTransEntity("phi", "GF", "idK", phi))
+        text = serialize_document(doc)
+        read = parse_document(text)
+        assert serialize_document(read) == text
+        assert read.entities == doc.entities
+        for name, (_, _, functor) in functors.items():
+            assert read[name].functor == functor
+        assert read["phi"].transformation == phi
+    assert dominated == 57

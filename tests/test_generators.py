@@ -9,6 +9,7 @@ from movcat.errors import NoDesignatedCoproducts, ParamsOutOfRange
 from movcat.generators import (
     GenParams,
     KINDS,
+    MONOID_CATALOG,
     generate_instance,
     poset_has_downset_minima,
     random_category,
@@ -67,6 +68,32 @@ def test_random_category_always_valid():
         )
         assert cat.n_objects <= PARAMS.max_objects
         assert cat.n_mors <= PARAMS.max_morphisms
+
+
+@pytest.mark.parametrize("params", [GenParams(20, 24, 3), GenParams(5, 2, 3)])
+def test_drawn_categories_are_within_both_caps(params):
+    # Thin draws of up to 20 elements, and monoids of up to 4, exceed these
+    # morphism caps unless they are drawn again.
+    for seed in range(300):
+        cat = generate_instance("category", seed, params).category_of("K")
+        assert cat.n_objects <= params.max_objects
+        assert cat.n_mors <= params.max_morphisms
+
+
+class _KleinEveryTime(random.Random):
+    """A stream that draws a monoid every time, the catalog's last one."""
+
+    def random(self):
+        return 0.6
+
+    def randrange(self, n):
+        return n - 1
+
+
+def test_random_category_falls_back_to_the_one_object_category():
+    assert len(MONOID_CATALOG[-1][0]) == 4
+    cat = random_category(_KleinEveryTime(), GenParams(5, 3, 3))
+    assert (cat.object_names, cat.mor_names) == (("e0",), ("id_e0",))
 
 
 def test_copresheaf_documents_valid():

@@ -287,6 +287,16 @@ def test_designation_missing_pair():
         des.pair(0, 0)
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (7, 0), (0, -1), (0, 7)])
+def test_designation_pair_refuses_an_object_outside_the_base(a, b):
+    doc = generate_campaign_instance("coproduct-coslice", 1)
+    des = doc["coproducts_P"].designation
+    assert des.base.n_objects == 7
+    message = f"^no object {a or b} in a category of 7$"  # the ref that is not 0
+    with pytest.raises(SourceTargetMismatch, match=message):
+        des.pair(a, b)
+
+
 def test_designation_universal_property_fails():
     v = v_poset_category()
     ia = v.hom(0, 2)[0]
