@@ -50,6 +50,7 @@ from .generators import (
     semilattice_designation,
     _FAMILIES,
     _Family,
+    _capped,
     _check_params,
     _generate,
 )
@@ -82,7 +83,7 @@ from .systems import (
 
 
 def _product_doc(rng: random.Random, params: GenParams) -> Document:
-    small = GenParams(4, 16, params.max_fiber)
+    small = _capped(params, 4, 16)
     return Document(
         [
             make_category_entity(name, random_category(rng, small))

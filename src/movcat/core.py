@@ -123,6 +123,11 @@ class FiniteCategory:
     def n_mors(self) -> int:
         return len(self.mor_names)
 
+    @property
+    def thin(self) -> bool:
+        """True when every hom-set holds at most one morphism."""
+        return len(self._hom) == len(self.mor_names)
+
     def is_identity(self, m: int) -> bool:
         return self.identity[self.mor_dom[m]] == m
 
@@ -215,13 +220,13 @@ def validate_category(
     for f in range(n_mor):
         if comp[(identity[cod[f]], f)] != f or comp[(f, identity[dom[f]])] != f:
             bad.append(Violation("IdentityLawBroken", f"f={names[f]}"))
-    # multi[a]: the b with two or more morphisms a -> b.
-    multi = [set() for _ in range(n_obj)]
-    for (a, b), ms in cat._hom.items():
-        if len(ms) > 1:
-            multi[a].add(b)
     # A thin category has nothing to compare.
-    if any(multi):
+    if not cat.thin:
+        # multi[a]: the b with two or more morphisms a -> b.
+        multi = [set() for _ in range(n_obj)]
+        for (a, b), ms in cat._hom.items():
+            if len(ms) > 1:
+                multi[a].add(b)
         for g in range(n_mor):
             out = cat.mors_out_of(cod[g])
             for f in cat.mors_into(dom[g]):

@@ -58,12 +58,24 @@ class GenParams:
     Every category that ``random_category`` draws is within ``max_objects``
     and ``max_morphisms``.  A poset drawn as a poset (the ``poset`` kind,
     and the ambient poset of a system document) is bounded by
-    ``max_objects`` alone.
+    ``max_objects`` alone.  The ``K x M`` branch of a domination pair is
+    fixed-size: a forest of up to 3 elements times one of up to 2, whatever
+    the caps.
     """
 
     max_objects: int = 5
     max_morphisms: int = 24
     max_fiber: int = 3
+
+
+def _capped(params: GenParams, max_objects: int, max_morphisms: int) -> GenParams:
+    """``params`` with each size cap lowered to the given one where that is
+    smaller."""
+    return GenParams(
+        min(max_objects, params.max_objects),
+        min(max_morphisms, params.max_morphisms),
+        params.max_fiber,
+    )
 
 
 def _check_params(params: GenParams) -> None:
@@ -525,7 +537,7 @@ def random_domination_doc(rng: random.Random, params: GenParams) -> Document:
         m = build_poset_category(random_poset(rng, 2, forest=True))
         l = product_category([k, m]).category
     else:
-        small = GenParams(3, 12, params.max_fiber)
+        small = _capped(params, 3, 12)
         k = random_category(rng, small, movable_bias=True)
         l = random_category(rng, small, movable_bias=True)
     return Document([make_category_entity("K", k), make_category_entity("L", l)])

@@ -16,7 +16,10 @@ SM1, SM2 and the copresheaf condition are decided by the same first-winner
 search as movability (``movability._first_winners``).  The copresheaf
 condition is strong movability of the category of elements (a
 ``CommaResult``), decided without building it: one pass over the points
-and their ``mors_out_of`` lists the elements over every point.
+and their ``mors_out_of`` lists the elements over every point.  Over a thin
+base the category of elements is thin too, and ``check_star`` decides by
+reachability bitsets over the points instead, with the search's answers
+(see ``movability``).
 """
 
 from __future__ import annotations
@@ -351,27 +354,97 @@ def check_star(h: Copresheaf) -> StarResult:
     This is strong movability of the category of elements, computed without
     building it.
     """
-    base = h.base
-    points = [(q, x) for q in range(base.n_objects) for x in range(len(h.fibers[q]))]
-    # over[(q, x)]: every (q2, x2, eta2: q2 -> q) with action(eta2)(x2) = x.
-    over = {pt: [] for pt in points}
+    if h.base.thin:
+        return _star_thin(h)
+    return _star_search(h)
+
+
+def _points_over(h: Copresheaf):
+    """The points (Q, x) in order; ``at[Q]``, the place of (Q, 0) among
+    them; and for each place, the (Q'', x'', eta': Q'' -> Q) with
+    action(eta')(x'') = x over the point (Q, x) there, in the order of their
+    points, then of eta'."""
+    base, action = h.base, h.action
+    at, points = [], []
+    for q, fiber in enumerate(h.fibers):
+        at.append(len(points))
+        points += [(q, x) for x in range(len(fiber))]
+    over = [[] for _ in points]
     for q2, x2 in points:
         for eta2 in base.mors_out_of(q2):
-            over[(base.mor_cod[eta2], h.action[eta2][x2])].append((q2, x2, eta2))
+            over[at[base.mor_cod[eta2]] + action[eta2][x2]].append((q2, x2, eta2))
+    return points, at, over
 
-    hom, comp, action = base.hom, base.comp, h.action
 
-    def respond(pt, cand, ch):
+def _star_search(h: Copresheaf) -> StarResult:
+    """``check_star`` by the first-winner search, for any base."""
+    points, _, over = _points_over(h)
+    hom, comp, action = h.base.hom, h.base.comp, h.action
+
+    def respond(j, cand, ch):
         (q1, x1, eta), (q2, x2, eta2) = cand, ch
         for e in hom(q1, q2):
             if comp[eta2, e] == eta and action[e][x1] == x2:
                 return e
         return None
 
-    won, stuck = _first_winners(points, over.get, over.get, respond)
-    if stuck:
-        return StarCounterexample(*stuck)
-    return StarWitness(
-        {pt: cand for pt, cand, _ in won},
-        {(*pt, *ch): e for pt, _, answers in won for ch, e in answers},
+    won, stuck = _first_winners(
+        range(len(points)), over.__getitem__, over.__getitem__, respond
     )
+    if stuck:
+        j, defeats = stuck
+        return StarCounterexample(points[j], defeats)
+    return StarWitness(
+        {points[j]: cand for j, cand, _ in won},
+        {(*points[j], *ch): e for j, _, answers in won for ch, e in answers},
+    )
+
+
+def _star_thin(h: Copresheaf) -> StarResult:
+    """``check_star`` over a thin base, by reachability bitsets.
+
+    Over a thin base eta' . eta'' and eta both lie in hom(Q', Q), which holds
+    at most one morphism, so (Q', x', eta) answers (Q'', x'', eta') exactly
+    when the one eta'': Q' -> Q'' exists and carries x' to x'', that is,
+    when (Q'', x'') is in ``up`` of (Q', x'), the points to which the arrows
+    out of Q' carry x'.  So a candidate wins at (Q, x) when ``up`` of its
+    point holds ``need``, the points of the challenges there; its first
+    defeat is the first challenge whose point it misses.  A point's bit is
+    its place in ``points``; ``up`` is made when a candidate first needs it.
+    """
+    points, at, over = _points_over(h)
+    # The hom-sets read from their dict, as in ``movability._movable_thin``.
+    base, action, hom = h.base, h.action, h.base._hom
+    up = [None] * len(points)
+
+    def reach(q1, x1):
+        i = at[q1] + x1
+        r = up[i]
+        if r is None:
+            r = 0
+            for e in base.mors_out_of(q1):
+                r |= 1 << at[base.mor_cod[e]] + action[e][x1]
+            up[i] = r
+        return r
+
+    choice, connectors = {}, {}
+    for j, chs in enumerate(over):
+        need = 0
+        for q2, x2, _ in chs:
+            need |= 1 << at[q2] + x2
+        for cand in chs:
+            if not need & ~reach(cand[0], cand[1]):
+                break
+        else:
+            defeats = {}
+            for cand in chs:
+                missing = need & ~reach(cand[0], cand[1])
+                defeats[cand] = next(
+                    ch for ch in chs if missing >> at[ch[0]] + ch[1] & 1
+                )
+            return StarCounterexample(points[j], defeats)
+        pt, q1 = points[j], cand[0]
+        choice[pt] = cand
+        for ch in chs:
+            connectors[(*pt, *ch)] = hom[q1, ch[0]][0]
+    return StarWitness(choice, connectors)

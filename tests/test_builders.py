@@ -83,6 +83,27 @@ def test_monoid_category():
         build_monoid_category(["e", "a"], 0, [[0, 1], [1, 1]][::-1])
 
 
+@pytest.mark.parametrize(
+    "unit, table, message",
+    [
+        (0, [[0, 1], [1]], "table is not square"),
+        (0, [[0, 1]], "table is not square"),
+        (0, [[0, 1], [1, 2]], "table entry out of range"),
+        (0, [[0, 1], [1, -1]], "table entry out of range"),
+        (2, [[0, 1], [1, 0]], "unit out of range"),
+        (-1, [[0, 1], [1, 0]], "unit out of range"),
+    ],
+)
+def test_monoid_tables_of_the_wrong_shape(unit, table, message):
+    with pytest.raises(NotAMonoid, match=message):
+        build_monoid_category(["e", "a"], unit, table)
+
+
+def test_product_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        product_category([])
+
+
 def test_monoid_non_associative():
     # x*y = y except a*a = e: (a*a)*b = e*b = b, a*(a*b) = a*b = b fine;
     # use a table that is genuinely non-associative instead.

@@ -112,6 +112,10 @@ def test_functor_validation_and_errors():
     with pytest.raises(ValidationFailed) as e:
         validate_functor(c2, c3, [0, 1], [3, 1, 3])  # identity not preserved
     assert "IdentityNotPreserved" in e.value.codes
+    for obj_map, mor_map in (([0], [0, 1, 3]), ([0, 1], [0, 1])):
+        with pytest.raises(ValidationFailed) as e:
+            validate_functor(c2, c3, obj_map, mor_map)
+        assert e.value.violations == [Violation("BadRef", "map size mismatch")]
 
 
 def test_functor_composition_not_preserved():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from movcat import generators
 from movcat.builders import build_poset_category
-from movcat.core import Copresheaf, make_poset, validate_category
+from movcat.campaign import generate_campaign_instance
+from movcat.core import MAX_MORPHISMS, Copresheaf, make_poset, validate_category
 from movcat.dsl import serialize_document
 from movcat.errors import NoDesignatedCoproducts, ParamsOutOfRange
 from movcat.generators import (
@@ -47,6 +49,12 @@ def test_params_out_of_range():
         generate_instance("nonsense", 0, PARAMS)
 
 
+@pytest.mark.parametrize("max_morphisms", [0, MAX_MORPHISMS + 1])
+def test_morphism_cap_out_of_range(max_morphisms):
+    with pytest.raises(ParamsOutOfRange, match=f"max_morphisms={max_morphisms}"):
+        generate_instance("poset", 0, GenParams(max_morphisms=max_morphisms))
+
+
 def test_random_poset_flags():
     for seed in range(30):
         rng = random.Random(seed)
@@ -76,6 +84,28 @@ def test_drawn_categories_are_within_both_caps(params):
     # morphism caps unless they are drawn again.
     for seed in range(300):
         cat = generate_instance("category", seed, params).category_of("K")
+        assert cat.n_objects <= params.max_objects
+        assert cat.n_mors <= params.max_morphisms
+
+
+def test_fixed_size_draws_keep_the_callers_caps(monkeypatch):
+    # The product law's factors and the categories that a domination pair
+    # draws with random_category are drawn at the smaller of their fixed
+    # caps and the caller's; a pair's K x M branch is fixed-size.
+    params = GenParams(2, 3, 3)
+    factors, drawn = [], []
+
+    def recorded(rng, p, **kw):
+        drawn.append(random_category(rng, p, **kw))
+        return drawn[-1]
+
+    monkeypatch.setattr(generators, "random_category", recorded)
+    for seed in range(300):
+        doc = generate_campaign_instance("product", seed, params)
+        factors += [doc.category_of("K1"), doc.category_of("K2")]
+        generate_campaign_instance("transfer", seed, params)
+    assert len(factors) == 600 and len(drawn) > 100
+    for cat in factors + drawn:
         assert cat.n_objects <= params.max_objects
         assert cat.n_mors <= params.max_morphisms
 

@@ -10,13 +10,14 @@ import dataclasses
 import itertools
 import random
 
-from movcat import search
+from movcat import campaign, movability, search, systems
 from movcat.builders import (
     add_initial_object,
     build_poset_category,
     coslice_category,
     elements_category,
     product_category,
+    representable_copresheaf,
 )
 from movcat.campaign import generate_campaign_instance
 from movcat.core import identity_functor, make_poset, validate_category
@@ -33,6 +34,7 @@ from movcat.search import (
 )
 from movcat.systems import (
     SM1Witness,
+    StarWitness,
     check_sm1,
     check_sm2,
     check_star,
@@ -54,6 +56,7 @@ from util import (
     naive_sm2,
     naive_star,
     pointed_sets_2,
+    posets_up_to_iso,
     random_retract_system,
     slot_row,
     sm1_answers,
@@ -243,3 +246,127 @@ def test_folded_identities_match_reference():
             ], (where, fixed)
             pinned += 1
     assert pinned > 20
+
+
+def _preorder_categories(n):
+    """Every preorder on n labelled objects, as a thin category whose
+    arrows are listed by descending (dom, cod): isomorphic objects make
+    several candidates win at once, so the order in which they are tried
+    shows."""
+    off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for bits in range(1 << len(off)):
+        rel = {(a, a) for a in range(n)}
+        rel |= {pair for i, pair in enumerate(off) if bits >> i & 1}
+        if any((a, c) not in rel for a, b in rel for b2, c in rel if b == b2):
+            continue
+        arrows = sorted(rel, reverse=True)
+        ref = {pair: i for i, pair in enumerate(arrows)}
+        yield validate_category(
+            [f"o{a}" for a in range(n)],
+            [(f"m{a}{b}", a, b) for a, b in arrows],
+            [ref[a, a] for a in range(n)],
+            {
+                (ref[b, c], ref[a, b]): ref[a, c]
+                for a, b in arrows
+                for b2, c in arrows
+                if b == b2
+            },
+        )
+
+
+def test_thin_bodies_match_the_search(monkeypatch):
+    # Over a thin target the deciders answer by reachability bitsets; here
+    # each bitset body is compared, whole result against whole result, with
+    # the first-winner search it stands in for.  Each corpus's positive and
+    # negative counts are pinned, so defeat tables are compared too.
+    counts = {}
+
+    def movable(corpus, phi):
+        assert phi.target.thin
+        got = movability._movable_thin(phi)
+        _same(got, movability._movable_search(phi), corpus)
+        key = corpus, isinstance(got, MovabilityWitness)
+        counts[key] = counts.get(key, 0) + 1
+
+    def star(corpus, h):
+        assert h.base.thin
+        got = systems._star_thin(h)
+        _same(got, systems._star_search(h), corpus)
+        key = corpus, isinstance(got, StarWitness)
+        counts[key] = counts.get(key, 0) + 1
+
+    # Every thin category that the eight laws decide over seeds 0..299.
+    def decide(k):
+        if k.thin:
+            movable("laws", identity_functor(k))
+        return check_strongly_movable(k)
+
+    monkeypatch.setattr(campaign, "check_strongly_movable", decide)
+    for law in campaign.THEOREMS:
+        for seed in range(300):
+            assert campaign.evaluate_instance(
+                law, generate_campaign_instance(law, seed)
+            )[0]
+    monkeypatch.undo()
+    # Every poset on at most five elements; the forgetful functors of its
+    # coslices and of its representables' categories of elements.
+    for n in range(1, 6):
+        for rel in posets_up_to_iso(n):
+            cat = build_poset_category(make_poset([f"p{i}" for i in range(n)], rel))
+            movable("posets", identity_functor(cat))
+            for x in range(n):
+                movable("forgetful", coslice_category(cat, x).forgetful)
+                rep = representable_copresheaf(cat, x)
+                movable("forgetful", elements_category(rep).forgetful)
+                if n <= 4:
+                    star("representables", rep)
+    # Every preorder on at most three objects, with the same functors.
+    for n in range(1, 4):
+        for cat in _preorder_categories(n):
+            movable("preorders", identity_functor(cat))
+            for x in range(n):
+                movable("preorders", coslice_category(cat, x).forgetful)
+                rep = representable_copresheaf(cat, x)
+                movable("preorders", elements_category(rep).forgetful)
+                star("preorders", rep)
+    # The cap-size inputs: the chain(8)^2 grid, and at both upper covers x
+    # of its bottom the coslice under x and the elements of hom(x, -).
+    prod = product_category([chain(8), chain(8)])
+    movable("cap", identity_functor(prod.category))
+    for c in ([0, 1], [1, 0]):
+        x = prod.object_index(c)
+        rep = representable_copresheaf(prod.category, x)
+        elements = elements_category(rep)
+        movable("cap", identity_functor(coslice_category(prod.category, x).category))
+        movable("cap", identity_functor(elements.category))
+        movable("cap", elements.forgetful)
+        star("cap", rep)
+    # The projections of the product law's products onto their thin
+    # factors; a non-thin product gives a mover several arrows into X.
+    for seed in range(300):
+        doc = generate_campaign_instance("product", seed)
+        res = product_category([doc.category_of("K1"), doc.category_of("K2")])
+        for pr in res.projections:
+            if pr.target.thin:
+                movable("projections", pr)
+    # The copresheaves of the two system laws over a thin ambient.
+    for law in ("sm-bridge", "star-bridge"):
+        for seed in range(300):
+            h = generate_campaign_instance(law, seed)["S"].cone.copresheaf
+            if h.base.thin:
+                star("systems", h)
+    assert counts == {
+        ("laws", True): 2976,
+        ("laws", False): 214,
+        ("posets", True): 45,
+        ("posets", False): 42,
+        ("forgetful", True): 798,
+        ("preorders", True): 319,
+        ("preorders", False): 3,
+        ("representables", True): 84,
+        ("cap", True): 9,
+        ("projections", True): 457,
+        ("projections", False): 17,
+        ("systems", True): 283,
+        ("systems", False): 215,
+    }
