@@ -26,6 +26,9 @@ which keeps the object and morphism indices that the construction builds.
 A comma morphism is fixed by its source object and eta, so the construction
 keeps one row per object, the dict eta -> ref, and reads each composite and
 each identity from the source's row; ``morphism_index`` reads the same row.
+Over a thin base the comma is thin, so it also keeps a target-keyed row per
+object, the dict j -> ref of the one morphism to j, and reads each composite
+from the source's target-keyed row, as ``build_poset_category`` does.
 A product answers ``object_index`` and ``morphism_index``, and a comma
 result ``object_index``, by dict lookup; both result types raise ValueError
 on a key that names nothing.  The comma construction reads the
@@ -66,8 +69,9 @@ def build_poset_category(poset: FinitePoset) -> FiniteCategory:
     Morphism order: identities (object order) first, then strict pairs in
     (i, j) order, named ``le{i}_{j}``.  Each object a keeps one row, the
     dict b -> ref of a -> b, and the composite of f: a -> b with each g out
-    of b is read from a's row at cod(g); ``comp`` lists f ascending and, per
-    f, g ascending.
+    of b is read from a's row at cod(g) by ``_thin_comp``, the loop that the
+    comma construction runs over a thin base; ``comp`` lists f ascending
+    and, per f, g ascending.
     """
     n = poset.n
     names = [f"id_{poset.elements[i]}" for i in range(n)]
@@ -79,16 +83,32 @@ def build_poset_category(poset: FinitePoset) -> FiniteCategory:
         names.append(f"le{i}_{j}")
         dom.append(i)
         cod.append(j)
-    by_dom = group_by(dom, n)
-    comp = {}
-    for f in range(len(names)):
-        row = to[dom[f]]
-        for g in by_dom[cod[f]]:
-            comp[g, f] = row[cod[g]]
+    comp = _thin_comp(to, dom, cod, group_by(dom, n))
     return FiniteCategory(
         tuple(poset.elements), tuple(names), tuple(dom), tuple(cod),
         tuple(range(n)), comp,
     )
+
+
+def _thin_comp(
+    to: Sequence[dict[int, int]],
+    dom: Sequence[int],
+    cod: Sequence[int],
+    by_dom: Sequence[Sequence[int]],
+) -> dict[tuple[int, int], int]:
+    """The composition table of a thin category whose object a keeps the
+    row ``to[a]``, the dict b -> ref of the one morphism a -> b.
+
+    The composite of f with each g out of cod(f) is the one morphism
+    dom(f) -> cod(g), read from dom(f)'s row; ``comp`` lists f ascending
+    and, per f, g ascending (``by_dom[b]``: the refs out of b, ascending).
+    """
+    comp = {}
+    for f in range(len(dom)):
+        row = to[dom[f]]
+        for g in by_dom[cod[f]]:
+            comp[g, f] = row[cod[g]]
+    return comp
 
 
 def build_monoid_category(
@@ -340,7 +360,11 @@ def _comma(
     lexicographic order, named ``{tag}{i}_{j}_`` plus the name of eta.
     Composites are filled per composable pair, first arrow outer and second
     arrow ascending; searches iterate ``comp`` in insertion order, so this
-    order is part of the result.  ``what`` names the result when it is over
+    order is part of the result.  The composite of (i, j, e1) with (j, k, e2)
+    is read from i's row at the base composite e2 . e1; over a thin base,
+    where i -> k holds one morphism, it is read from i's target-keyed row at
+    k instead (``_thin_comp``, as ``build_poset_category`` does), with no
+    base composite looked up.  ``what`` names the result when it is over
     the caps.
     """
     check_size(what, len(objects), sum(len(base.mors_out_of(b)) for b in over))
@@ -352,20 +376,31 @@ def _comma(
             for eta in base.mors_out_of(b)
         )
     )
-    # row[i]: eta -> ref of (i, j, eta); i and eta fix j.
+    # row[i]: eta -> ref of (i, j, eta); i and eta fix j.  Over a thin
+    # base, to[i]: j -> ref of the one morphism i -> j.
     row: list[dict[int, int]] = [{} for _ in over]
-    for r, (i, _, eta) in enumerate(triples):
-        row[i][eta] = r
+    thin = base.thin
+    if thin:
+        to: list[dict[int, int]] = [{} for _ in over]
+        for r, (i, j, eta) in enumerate(triples):
+            row[i][eta] = r
+            to[i][j] = r
+    else:
+        for r, (i, _, eta) in enumerate(triples):
+            row[i][eta] = r
     dom = tuple(i for i, _, _ in triples)
     cod = tuple(j for _, j, _ in triples)
     identity = tuple(row[i][base.identity[b]] for i, b in enumerate(over))
     out = group_by(dom, len(over))
-    bcomp = base.comp
-    comp = {}
-    for r1, (i, j, e1) in enumerate(triples):
-        ri = row[i]
-        for r2 in out[j]:
-            comp[r2, r1] = ri[bcomp[triples[r2][2], e1]]
+    if thin:
+        comp = _thin_comp(to, dom, cod, out)
+    else:
+        bcomp = base.comp
+        comp = {}
+        for r1, (i, j, e1) in enumerate(triples):
+            ri = row[i]
+            for r2 in out[j]:
+                comp[r2, r1] = ri[bcomp[triples[r2][2], e1]]
     mor_names = tuple(f"{tag}{i}_{j}_{base.mor_names[e]}" for i, j, e in triples)
     cat = FiniteCategory(tuple(obj_names), mor_names, dom, cod, identity, comp)
     forgetful = Functor(cat, base, tuple(over), tuple(e for _, _, e in triples))

@@ -434,6 +434,46 @@ def test_builders_match_definition_reference():
         assert res.morphism_triples == ref_triples
 
 
+def _assert_comma_is_reference(res, ref):
+    """A comma result equals the reference ``(category, forgetful maps,
+    triples)`` on whole tables, ``comp``'s insertion order included."""
+    ref_cat, ref_forgetful, ref_triples = ref
+    assert _tables(res.category) == _tables(ref_cat)
+    assert _maps(res.forgetful) == ref_forgetful
+    assert res.morphism_triples == ref_triples
+
+
+def test_comma_matches_reference_on_multi_morphism_bases():
+    # The coslice under every object, and the elements of the representable
+    # there, over bases with and without hom-sets of two or more morphisms,
+    # so that both composite loops of _comma run: the general one, which
+    # reads the base's composite, and the thin one.
+    thin = multi = count = 0
+    for cat in _multi_hom_categories():
+        thin += cat.thin
+        multi += not cat.thin
+        for x in range(cat.n_objects):
+            h = representable_copresheaf(cat, x)
+            _assert_comma_is_reference(coslice_category(cat, x), naive_coslice(cat, x))
+            _assert_comma_is_reference(elements_category(h), naive_elements(h))
+            count += 1
+    assert (multi, thin, count) == (29, 7, 172)
+
+
+def test_thin_comma_matches_reference_at_cap_size():
+    # The coslice of the chain(8)^2 grid under both upper covers of its
+    # bottom, and the elements of the representables there (56 objects /
+    # 1008 morphisms each), through the thin composite loop.
+    prod = product_category([chain(8), chain(8)])
+    grid = prod.category
+    assert grid.thin
+    for c in ([0, 1], [1, 0]):
+        x = prod.object_index(c)
+        h = representable_copresheaf(grid, x)
+        _assert_comma_is_reference(coslice_category(grid, x), naive_coslice(grid, x))
+        _assert_comma_is_reference(elements_category(h), naive_elements(h))
+
+
 def _drawn_posets():
     """Seeded posets of 1..48 elements in the shapes the check-cap bench
     reads: forests (each element has at most one lower cover) and sparse

@@ -23,6 +23,7 @@ from movcat.core import (
 )
 from movcat.errors import (
     InvalidCopresheaf,
+    SourceTargetMismatch,
     ValidationFailed,
     Violation,
 )
@@ -91,6 +92,67 @@ def test_assoc_broken():
     with pytest.raises(ValidationFailed) as e:
         validate_category(["A"], mors, [0], comp)
     assert "AssocBroken" in e.value.codes
+
+
+@pytest.mark.parametrize(
+    "mors, identity, violations",
+    [
+        (
+            [("id_A", 0, 0), ("id_B", 1, 1), ("f", 0, 2), ("g", -1, 1)],
+            [0, 1],
+            [
+                ("BadRef", "morphism 2 has dom/cod out of range"),
+                ("BadRef", "morphism 3 has dom/cod out of range"),
+            ],
+        ),
+        (
+            [("id_A", 0, 0), ("id_B", 1, 1)],
+            [0],
+            [("BadRef", "identity table size != object count")],
+        ),
+    ],
+)
+def test_validate_category_rejects_bad_refs(mors, identity, violations):
+    # The ref checks run before any composite is read, and list every
+    # violation they find.
+    with pytest.raises(ValidationFailed) as e:
+        validate_category(["A", "B"], mors, identity, {})
+    assert e.value.violations == [Violation(*v) for v in violations]
+    assert str(e.value) == "category: " + "; ".join(f"{c}: {d}" for c, d in violations)
+
+
+@pytest.mark.parametrize(
+    "obj_map, mor_map, detail",
+    [([0, 3], [0, 1, 3], "object 1"), ([0, 1], [0, 1, 6], "morphism 2")],
+)
+def test_functor_rejects_refs_out_of_range(obj_map, mor_map, detail):
+    with pytest.raises(ValidationFailed) as e:
+        validate_functor(chain(2), chain(3), obj_map, mor_map)
+    assert e.value.violations == [Violation("BadRef", detail)]
+    assert str(e.value) == f"functor: BadRef: {detail}"
+
+
+def test_nat_trans_rejects_non_parallel_functors_and_wrong_component_count():
+    c2, c3 = chain(2), chain(3)
+    f = validate_functor(c2, c3, [0, 1], [0, 1, 3])
+    other = validate_functor(c2, chain(2), [0, 1], [0, 1, 2])
+    with pytest.raises(SourceTargetMismatch) as e:
+        validate_nat_trans([0, 1], f, other)
+    assert str(e.value) == "functors are not parallel"
+    with pytest.raises(ValidationFailed) as e:
+        validate_nat_trans([0], f, f)
+    assert e.value.violations == [Violation("BadRef", "component count mismatch")]
+    assert str(e.value) == "nat-trans: BadRef: component count mismatch"
+
+
+def test_make_poset_rejects_pairs_out_of_range():
+    with pytest.raises(ValidationFailed) as e:
+        make_poset(["a", "b"], [(0, 1), (0, 2), (-1, 1)])
+    assert e.value.violations == [
+        Violation("BadRef", "leq pair (0, 2)"),
+        Violation("BadRef", "leq pair (-1, 1)"),
+    ]
+    assert str(e.value) == "poset: BadRef: leq pair (0, 2); BadRef: leq pair (-1, 1)"
 
 
 def test_hom_partitions_morphisms():

@@ -6,7 +6,7 @@ from movcat.builders import (
     representable_copresheaf,
 )
 from movcat.core import Copresheaf, make_poset
-from movcat.errors import ConeIncompatible, ValidationFailed
+from movcat.errors import ConeIncompatible, ValidationFailed, Violation
 from movcat.generators import terminal_copresheaf
 from movcat.movability import MovabilityWitness, check_movable_wrt
 from movcat.systems import (
@@ -73,6 +73,40 @@ def test_validate_system_rejects_out_of_range_bond_key():
         with pytest.raises(ValidationFailed) as e:
             validate_system(amb, idx, [1, 0], {(0, 1): 2, key: 2})
         assert e.value.codes == {"BadRef"}
+
+
+def test_validate_system_rejects_bad_object_map():
+    amb = chain(2)
+    idx = make_poset(["i0", "i1"], [(0, 1)])
+    with pytest.raises(ValidationFailed) as e:
+        validate_system(amb, idx, [1], {})
+    assert e.value.violations == [Violation("BadRef", "object map size")]
+    assert str(e.value) == "system: BadRef: object map size"
+    with pytest.raises(ValidationFailed) as e:
+        validate_system(amb, idx, [2, -1], {})
+    assert e.value.violations == [
+        Violation("BadRef", "object at index i0"),
+        Violation("BadRef", "object at index i1"),
+    ]
+    assert str(e.value) == (
+        "system: BadRef: object at index i0; BadRef: object at index i1"
+    )
+
+
+def test_validate_system_rejects_mistyped_reflexive_bond():
+    amb = chain(2)
+    idx = make_poset(["i0", "i1"], [(0, 1)])
+    with pytest.raises(ValidationFailed) as e:
+        validate_system(amb, idx, [1, 0], {(0, 1): 2, (1, 1): 1})
+    # id_1 at i1, over object 0, is not its identity, nor in hom(0, 0).
+    assert e.value.violations == [
+        Violation("BondTypeError", "reflexive bond at i1"),
+        Violation("BondTypeError", "bond (i1, i1) mistyped"),
+    ]
+    assert str(e.value) == (
+        "system: BondTypeError: reflexive bond at i1; "
+        "BondTypeError: bond (i1, i1) mistyped"
+    )
 
 
 def test_validate_system_bond_functoriality():
