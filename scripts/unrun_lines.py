@@ -5,14 +5,15 @@
 Runs ``pytest.main`` in this process (with ``-q`` and PYTEST_ARGS; by
 default the ``testpaths`` of pyproject.toml) under a ``sys.settrace`` line
 tracer, then prints, per module of ``src/movcat``, the statement lines that
-no test ran, and a last line ``unrun N of M``.  A statement line is the
-``lineno`` of an ``ast.stmt``, docstrings excepted; several statements on
-one line count once.  A statement counts as run when any line of its own
-gets a line event: every line of a simple statement, or the header lines
-of a compound one (its decorators, and every line up to its body that no
-nested statement holds), since Python emits no event for the first line of
-a condition that spans several lines.  Only the standard library and
-pytest are used.
+no test ran, and a last line ``unrun N of M``.  The statement lines are read
+before the run starts, so they are those of the sources the run traced.  A
+statement line is the ``lineno`` of an ``ast.stmt``, docstrings excepted;
+several statements on one line count once.  A statement counts as run when
+any line of its own gets a line event: every line of a simple statement, or
+the header lines of a compound one (its decorators, and every line up to
+its body that no nested statement holds), since Python emits no event for
+the first line of a condition that spans several lines.  Only the standard
+library and pytest are used.
 
 Code that runs in another process is not traced: tests that start the CLI
 or the benchmark in a subprocess add nothing here, so their lines may be
@@ -92,17 +93,29 @@ def traced(files, call):
     return result, ran
 
 
+def unrun_report(paths, call):
+    """Read the statement lines of each of ``paths``, then run ``call()``
+    under the line tracer.  Return its result and, per path name, the
+    statement lines and the first lines of those that did not run.  The
+    sources are read before the call, so a source edited while it runs is
+    still reported against the lines that the call traced."""
+    own = {str(path): statement_lines(path) for path in paths}
+    result, ran = traced(own, call)
+    return result, {
+        name: (lines, unrun_lines(lines, ran[name])) for name, lines in own.items()
+    }
+
+
 def main(argv: list[str]) -> int:
-    files = {str(p): p for p in sorted(SRC.glob("*.py"))}
+    paths = sorted(SRC.glob("*.py"))
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
-    status, ran = traced(files, lambda: pytest.main(["-q", *argv]))
+    status, report = unrun_report(paths, lambda: pytest.main(["-q", *argv]))
     unrun_total = total = 0
-    for name, path in files.items():
-        own = statement_lines(path)
-        unrun = unrun_lines(own, ran[name])
+    for path in paths:
+        own, unrun = report[str(path)]
         total += len(own)
         unrun_total += len(unrun)
         if unrun:

@@ -33,6 +33,10 @@ one field an entity stores after construction.  The writer reads the
 source under the normal form's names (``builders.normal_names``), so
 writing a made category builds no second category.  A parsed category is
 already in normal form and is its entity's source and normal form both.
+Over a thin category a compose line reads the composite's name from the
+target's column, one list per object y of the names of the morphisms into
+y, indexed by domain; this equals the name of ``comp[(g, f)]`` whenever
+``comp`` is typed.  Any other category is written from ``comp``.
 """
 
 from __future__ import annotations
@@ -790,11 +794,25 @@ def _ser_category(e: CategoryEntity, out: list[str]) -> None:
     # The composable pairs (g, f) in ascending order, which are exactly the
     # keys of comp, with identities left out.
     into = [[f for f in c.mors_into(x) if f not in ids] for x in range(c.n_objects)]
-    for g in arrows:
-        prefix = f"  compose {names[g]} "
-        out.extend([
-            f"{prefix}{names[f]} = {names[comp[(g, f)]]} ;" for f in into[c.mor_dom[g]]
-        ])
+    if c.thin:
+        # In a thin category g.f is the one morphism dom f -> cod g, so the
+        # line reads its name from cod g's column at dom f; whenever comp is
+        # typed this is the name of comp[(g, f)].
+        dom, cod = c.mor_dom, c.mor_cod
+        cols = [[None] * c.n_objects for _ in range(c.n_objects)]
+        for y, col in enumerate(cols):
+            for a in c.mors_into(y):
+                col[dom[a]] = names[a]
+        for g in arrows:
+            prefix, col = f"  compose {names[g]} ", cols[cod[g]]
+            out.extend([f"{prefix}{names[f]} = {col[dom[f]]} ;" for f in into[dom[g]]])
+    else:
+        for g in arrows:
+            prefix = f"  compose {names[g]} "
+            out.extend([
+                f"{prefix}{names[f]} = {names[comp[(g, f)]]} ;"
+                for f in into[c.mor_dom[g]]
+            ])
 
 
 def _ser_functor(e: FunctorEntity, out: list[str]) -> None:

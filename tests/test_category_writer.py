@@ -141,6 +141,33 @@ def test_written_text_matches_eager_reference():
         )
 
 
+def test_inputs_reach_both_compose_branches():
+    """The writer reads a thin category's compose lines from per-target
+    name columns and any other category's through ``comp``.  Both kinds
+    are among the inputs that ``test_written_text_matches_eager_reference``
+    compares, with their counts pinned: a thin one whose non-identities
+    compose to an identity, and non-thin ones with a hom-set of two or more
+    morphisms."""
+    cats = _all_categories()
+    thin = sum(c.thin for c in cats)
+    assert (thin, len(cats) - thin) == (2915, 285)
+    iso = iso_pair()
+    ids = set(iso.identity)
+    assert iso.thin and any(
+        h in ids and g not in ids and f not in ids for (g, f), h in iso.comp.items()
+    )
+    multi = [cyclic(4), pointed_sets_2(), finset_retract(3, 2)]
+    for cat in multi:
+        objects = range(cat.n_objects)
+        assert max(len(cat.hom(a, b)) for a in objects for b in objects) >= 2
+        assert not cat.thin
+    for cat in [iso, *multi]:
+        assert cat in _handmade()
+        assert _written(make_category_entity("K", cat)) == (
+            reference_written_category("K", cat)
+        )
+
+
 def test_normal_form_matches_eager_reference():
     for cat in _all_categories():
         ref = _fields(reference_canonical(cat))

@@ -72,3 +72,20 @@ def test_multi_line_condition_that_runs_is_not_listed(tmp_path):
     # of the condition under it.  The module body ran at import, before
     # tracing; `pick` never took its `elif` branch; `never` was not called.
     assert unrun_lines.unrun_lines(own, ran[str(path)]) == [1, 10, 15, 17]
+
+
+def test_report_reads_the_sources_before_the_run(tmp_path):
+    unrun_lines = _load()
+    path, toy = _toy(tmp_path)
+    before = unrun_lines.statement_lines(path)
+
+    def call():
+        calls = [toy.pick(x) for x in (1, 7)]
+        # An edit during the run moves every statement down by three lines.
+        path.write_text("import os\nimport sys\nimport re\n" + TOY)
+        return calls
+
+    calls, report = unrun_lines.unrun_report([path], call)
+    assert calls == [[1], 0]
+    assert unrun_lines.statement_lines(path) != before
+    assert report == {str(path): (before, [1, 10, 15, 17])}
