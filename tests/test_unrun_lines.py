@@ -1,6 +1,7 @@
 """`scripts/unrun_lines.py` counts a statement as run when any line of its
 own gets a line event, so a condition written over several lines is not
-listed when it runs."""
+listed when it runs, and it reads the sources before the traced run, so an
+edit made during the run does not move the report."""
 
 import importlib.util
 from pathlib import Path
