@@ -5,7 +5,8 @@
 Runs ``pytest.main`` in this process (with ``-q`` and PYTEST_ARGS; by
 default the ``testpaths`` of pyproject.toml) under a ``sys.settrace`` line
 tracer, then prints, per module of ``src/movcat``, the statement lines that
-no test ran, and a last line ``unrun N of M``.  The statement lines are read
+no test ran, and a last line ``unrun N of M``.  It exits 1 when N is not
+0, and otherwise with pytest's exit status.  The statement lines are read
 before the run starts, so they are those of the sources the run traced.  A
 statement line is the ``lineno`` of an ``ast.stmt``, docstrings excepted;
 several statements on one line count once.  A statement counts as run when
@@ -121,7 +122,7 @@ def main(argv: list[str]) -> int:
         if unrun:
             print(f"{path.relative_to(ROOT)}: {', '.join(map(str, unrun))}")
     print(f"unrun {unrun_total} of {total}")
-    return int(status)
+    return 1 if unrun_total else int(status)
 
 
 if __name__ == "__main__":

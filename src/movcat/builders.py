@@ -3,9 +3,12 @@ categories of elements.
 
 Builders produce closed composition tables directly, so the results are
 valid by construction; validate_category is only needed for foreign input.
-Every derived construction (product, coslice, category of elements, added
-initial object) checks the exact size of its result with ``core.check_size``
-before it builds anything, so none returns a category too large to read.
+Every public derived construction (``product_category``,
+``coslice_category``, ``elements_category``, ``add_initial_object``)
+checks the exact size of its result with ``core.check_size`` before it
+builds anything, so none returns a category too large to read.  The comma
+construction ``_comma`` and ``_elements``, which ``systems.check_star``
+calls to decide on a category of elements of any size, do not check.
 A coslice and a representable refuse an object ref outside
 ``range(n_objects)`` with ``core.check_ref`` before they build anything.
 Object and morphism order is the documented construction sequence, which is
@@ -39,8 +42,8 @@ each arrow out of P through one index over all its hom-sets, since each
 arrow lies in exactly one.
 
 A copresheaf is checked when it is built, so elements_category trusts its
-input; the copresheaf carries its category of elements once that is built,
-and later calls on the same value return it.
+input; the copresheaf carries its category of elements once ``_elements``
+has built it, and later calls on the same value return it.
 """
 
 from __future__ import annotations
@@ -350,7 +353,6 @@ def _comma(
     act: Callable[[int, object], object],
     obj_names: Sequence[str],
     tag: str,
-    what: str,
 ) -> CommaResult:
     """Comma category over ``base`` and its projection to ``base``.
 
@@ -364,10 +366,8 @@ def _comma(
     is read from i's row at the base composite e2 . e1; over a thin base,
     where i -> k holds one morphism, it is read from i's target-keyed row at
     k instead (``_thin_comp``, as ``build_poset_category`` does), with no
-    base composite looked up.  ``what`` names the result when it is over
-    the caps.
+    base composite looked up.  The caller checks the size of the result.
     """
-    check_size(what, len(objects), sum(len(base.mors_out_of(b)) for b in over))
     index = {o: i for i, o in enumerate(objects)}
     triples = tuple(
         sorted(
@@ -413,14 +413,19 @@ def coslice_category(cat: FiniteCategory, x: int) -> CommaResult:
     to f' is each eta with eta . f'' = f'."""
     check_ref(x, cat.n_objects, "object", "a category")
     fs = cat.mors_out_of(x)
+    over = [cat.mor_cod[f] for f in fs]
+    check_size(
+        f"coslice under {cat.object_names[x]}",
+        len(fs),
+        sum(len(cat.mors_out_of(b)) for b in over),
+    )
     return _comma(
         cat,
         fs,
-        [cat.mor_cod[f] for f in fs],
+        over,
         lambda eta, f: cat.comp[(eta, f)],
         [f"o_{cat.mor_names[f]}" for f in fs],
         "t",
-        f"coslice under {cat.object_names[x]}",
     )
 
 
@@ -428,7 +433,20 @@ def elements_category(h: Copresheaf) -> CommaResult:
     """Category of elements of ``h`` (finite model of the comma category),
     built on the first call for ``h`` and stored on it: the objects are the
     pairs (Q, x in H(Q)), and a morphism (Q'', x'') -> (Q', x') is each
-    eta: Q'' -> Q' with action(eta)(x'') = x'."""
+    eta: Q'' -> Q' with action(eta)(x'') = x'.  Raises SizeBoundExceeded,
+    before it builds anything, when the result would exceed the caps."""
+    out_of = h.base.mors_out_of
+    check_size(
+        "category of elements",
+        sum(map(len, h.fibers)),
+        sum(len(fiber) * len(out_of(q)) for q, fiber in enumerate(h.fibers)),
+    )
+    return _elements(h)
+
+
+def _elements(h: Copresheaf) -> CommaResult:
+    """``elements_category`` without the size check, for a caller that
+    decides on it whatever its size; built once per ``h`` and stored on it."""
     if h._elements is None:
         base = h.base
         objects = [
@@ -441,7 +459,6 @@ def elements_category(h: Copresheaf) -> CommaResult:
             lambda eta, o: (base.mor_cod[eta], h.action[eta][o[1]]),
             [f"x{q}_{h.fibers[q][x]}" for q, x in objects],
             "e",
-            "category of elements",
         )
         object.__setattr__(h, "_elements", result)
     return h._elements

@@ -28,9 +28,9 @@ pairs in the order that probing every element would.
 
 All values are immutable after validation and safe to share across
 concurrent readers.  The one field stored later is a copresheaf's
-``_elements``, its category of elements, which the first
-``builders.elements_category`` call on that value sets (readers racing on
-it store equal values).
+``_elements``, its category of elements, which the first call on that
+value of ``builders._elements`` sets, through ``elements_category`` or
+``systems.check_star`` (readers racing on it store equal values).
 """
 
 from __future__ import annotations
@@ -385,8 +385,9 @@ class Copresheaf:
     sizes first, then duplicate names, partial maps and maps out of range,
     then identities and each composable pair, reported once at its first
     failing element (a pair out of an empty fiber has none).  The
-    first ``builders.elements_category`` call stores its category of
-    elements in ``_elements``, so each value builds it once.
+    first ``builders._elements`` call (from ``elements_category`` or
+    ``systems.check_star``) stores its category of elements in
+    ``_elements``, so each value builds it once.
     """
 
     base: FiniteCategory

@@ -16,10 +16,11 @@ first-winner search, ``_first_winners``, except where the target category
 is thin (``FiniteCategory.thin``: no hom-set holds two morphisms).  There a
 challenge's two sides lie in one hom-set of at most one morphism, so a
 challenge is answered exactly when a hom-set is not empty, and
-``_movable_thin`` and ``systems._star_thin`` decide by reachability
-bitsets.  They try the same candidates and challenges in the same order,
-and the search's answer is the one morphism of that hom-set, so their
-witnesses, lifts, connectors and defeat tables are the search's.  Transport
+``_movable_thin`` decides by reachability bitsets.  It tries the same
+candidates and challenges in the same order, and the search's answer is
+the one morphism of that hom-set, so its witnesses, lifts and defeat
+tables are the search's.  ``systems.check_star`` decides the copresheaf
+condition as strong movability of the category of elements, here.  Transport
 operations re-verify the transported witness rather than trusting the
 proof; a verification failure is a hard internal error.  The public
 transports also verify the witnesses they are given; their private bodies

@@ -12,14 +12,14 @@ directly that SM1 holds on every directed index, and non-directed indices
 are what make the checkers interesting.  Directedness is reported on
 validation because the classical definitions presuppose it.
 
-SM1, SM2 and the copresheaf condition are decided by the same first-winner
-search as movability (``movability._first_winners``).  The copresheaf
-condition is strong movability of the category of elements (a
-``CommaResult``), decided without building it: one pass over the points
-and their ``mors_out_of`` lists the elements over every point.  Over a thin
-base the category of elements is thin too, and ``check_star`` decides by
-reachability bitsets over the points instead, with the search's answers
-(see ``movability``).
+SM1 and SM2 are decided by the same first-winner search as movability
+(``movability._first_winners``).  The copresheaf condition is strong
+movability of the category of elements (a ``CommaResult``), and
+``check_star`` decides it there with ``check_strongly_movable``, then reads
+the answer back in points (Q, x) and base arrows.  The category of elements
+is built once per copresheaf and stored on it; ``check_star`` builds it
+whatever its size, since the condition is decided on it even where
+``builders.elements_category`` refuses it for the caps.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+from .builders import _elements
 from .core import Copresheaf, FiniteCategory, FinitePoset
 from .errors import ConeIncompatible, ValidationFailed, Violation
-from .movability import _first_winners
+from .movability import Counterexample, _first_winners, check_strongly_movable
 
 
 @dataclass(frozen=True)
@@ -344,107 +345,31 @@ StarResult = Union[StarWitness, StarCounterexample]
 
 
 def check_star(h: Copresheaf) -> StarResult:
-    """Directly evaluate the object-by-object condition on a copresheaf:
+    """Evaluate the object-by-object condition on a copresheaf:
 
     for every (Q, x) there is (Q', x', eta: Q' -> Q) with
     action(eta)(x') = x such that every (Q'', x'', eta': Q'' -> Q) with
     action(eta')(x'') = x admits eta'': Q' -> Q'' with eta' . eta'' = eta
     and action(eta'')(x') = x''.
 
-    This is strong movability of the category of elements, computed without
-    building it.
+    This is strong movability of the category of elements, and it is
+    decided there, whatever its size: a point (Q, x) is an object of it,
+    (Q', x', eta) is its morphism over eta out of (Q', x'), and the
+    connector eta'' is the eta of the lift.  The dicts list the points in
+    order and, per point, the morphisms into it in ref order.
     """
-    if h.base.thin:
-        return _star_thin(h)
-    return _star_search(h)
-
-
-def _points_over(h: Copresheaf):
-    """The points (Q, x) in order; ``at[Q]``, the place of (Q, 0) among
-    them; and for each place, the (Q'', x'', eta': Q'' -> Q) with
-    action(eta')(x'') = x over the point (Q, x) there, in the order of their
-    points, then of eta'."""
-    base, action = h.base, h.action
-    at, points = [], []
-    for q, fiber in enumerate(h.fibers):
-        at.append(len(points))
-        points += [(q, x) for x in range(len(fiber))]
-    over = [[] for _ in points]
-    for q2, x2 in points:
-        for eta2 in base.mors_out_of(q2):
-            over[at[base.mor_cod[eta2]] + action[eta2][x2]].append((q2, x2, eta2))
-    return points, at, over
-
-
-def _star_search(h: Copresheaf) -> StarResult:
-    """``check_star`` by the first-winner search, for any base."""
-    points, _, over = _points_over(h)
-    hom, comp, action = h.base.hom, h.base.comp, h.action
-
-    def respond(j, cand, ch):
-        (q1, x1, eta), (q2, x2, eta2) = cand, ch
-        for e in hom(q1, q2):
-            if comp[eta2, e] == eta and action[e][x1] == x2:
-                return e
-        return None
-
-    won, stuck = _first_winners(
-        range(len(points)), over.__getitem__, over.__getitem__, respond
-    )
-    if stuck:
-        j, defeats = stuck
-        return StarCounterexample(points[j], defeats)
-    return StarWitness(
-        {points[j]: cand for j, cand, _ in won},
-        {(*points[j], *ch): e for j, _, answers in won for ch, e in answers},
-    )
-
-
-def _star_thin(h: Copresheaf) -> StarResult:
-    """``check_star`` over a thin base, by reachability bitsets.
-
-    Over a thin base eta' . eta'' and eta both lie in hom(Q', Q), which holds
-    at most one morphism, so (Q', x', eta) answers (Q'', x'', eta') exactly
-    when the one eta'': Q' -> Q'' exists and carries x' to x'', that is,
-    when (Q'', x'') is in ``up`` of (Q', x'), the points to which the arrows
-    out of Q' carry x'.  So a candidate wins at (Q, x) when ``up`` of its
-    point holds ``need``, the points of the challenges there; its first
-    defeat is the first challenge whose point it misses.  A point's bit is
-    its place in ``points``; ``up`` is made when a candidate first needs it.
-    """
-    points, at, over = _points_over(h)
-    # The hom-sets read from their dict, as in ``movability._movable_thin``.
-    base, action, hom = h.base, h.action, h.base._hom
-    up = [None] * len(points)
-
-    def reach(q1, x1):
-        i = at[q1] + x1
-        r = up[i]
-        if r is None:
-            r = 0
-            for e in base.mors_out_of(q1):
-                r |= 1 << at[base.mor_cod[e]] + action[e][x1]
-            up[i] = r
-        return r
-
+    el = _elements(h)
+    cat, points = el.category, el.objects
+    arrows = [(*points[i], eta) for i, _, eta in el.morphism_triples]
+    res = check_strongly_movable(cat)
+    if isinstance(res, Counterexample):
+        return StarCounterexample(
+            points[res.obj],
+            {arrows[d.mover_mor]: arrows[d.defeating_p] for d in res.defeats},
+        )
     choice, connectors = {}, {}
-    for j, chs in enumerate(over):
-        need = 0
-        for q2, x2, _ in chs:
-            need |= 1 << at[q2] + x2
-        for cand in chs:
-            if not need & ~reach(cand[0], cand[1]):
-                break
-        else:
-            defeats = {}
-            for cand in chs:
-                missing = need & ~reach(cand[0], cand[1])
-                defeats[cand] = next(
-                    ch for ch in chs if missing >> at[ch[0]] + ch[1] & 1
-                )
-            return StarCounterexample(points[j], defeats)
-        pt, q1 = points[j], cand[0]
-        choice[pt] = cand
-        for ch in chs:
-            connectors[(*pt, *ch)] = hom[q1, ch[0]][0]
+    for j, pt in enumerate(points):
+        choice[pt] = arrows[res.mover_mors[j]]
+        for p in cat.mors_into(j):
+            connectors[(*pt, *arrows[p])] = arrows[res.lifts[p]][2]
     return StarWitness(choice, connectors)

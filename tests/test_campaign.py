@@ -352,6 +352,17 @@ def test_transfer_law_sometimes_exercised():
     assert exercised >= 5
 
 
+
+def test_transfer_is_vacuous_when_l_is_not_strongly_movable():
+    # K = L = the V poset: the identity is a weak domination, but L is not
+    # strongly movable, so there is no witness to transfer.
+    v = "elements a b c ; leq a c ; leq b c }\n"
+    doc = parse_document("poset K { " + v + "poset L { " + v)
+    assert search.find_weak_domination(doc.category_of("K"), doc.category_of("L")).found
+    assert evaluate_instance("transfer", doc) == (
+        True, "vacuous: L not strongly movable"
+    )
+
 CHAIN2 = "poset C { elements a b ; leq a b }\n"
 CATEGORY_P = "category P { objects a0 a1 ; arrows le0_1: a0 -> a1 ; }\n"
 CONELESS = CHAIN2 + "poset I { elements i }\nsystem S in C over I { object i => a }\n"

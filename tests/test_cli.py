@@ -2,6 +2,10 @@ import hashlib
 import json
 import os
 import random
+import runpy
+import sys
+
+import pytest
 
 from click.testing import CliRunner
 
@@ -473,3 +477,14 @@ def test_cli_transcript_pinned(tmp_path):
         codes.append(res.exit_code)
     assert (codes.count(0), codes.count(1)) == CLI_TRANSCRIPT_CODES
     assert digest.hexdigest() == CLI_TRANSCRIPT_SHA256
+
+
+def test_module_runs_main(monkeypatch, capsys):
+    # ``python -m movcat.cli`` runs the command group.  Run again in this
+    # process, where the module is already imported, runpy warns.
+    monkeypatch.setattr(sys, "argv", ["movcat", "--help"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as e:
+            runpy.run_module("movcat.cli", run_name="__main__")
+    assert e.value.code == 0
+    assert "Finite-category toolkit" in capsys.readouterr().out

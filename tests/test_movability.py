@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from movcat import movability
 from movcat.builders import (
     build_monoid_category,
     build_poset_category,
@@ -253,6 +254,25 @@ def test_transports_reject_corrupted_witness(transport):
     }[transport]
     with pytest.raises(VerificationFailed):
         run()
+
+
+def test_transports_check_their_own_output(monkeypatch):
+    # Each transport raises VerificationFailed when the witness it returns
+    # does not verify; here the check of that witness is made to fail.
+    k1, k2 = chain(3), chain(2)
+    prod = product_category([k1, k2])
+    w1, w2 = check_strongly_movable(k1), check_strongly_movable(k2)
+    one = identity_functor(k1)
+    monkeypatch.setattr(movability, "witness_valid", lambda k, w: False)
+    with pytest.raises(VerificationFailed, match="product witness does not verify"):
+        movability._product_transport(prod, [w1, w2])
+    with pytest.raises(VerificationFailed, match="transferred witness does not"):
+        movability._weak_domination_transfer(one, one, identity_nat_trans(one), w1)
+    # The input is checked along ``one`` itself, the output along a
+    # composite equal to it.
+    monkeypatch.setattr(movability, "witness_valid_wrt", lambda phi, w: phi is one)
+    with pytest.raises(VerificationFailed, match="post-composed witness does not"):
+        postcompose_transfer(one, w1, one)
 
 
 def test_weak_domination_transfer_identity_roundtrip():

@@ -10,7 +10,9 @@ import dataclasses
 import itertools
 import random
 
-from movcat import campaign, movability, search, systems
+import pytest
+
+from movcat import campaign, movability, search
 from movcat.builders import (
     add_initial_object,
     build_poset_category,
@@ -20,7 +22,8 @@ from movcat.builders import (
     representable_copresheaf,
 )
 from movcat.campaign import generate_campaign_instance
-from movcat.core import identity_functor, make_poset, validate_category
+from movcat.core import Copresheaf, identity_functor, make_poset, validate_category
+from movcat.errors import SizeBoundExceeded
 from movcat.generators import generate_instance, terminal_copresheaf
 from movcat.movability import (
     MovabilityWitness,
@@ -290,8 +293,10 @@ def test_thin_bodies_match_the_search(monkeypatch):
 
     def star(corpus, h):
         assert h.base.thin
-        got = systems._star_thin(h)
-        _same(got, systems._star_search(h), corpus)
+        got = check_star(h)
+        _same(got, naive_star(h), corpus)
+        phi = identity_functor(elements_category(h).category)
+        _same(movability._movable_thin(phi), movability._movable_search(phi), corpus)
         key = corpus, isinstance(got, StarWitness)
         counts[key] = counts.get(key, 0) + 1
 
@@ -370,3 +375,56 @@ def test_thin_bodies_match_the_search(monkeypatch):
         ("systems", True): 283,
         ("systems", False): 215,
     }
+
+
+def _glued_terminal(base, copies):
+    """``copies`` copies of the terminal copresheaf on ``base``, glued
+    fiberwise: each fiber holds one point per copy, and every arrow keeps
+    the copy of a point."""
+    points = [f"c{k}" for k in range(copies)]
+    return Copresheaf(
+        base, [points] * base.n_objects, [range(copies)] * base.n_mors
+    )
+
+
+def test_star_decides_over_the_caps():
+    # Each category of elements here is over the 64-object cap:
+    # elements_category and space_movability refuse it before they build
+    # it, while check_star still decides.  65 points over one object
+    # satisfy the condition; 22 glued copies of the V poset's terminal
+    # copresheaf (66 points) fail it at the top of the first copy.
+    cases = [
+        (lambda: _glued_terminal(chain(1), 65), "65 objects / 65 morphisms"),
+        (lambda: _glued_terminal(v_poset_category(), 22), "66 objects / 110 morphisms"),
+    ]
+    verdicts = []
+    for make, size in cases:
+        message = f"category of elements has {size}, over the caps of 64 / 4096"
+        for refuse in (elements_category, space_movability):
+            h = make()
+            with pytest.raises(SizeBoundExceeded) as e:
+                refuse(h)
+            assert str(e.value) == message
+            assert h._elements is None
+        h = make()
+        got = check_star(h)
+        _same(got, naive_star(h), size)
+        verdicts.append(isinstance(got, StarWitness))
+    assert verdicts == [True, False]
+    assert got.at == (2, 0)
+    # A coslice over the caps is still refused, with its own message:
+    # under A, with 100 parallel arrows A -> B, there are 101 objects.
+    n = 100
+    parallel = validate_category(
+        ["A", "B"],
+        [("1A", 0, 0), ("1B", 1, 1)] + [(f"f{i}", 0, 1) for i in range(n)],
+        [0, 1],
+        {(0, 0): 0, (1, 1): 1}
+        | {(2 + i, 0): 2 + i for i in range(n)}
+        | {(1, 2 + i): 2 + i for i in range(n)},
+    )
+    with pytest.raises(SizeBoundExceeded) as e:
+        coslice_category(parallel, 0)
+    assert str(e.value) == (
+        "coslice under A has 101 objects / 201 morphisms, over the caps of 64 / 4096"
+    )

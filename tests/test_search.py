@@ -16,6 +16,7 @@ from movcat.errors import (
     NoDesignatedCoproducts,
     SourceTargetMismatch,
     UniversalPropertyFails,
+    VerificationFailed,
 )
 from movcat.generators import semilattice_designation
 from movcat.movability import (
@@ -93,6 +94,14 @@ def test_domination_of_self_is_identity():
     assert res.found is not None and not res.truncated
     f, g = res.found
     assert f == identity_functor(k) and g == identity_functor(k)
+
+
+def test_retractions_refuse_a_pair_that_is_not_a_retraction(monkeypatch):
+    # Each pair (F, G) is re-checked for G . F = 1_K before it is yielded;
+    # here the composite is made to differ from the identity.
+    monkeypatch.setattr(search, "compose_functors", lambda g, f: None)
+    with pytest.raises(VerificationFailed, match="retraction constraint violated"):
+        find_functorial_domination(chain(2), chain(2))
 
 
 def test_chain2_dominated_by_chain3():

@@ -3,12 +3,18 @@ import pytest
 from movcat.builders import (
     build_poset_category,
     elements_category,
+    product_category,
     representable_copresheaf,
 )
+from movcat.campaign import generate_campaign_instance
 from movcat.core import Copresheaf, make_poset
 from movcat.errors import ConeIncompatible, ValidationFailed, Violation
 from movcat.generators import terminal_copresheaf
-from movcat.movability import MovabilityWitness, check_movable_wrt
+from movcat.movability import (
+    MovabilityWitness,
+    check_movable_wrt,
+    witness_valid,
+)
 from movcat.systems import (
     SM1Witness,
     SM2Witness,
@@ -23,7 +29,7 @@ from movcat.systems import (
     make_cone,
     validate_system,
 )
-from util import chain, v_poset_category
+from util import chain, posets_up_to_iso, v_poset_category
 
 
 def _thin_bonds(ambient, index, at):
@@ -265,6 +271,70 @@ def test_star_agrees_with_elements_category_movability():
         assert isinstance(check_star(h), StarWitness) == isinstance(
             mov, MovabilityWitness
         )
+
+
+def _verify_star(h, res):
+    """Check a ``check_star`` result as a certificate on the category of
+    elements E of ``h``, reading its points and arrows through E's
+    ``object_index`` and ``morphism_index``.
+
+    A witness becomes a movability witness of E that ``witness_valid``
+    accepts.  At the point of a counterexample, each morphism of E into it
+    is a candidate whose defeating morphism has no lift, and at every
+    earlier object some candidate answers every morphism into it."""
+    el = elements_category(h)
+    cat = el.category
+    obj = el.object_index
+
+    def answers(m, p):
+        return any(
+            cat.comp[p, u] == m for u in cat.hom(cat.mor_dom[m], cat.mor_dom[p])
+        )
+
+    if isinstance(res, StarWitness):
+        movers = [None] * cat.n_objects
+        mover_mors = [None] * cat.n_objects
+        lifts = [None] * cat.n_mors
+        for pt, (q1, x1, eta) in res.choice.items():
+            x = obj(pt)
+            movers[x] = obj((q1, x1))
+            mover_mors[x] = el.morphism_index(movers[x], x, eta)
+        for (q, x, q2, x2, eta2), e in res.connectors.items():
+            j, y = obj((q, x)), obj((q2, x2))
+            lifts[el.morphism_index(y, j, eta2)] = el.morphism_index(movers[j], y, e)
+        w = MovabilityWitness(tuple(movers), tuple(mover_mors), tuple(lifts))
+        assert witness_valid(cat, w)
+        return True
+    x = obj(res.at)
+    cands = []
+    for (q1, x1, eta), (q2, x2, eta2) in res.defeats.items():
+        m = el.morphism_index(obj((q1, x1)), x, eta)
+        assert not answers(m, el.morphism_index(obj((q2, x2)), x, eta2))
+        cands.append(m)
+    assert sorted(cands) == list(cat.mors_into(x))
+    for i in range(x):
+        into = cat.mors_into(i)
+        assert any(all(answers(m, p) for p in into) for m in into)
+    return False
+
+
+def test_star_results_verify_on_the_category_of_elements():
+    copresheaves = [
+        generate_campaign_instance(law, seed)["S"].cone.copresheaf
+        for law in ("sm-bridge", "star-bridge")
+        for seed in range(300)
+    ]
+    for n in range(1, 5):
+        for rel in posets_up_to_iso(n):
+            cat = build_poset_category(make_poset([f"p{i}" for i in range(n)], rel))
+            copresheaves += [representable_copresheaf(cat, x) for x in range(n)]
+    prod = product_category([chain(8), chain(8)])
+    copresheaves += [
+        representable_copresheaf(prod.category, prod.object_index(c))
+        for c in ([0, 1], [1, 0])
+    ]
+    verdicts = [_verify_star(h, check_star(h)) for h in copresheaves]
+    assert (verdicts.count(True), verdicts.count(False)) == (471, 215)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """`scripts/unrun_lines.py` counts a statement as run when any line of its
 own gets a line event, so a condition written over several lines is not
 listed when it runs, and it reads the sources before the traced run, so an
-edit made during the run does not move the report."""
+edit made during the run does not move the report.  It exits 1 while a
+statement line is unrun, and otherwise with pytest's status."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,3 +94,37 @@ def test_report_reads_the_sources_before_the_run(tmp_path):
     assert calls == [[1], 0]
     assert unrun_lines.statement_lines(path) != before
     assert report == {str(path): (before, [1, 10, 15, 17])}
+
+
+def test_exit_status_is_1_while_a_line_is_unrun(tmp_path, monkeypatch, capsys):
+    unrun_lines = _load()
+    src = tmp_path / "src" / "movcat"
+    src.mkdir(parents=True)
+    path = src / "toy.py"
+    path.write_text(TOY)
+    monkeypatch.setattr(unrun_lines, "ROOT", tmp_path)
+    monkeypatch.setattr(unrun_lines, "SRC", src)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def run(xs, status):
+        # Stands in for the test run: loads the toy under the tracer, so
+        # its module body runs, and calls ``pick`` on ``xs``.
+        def fake_main(args):
+            spec = importlib.util.spec_from_file_location("toy", path)
+            toy = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(toy)
+            for x in xs:
+                toy.pick(x)
+            if len(xs) == 3:
+                toy.never()
+            return status
+
+        monkeypatch.setattr(pytest, "main", fake_main)
+        return unrun_lines.main([])
+
+    # `pick` never takes its `elif` branch; `never` is not called.
+    assert run([1, 7], 0) == 1
+    assert capsys.readouterr().out == "src/movcat/toy.py: 10, 17\nunrun 2 of 8\n"
+    assert run([1, 7, 9], 5) == 5
+    assert capsys.readouterr().out == "unrun 0 of 8\n"
