@@ -395,7 +395,10 @@ def test_star_decides_over_the_caps():
     # copresheaf (66 points) fail it at the top of the first copy.
     cases = [
         (lambda: _glued_terminal(chain(1), 65), "65 objects / 65 morphisms"),
-        (lambda: _glued_terminal(v_poset_category(), 22), "66 objects / 110 morphisms"),
+        (
+            lambda: _glued_terminal(v_poset_category(), 22),
+            "66 objects / 110 morphisms",
+        ),
     ]
     verdicts = []
     for make, size in cases:

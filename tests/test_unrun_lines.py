@@ -107,24 +107,25 @@ def test_exit_status_is_1_while_a_line_is_unrun(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "path", list(sys.path))
 
-    def run(xs, status):
+    def run(xs, status, never):
         # Stands in for the test run: loads the toy under the tracer, so
-        # its module body runs, and calls ``pick`` on ``xs``.
+        # its module body runs, calls ``pick`` on ``xs`` and, if asked,
+        # ``never``.
         def fake_main(args):
             spec = importlib.util.spec_from_file_location("toy", path)
             toy = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(toy)
             for x in xs:
                 toy.pick(x)
-            if len(xs) == 3:
+            if never:
                 toy.never()
             return status
 
         monkeypatch.setattr(pytest, "main", fake_main)
         return unrun_lines.main([])
 
-    # `pick` never takes its `elif` branch; `never` is not called.
-    assert run([1, 7], 0) == 1
+    # `pick` never takes its `elif` branch, and `never` is not called.
+    assert run([1, 7], 0, never=False) == 1
     assert capsys.readouterr().out == "src/movcat/toy.py: 10, 17\nunrun 2 of 8\n"
-    assert run([1, 7, 9], 5) == 5
+    assert run([1, 7, 9], 5, never=True) == 5
     assert capsys.readouterr().out == "unrun 0 of 8\n"
